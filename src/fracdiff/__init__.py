@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .errors import (AccuracyError, ConfigError, DomainError, FracdiffError,
                      InstabilityError)
-from .greens import (FractionalOrder, ReducedGreenEval, characteristic_width,
-                     green_function, reduced_green)
+from .greens import (FractionalOrder, characteristic_width, green_function,
+                     reduced_green)
 from .specfun import (DEFAULT_SWITCH_RADIUS, EvalRegime, PcfOrder, Regime,
                       pcf_d, pcf_u, pcf_v, s_combo, t_combo)
 from .kernels import (CBeta, KernelKind, KernelSpec, c_beta, eta, eta1,
@@ -26,6 +26,6 @@ from .schemes import (SchemeKind, assemble_matrix, make_gpse_stepper,
                       rhs_rlpse, step_gpse)
 from .timeint import (IntegratorSpec, RKOrder, StabilityReport, integrate,
                       power_iteration_min_eig, stability_limit_check)
-from .analysis import (ConvergenceLevel, ErrorReport, conservation_drift,
-                       nested_levels, rel_l1_error, self_convergence_order)
+from .analysis import (ConvergenceLevel, conservation_drift, nested_levels,
+                       rel_l1_error, self_convergence_order)
 from .experiments import ExperimentConfig, StudyKind, parse_config, run

@@ -18,7 +18,7 @@ N -> 2N-1 the coarse nodes are every second, resp. fourth, fine node).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,21 +29,12 @@ from .field import ParticleField, total_strength
 from .greens import green_function
 
 __all__ = [
-    "ErrorReport",
     "ConvergenceLevel",
     "rel_l1_error",
     "self_convergence_order",
     "conservation_drift",
     "nested_levels",
 ]
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    rel_l1: float
-    d_eps: float
-    mass_drift: float
-    meta: dict = dc_field(default_factory=dict)
 
 
 def exact_mass(field_order, t: float, d_eps: float) -> float:

@@ -1,7 +1,7 @@
 """Command-line driver.
 
-    fracdiff run <config> [--preset NAME] [--out-dir DIR] [--threads N]
-                          [--seed N] [--experimental]
+    fracdiff run <config> [--preset NAME] [--out-dir DIR] [--seed N]
+                          [--experimental]
     fracdiff stability [--n N] [--overlap R] [--out-dir DIR] [--seed N]
     fracdiff kernels dump [--out-dir DIR]
 
@@ -21,8 +21,6 @@ __all__ = ["main"]
 
 def _common(parser: argparse.ArgumentParser):
     parser.add_argument("--out-dir", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (results are identical for any value)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed")
 
 
@@ -53,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _overrides(args: argparse.Namespace) -> dict:
     out = {}
-    for key in ("out_dir", "threads", "seed"):
+    for key in ("out_dir", "seed"):
         val = getattr(args, key, None)
         if val is not None:
             out[key] = val

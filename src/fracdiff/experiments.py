@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .analysis import (ErrorReport, nested_levels, rel_l1_error,
-                       self_convergence_order)
+from .analysis import nested_levels, rel_l1_error, self_convergence_order
 from .errors import ConfigError
 from .field import DomainSpec, ParticleField, init_uniform, total_strength
 from .greens import FractionalOrder, characteristic_width, green_function
@@ -68,7 +67,6 @@ class ExperimentConfig:
     d_eps_factor: float = 5.0
     out_dir: str = "."
     seed: int = 0
-    threads: int = 1
     experimental: bool = False
 
     @property
@@ -101,7 +99,6 @@ class ExperimentConfig:
             "levels": self.levels,
             "d_eps_factor": self.d_eps_factor,
             "seed": self.seed,
-            "threads": self.threads,
             "experimental": self.experimental,
         }
 
@@ -123,7 +120,6 @@ _PARSERS = {
     "d_eps_factor": float,
     "out_dir": str,
     "seed": int,
-    "threads": int,
     "experimental": lambda s: s.lower() in ("1", "true", "yes", "on"),
 }
 
@@ -226,13 +222,9 @@ def _run_one(cfg: ExperimentConfig, c: float | None = None, n: int | None = None
     spec = IntegratorSpec(cfg.integrator, cfg.dt, cfg.t0, cfg.tf)
     f1 = integrate(f0, cfg.scheme, spec)
     d_eps = cfg.d_eps_factor * cfg.r_alpha()
-    report = ErrorReport(
-        rel_l1=rel_l1_error(f1, cfg.tf, d_eps),
-        d_eps=d_eps,
-        mass_drift=abs(total_strength(f1) - total_strength(f0)) / abs(total_strength(f0)),
-        meta={"scheme": cfg.scheme.value, "beta": cfg.beta, "n": len(f1)},
-    )
-    return f0, f1, report.rel_l1, report.mass_drift
+    err = rel_l1_error(f1, cfg.tf, d_eps)
+    drift = abs(total_strength(f1) - total_strength(f0)) / abs(total_strength(f0))
+    return f0, f1, err, drift
 
 
 def _snapshot_rows(field: ParticleField, t: float, order: FractionalOrder):

@@ -1,26 +1,27 @@
 """Fundamental solution of the fractional diffusion equation.
 
-The reduced profile L0_alpha has the convergent series
+The reduced profile L0_alpha is the symmetric alpha-stable density with
+characteristic function exp(-|k|^alpha), so it has the Fourier representation
 
-    L0(x) = (1/pi) sum_k (-1)^k Gamma(1+(2k+1)/alpha) x^{2k} / (2k+1)!
+    L0(x) = (1/pi) int_0^inf cos(kx) exp(-k^alpha) dk
 
-and, for large |x|, the asymptotic expansion
+(Nolan 1997, Numerical calculation of stable densities and distribution
+functions) and, for large |x|, the asymptotic expansion
 
     L0(x) ~ -(1/(x pi)) sum_{n>=1} (-x^-alpha)^n Gamma(1+alpha n)/n! sin(alpha n pi/2).
 
-The series is entire but becomes violently ill-conditioned once x exceeds an
-alpha-dependent radius (its terms peak near exp(x^2-ish) before decaying), so
-evaluation switches to the asymptotic sum at a crossover chosen where the
-asymptotic optimal-truncation error drops below ~1e-8.  For alpha close to 1
-that crossover sits near x ~ 2; near alpha = 2 it moves out to x ~ 9.  A
-narrow band just below the crossover, where float64 can no longer absorb the
-alternating-series cancellation, reruns the same series at extended working
-precision.
+Evaluation switches to the asymptotic sum at a crossover chosen where its
+optimal-truncation error drops below ~1e-8.  For alpha close to 1 that
+crossover sits near x ~ 1.1; near alpha = 2 it moves out to x ~ 9.4.  Below
+it, L0 is smooth on a fixed interval, so one degree-40 Chebyshev interpolant
+per alpha reproduces it to near machine precision (Trefethen 2013,
+Approximation Theory and Approximation Practice).  The interpolant is fitted
+once, at Chebyshev nodes whose values come from the Fourier integral by
+adaptive quadrature, and cached.
 
-The characteristic width R_alpha is the first absolute moment of L0_alpha.
-L0_alpha is the symmetric alpha-stable density with characteristic function
-exp(-|k|^alpha), whose first absolute moment has the closed form
-(2/pi) Gamma(1 - 1/alpha) (Samorodnitsky & Taqqu 1994, Prop. 1.2.17, p = 1).
+The characteristic width R_alpha is the first absolute moment of L0_alpha,
+which for this law has the closed form (2/pi) Gamma(1 - 1/alpha)
+(Samorodnitsky & Taqqu 1994, Prop. 1.2.17, p = 1).
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ import math
 from dataclasses import dataclass
 from math import lgamma
 
-import mpmath as mp
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate, chebval
+from scipy.integrate import quad
 
 from .errors import AccuracyError, DomainError
 
 __all__ = [
     "FractionalOrder",
-    "ReducedGreenEval",
     "reduced_green",
     "green_function",
     "characteristic_width",
@@ -75,25 +76,13 @@ def _as_order(alpha) -> FractionalOrder:
     return FractionalOrder(float(alpha))
 
 
-@dataclass(frozen=True)
-class ReducedGreenEval:
-    """Truncation/crossover configuration for reduced_green."""
-
-    series_terms: int = 500
-    asym_terms: int = 300
-    crossover: float | None = None  # None: per-alpha automatic choice
-
-    def __post_init__(self):
-        if self.series_terms < 1 or self.asym_terms < 1:
-            raise DomainError("term counts must be positive")
-        if self.crossover is not None and not (self.crossover > 0 and math.isfinite(self.crossover)):
-            raise DomainError("crossover must be finite and positive")
-
-
 _CROSSOVER_CAP = 10.0
-# float64 series is used only while its condition estimate stays below this;
-# beyond it (up to the crossover) the same series runs in mpmath precision
-_FLOAT_SERIES_COND = 3e5
+_ASYM_TERMS = 300
+# below the crossover: one Chebyshev table per alpha, fitted at nodes of the
+# Fourier integral, which quad resolves to these tolerances
+_TABLE_DEGREE = 40
+_NODE_EPSABS = 1e-14
+_NODE_EPSREL = 1e-12
 
 
 def _asym_err_estimate(alpha: float, x: float, asym_terms: int) -> float:
@@ -111,20 +100,6 @@ def _asym_err_estimate(alpha: float, x: float, asym_terms: int) -> float:
     return best
 
 
-def _series_cond_estimate(alpha: float, x: float, max_terms: int) -> float:
-    """log of the series condition number (largest term over the sum)."""
-    lx = math.log(x)
-    m = 0.0
-    for k in range(max_terms):
-        lt = lgamma(1.0 + (2 * k + 1) / alpha) + 2 * k * lx - lgamma(2 * k + 2.0)
-        m = max(m, lt)
-        if k > 4 and lt < m - 60.0:
-            break
-    # |sum| ~ pi L(x) ~ first asymptotic term
-    lsum = lgamma(1.0 + alpha) - (1.0 + alpha) * lx + math.log(abs(math.sin(alpha * math.pi / 2.0)))
-    return m - lsum
-
-
 @functools.lru_cache(maxsize=64)
 def _auto_crossover(alpha: float, asym_terms: int) -> float:
     """Smallest x where the asymptotic branch reaches ~1e-8 relative accuracy."""
@@ -134,89 +109,30 @@ def _auto_crossover(alpha: float, asym_terms: int) -> float:
     return _CROSSOVER_CAP
 
 
+def _l0_fourier(alpha: float, x: float) -> float:
+    """L0(x) = (1/pi) int_0^inf cos(kx) exp(-k^alpha) dk, cut where exp underflows."""
+    val, err = quad(lambda k: math.cos(k * x) * math.exp(-k ** alpha),
+                    0.0, 745.0 ** (1.0 / alpha),
+                    epsabs=_NODE_EPSABS, epsrel=_NODE_EPSREL, limit=200)
+    if err > _NODE_EPSABS + _NODE_EPSREL * abs(val):
+        raise AccuracyError(
+            f"L0 Fourier integral error estimate {err:.1e} too large (alpha={alpha}, x={x})",
+            partial=val / math.pi,
+        )
+    return val / math.pi
+
+
 @functools.lru_cache(maxsize=64)
-def _float_series_limit(alpha: float, series_terms: int) -> float:
-    """Largest x whose series condition stays within the float64 budget."""
-    limit = 0.8
-    for x in np.arange(0.8, _CROSSOVER_CAP + 1e-9, 0.025):
-        if _series_cond_estimate(alpha, float(x), series_terms) > math.log(_FLOAT_SERIES_COND):
-            break
-        limit = float(x)
-    return limit
+def _l0_table(alpha: float) -> np.ndarray:
+    """Chebyshev coefficients of L0 on [0, crossover] (read-only, shared)."""
+    cross = _auto_crossover(alpha, _ASYM_TERMS)
 
+    def nodes(t):
+        return np.array([_l0_fourier(alpha, float(x)) for x in 0.5 * cross * (t + 1.0)])
 
-_MP_GAMMA_CACHE: dict = {}
-
-
-def _l0_series_mp(alpha: float, xs: np.ndarray, max_terms: int) -> np.ndarray:
-    """Extended-precision series for the ill-conditioned band below the crossover."""
-    key = round(alpha, 12)
-    cache = _MP_GAMMA_CACHE.setdefault(key, {})
-    out = np.empty_like(xs)
-    with mp.workdps(50):
-        am = mp.mpf(alpha)
-        for i, xv in enumerate(xs):
-            xm = mp.mpf(float(xv))
-            xx = xm * xm
-            s = mp.mpf(0)
-            xpow = mp.mpf(1)
-            fact = mp.mpf(1)  # (2k+1)!
-            for k in range(4 * max_terms):
-                g = cache.get(k)
-                if g is None:
-                    g = cache[k] = mp.gamma(1 + mp.mpf(2 * k + 1) / am)
-                t = g * xpow / fact
-                s += -t if (k % 2) else t
-                if k > 4 and t < mp.mpf("1e-40") * abs(s):
-                    break
-                xpow *= xx
-                fact *= (2 * k + 2) * (2 * k + 3)
-            else:
-                raise AccuracyError(f"L0 extended series did not converge (alpha={alpha}, x={xv})")
-            out[i] = float(s / mp.pi)
-    return out
-
-
-def _series_peak_index(alpha: float, x: float) -> float:
-    """Index where the L0 series terms peak (conditioning estimate)."""
-    c = x * x * (2.0 / alpha) ** (2.0 / alpha) / 4.0
-    if c <= 1.0:
-        return 1.0
-    return c ** (1.0 / (2.0 - 2.0 / alpha))
-
-
-def _l0_series(alpha: float, ax: np.ndarray, max_terms: int) -> np.ndarray:
-    """Series branch, vectorized over |x|; terms formed in log space."""
-    out = np.full_like(ax, math.exp(lgamma(1.0 + 1.0 / alpha)))  # k = 0 term
-    with np.errstate(divide="ignore"):
-        lnx = np.log(ax)  # -inf at x = 0 kills every k >= 1 term
-    peak = np.abs(out).copy()
-    sign = -1.0
-    prev_mag = math.inf
-    for k in range(1, max_terms):
-        clog = lgamma(1.0 + (2 * k + 1) / alpha) - lgamma(2 * k + 2.0)
-        term = sign * np.exp(clog + (2 * k) * lnx)
-        out += term
-        mag = np.abs(term)
-        np.maximum(peak, mag, out=peak)
-        worst = float(np.max(mag / (np.abs(out) + 5e-324)))
-        if worst <= 1e-17 and mag.max() < prev_mag:
-            break
-        prev_mag = mag.max()
-        sign = -sign
-    else:
-        raise AccuracyError(
-            f"L0 series did not converge in {max_terms} terms (alpha={alpha})",
-            partial=out / math.pi,
-        )
-    # safety net: the band routing should keep the cancellation mild here
-    cond = float(np.max(peak / (np.abs(out) + 5e-324)))
-    if cond > 1e7:
-        raise AccuracyError(
-            f"L0 series lost too much precision (condition {cond:.1e}, alpha={alpha})",
-            partial=out / math.pi,
-        )
-    return out / math.pi
+    coef = chebinterpolate(nodes, _TABLE_DEGREE)
+    coef.setflags(write=False)
+    return coef
 
 
 def _l0_asym(alpha: float, ax: np.ndarray, max_terms: int) -> np.ndarray:
@@ -242,41 +158,31 @@ def _l0_asym(alpha: float, ax: np.ndarray, max_terms: int) -> np.ndarray:
     return -out / (ax * math.pi)
 
 
-def reduced_green(alpha, x, eval_cfg: ReducedGreenEval | None = None):
+def reduced_green(alpha, x):
     """Reduced Green function L0_alpha(x).  Even in x; accepts arrays."""
     order = _as_order(alpha)
-    cfg = eval_cfg or ReducedGreenEval()
     ax = np.abs(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(ax)):
         raise DomainError("non-finite argument to reduced_green")
-    if cfg.crossover is not None:
-        cross = cfg.crossover
-    else:
-        cross = _auto_crossover(order.alpha, cfg.asym_terms)
+    cross = _auto_crossover(order.alpha, _ASYM_TERMS)
     out = np.empty_like(ax)
     small = ax < cross
     if small.any():
-        xf = _float_series_limit(order.alpha, cfg.series_terms)
-        easy = small & (ax <= xf)
-        band = small & (ax > xf)
-        if easy.any():
-            out[easy] = _l0_series(order.alpha, ax[easy], cfg.series_terms)
-        if band.any():
-            out[band] = _l0_series_mp(order.alpha, ax[band], cfg.series_terms)
+        out[small] = chebval(2.0 * ax[small] / cross - 1.0, _l0_table(order.alpha))
     if (~small).any():
-        out[~small] = _l0_asym(order.alpha, ax[~small], cfg.asym_terms)
+        out[~small] = _l0_asym(order.alpha, ax[~small], _ASYM_TERMS)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
 
 
-def green_function(alpha, x, t, eval_cfg: ReducedGreenEval | None = None):
+def green_function(alpha, x, t):
     """Fundamental solution G0_alpha(x, t) = t^{-1/alpha} L0_alpha(x t^{-1/alpha})."""
     order = _as_order(alpha)
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t}")
     scale = t ** (-order.gamma)
-    val = reduced_green(order, np.asarray(x, dtype=float) * scale, eval_cfg)
+    val = reduced_green(order, np.asarray(x, dtype=float) * scale)
     return val * scale
 
 

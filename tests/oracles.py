@@ -17,7 +17,13 @@ characteristic width R_alpha both from the characteristic function alone,
     R_alpha = (2/pi) int_0^inf (1 - exp(-k^alpha)) k^-2 dk,
 
 and by integrating x L0(x) with the series on [0, M] and the asymptotic
-expansion on [M, inf) (H1 and H2), summed in mpmath precision.
+expansion on [M, inf) (H1 and H2), summed in mpmath precision.  L0 itself
+comes from its convergent power series
+
+    L0(x) = (1/pi) sum_k (-1)^k Gamma(1+(2k+1)/alpha) x^{2k} / (2k+1)!,
+
+summed in mpmath precision, which absorbs the alternating-series
+cancellation below the asymptotic crossover.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import functools
 import math
 
 import mpmath as mp
+import numpy as np
 from scipy.integrate import quad
 
 from fracdiff.errors import AccuracyError, DomainError
@@ -258,3 +265,39 @@ def r_alpha_split_series(alpha, split_point: float | None = None) -> float:
                 partial=float(r1),
             )
         return float(r1)
+
+
+# ---------------------------------------------------------------------------
+# L0 by its power series in extended precision
+
+
+_MP_GAMMA_CACHE: dict = {}
+
+
+def l0_series_mp(alpha: float, xs: np.ndarray, max_terms: int) -> np.ndarray:
+    """Extended-precision series for the ill-conditioned band below the crossover."""
+    key = round(alpha, 12)
+    cache = _MP_GAMMA_CACHE.setdefault(key, {})
+    out = np.empty_like(xs)
+    with mp.workdps(50):
+        am = mp.mpf(alpha)
+        for i, xv in enumerate(xs):
+            xm = mp.mpf(float(xv))
+            xx = xm * xm
+            s = mp.mpf(0)
+            xpow = mp.mpf(1)
+            fact = mp.mpf(1)  # (2k+1)!
+            for k in range(4 * max_terms):
+                g = cache.get(k)
+                if g is None:
+                    g = cache[k] = mp.gamma(1 + mp.mpf(2 * k + 1) / am)
+                t = g * xpow / fact
+                s += -t if (k % 2) else t
+                if k > 4 and t < mp.mpf("1e-40") * abs(s):
+                    break
+                xpow *= xx
+                fact *= (2 * k + 2) * (2 * k + 3)
+            else:
+                raise AccuracyError(f"L0 extended series did not converge (alpha={alpha}, x={xv})")
+            out[i] = float(s / mp.pi)
+    return out

@@ -35,6 +35,15 @@ def test_small_beta_half_width_is_finite():
     assert math.isfinite(parse_config("beta = 0.05").half_width())
 
 
+def test_small_beta_single_run_completes(tmp_path):
+    text = "scheme = kpse\nbeta = 0.01\nc = 5\nn = 201\ntf = 0.51\n"
+    files = run(parse_config(text, {"out_dir": str(tmp_path)}))
+    report = [f for f in files if f.endswith("report.csv")][0]
+    with open(report) as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert math.isfinite(float(rows[0]["rel_l1"]))
+
+
 def test_gpse_epsilon_matches_reference_spacing():
     cfg = parse_config("scheme = gpse\ndt = 1e-2\n")
     h = 2.0 * cfg.half_width() / (cfg.n - 1)

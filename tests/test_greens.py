@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import levy_stable
 
 from fracdiff.errors import DomainError
-from fracdiff.greens import (FractionalOrder, ReducedGreenEval,
-                             characteristic_width, green_function,
-                             reduced_green)
-from fracdiff.greens import _auto_crossover, _l0_asym, _l0_series_mp
+from fracdiff.greens import (FractionalOrder, characteristic_width,
+                             green_function, reduced_green)
+from fracdiff.greens import _auto_crossover, _l0_asym
 
-from oracles import r_alpha_quad, r_alpha_split_series
+from oracles import l0_series_mp, r_alpha_quad, r_alpha_split_series
 
 R_ALPHA_TABLE = {1.1: 6.688, 1.2: 3.544, 1.3: 2.512, 1.4: 2.005, 1.5: 1.705,
                  1.6: 1.509, 1.7: 1.371, 1.8: 1.269, 1.9: 1.190}
@@ -44,7 +44,7 @@ def test_reduced_green_mass():
 def test_branch_agreement_at_crossover(alpha):
     cross = _auto_crossover(alpha, 300)
     x = np.array([cross])
-    series = _l0_series_mp(alpha, x, 500)[0]
+    series = l0_series_mp(alpha, x, 500)[0]
     asym = _l0_asym(alpha, x, 300)[0]
     assert series == pytest.approx(asym, rel=1e-6)
 
@@ -122,13 +122,16 @@ def test_characteristic_width_small_and_large_beta(beta):
     assert characteristic_width(alpha) == pytest.approx(r_alpha_quad(alpha), rel=1e-12)
 
 
-def test_eval_cfg_validation():
-    with pytest.raises(DomainError):
-        ReducedGreenEval(series_terms=0)
-    with pytest.raises(DomainError):
-        ReducedGreenEval(crossover=-2.0)
-    # explicit crossover picks the branch
-    forced_asym = reduced_green(1.5, 3.0, ReducedGreenEval(crossover=2.0))
-    assert forced_asym == _l0_asym(1.5, np.array([3.0]), 300)[0]
-    forced_series = reduced_green(1.5, 3.0, ReducedGreenEval(crossover=8.0))
-    assert forced_series == reduced_green(1.5, 3.0)  # auto crossover > 3 here
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 1.9, 1.99])
+def test_reduced_green_matches_series_oracle(alpha):
+    # dense grid over the whole table interval [0, crossover)
+    x = np.linspace(0.0, _auto_crossover(alpha, 300), 160, endpoint=False)
+    series = l0_series_mp(alpha, x, 500)
+    np.testing.assert_allclose(reduced_green(alpha, x), series, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.02])
+def test_reduced_green_small_beta_matches_levy_stable(alpha):
+    # levy_stable itself is ~1e-5 off near x = 0.004 at these alpha
+    for x in (0.0, 0.5, 1.0, 1.1):
+        assert reduced_green(alpha, x) == pytest.approx(levy_stable.pdf(x, alpha, 0.0), rel=1e-12)
