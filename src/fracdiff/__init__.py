@@ -14,16 +14,13 @@ from .errors import (AccuracyError, ConfigError, DomainError, FracdiffError,
                      InstabilityError)
 from .greens import (FractionalOrder, characteristic_width, green_function,
                      reduced_green)
-from .specfun import (DEFAULT_SWITCH_RADIUS, EvalRegime, PcfOrder, Regime,
-                      pcf_d, pcf_u, pcf_v, s_combo, t_combo)
-from .kernels import (CBeta, KernelKind, KernelSpec, c_beta, eta, eta1,
-                      kernel_e, kernel_f, kernel_gd, kernel_k, kernel_kappa,
-                      phi, scaled)
+from .specfun import DEFAULT_SWITCH_RADIUS, pcf_d, pcf_u, pcf_v, s_combo, t_combo
+from .kernels import (KernelKind, KernelSpec, c_beta, eta, eta1, kernel_e,
+                      kernel_f, kernel_gd, kernel_k, kernel_kappa, phi, scaled)
 from .field import (DomainSpec, ParticleField, eval_flux, eval_u, eval_utilde,
                     init_uniform, total_strength)
 from .schemes import (SchemeKind, assemble_matrix, make_gpse_stepper,
-                      make_rate_operator, rhs_dd, rhs_fpse, rhs_kpse,
-                      rhs_rlpse, step_gpse)
+                      make_rate_operator)
 from .timeint import (IntegratorSpec, RKOrder, StabilityReport, integrate,
                       power_iteration_min_eig, stability_limit_check)
 from .analysis import (ConvergenceLevel, conservation_drift, nested_levels,

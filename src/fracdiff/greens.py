@@ -10,14 +10,16 @@ functions) and, for large |x|, the asymptotic expansion
 
     L0(x) ~ -(1/(x pi)) sum_{n>=1} (-x^-alpha)^n Gamma(1+alpha n)/n! sin(alpha n pi/2).
 
-Evaluation switches to the asymptotic sum at a crossover chosen where its
-optimal-truncation error drops below ~1e-8.  For alpha close to 1 that
-crossover sits near x ~ 1.1; near alpha = 2 it moves out to x ~ 9.4.  Below
-it, L0 is smooth on a fixed interval, so one degree-40 Chebyshev interpolant
-per alpha reproduces it to near machine precision (Trefethen 2013,
-Approximation Theory and Approximation Practice).  The interpolant is fitted
-once, at Chebyshev nodes whose values come from the Fourier integral by
-adaptive quadrature, and cached.
+Evaluation switches to the asymptotic sum at a crossover: the smallest x on a
+0.025 grid from which, up to x = 12, the optimally truncated sum agrees with
+the Fourier integral to 1e-8 relative.  For alpha close to 1 that crossover
+sits near x ~ 1.1; near alpha = 2 it moves out to x ~ 10.6 (alpha = 1.99),
+because L0 then carries a factor sin(alpha pi/2) -> 0 that the size of the
+terms does not show.  Below it, L0 is smooth on a fixed interval, so one
+degree-40 Chebyshev interpolant per alpha reproduces it to 1e-11 relative or
+better (Trefethen 2013, Approximation Theory and Approximation Practice).  The
+interpolant is fitted once, at Chebyshev nodes whose values come from the
+Fourier integral by adaptive quadrature, and cached.
 
 The characteristic width R_alpha is the first absolute moment of L0_alpha,
 which for this law has the closed form (2/pi) Gamma(1 - 1/alpha)
@@ -28,12 +30,13 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebinterpolate, chebval
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .errors import AccuracyError, DomainError
 
@@ -76,37 +79,14 @@ def _as_order(alpha) -> FractionalOrder:
     return FractionalOrder(float(alpha))
 
 
-_CROSSOVER_CAP = 10.0
+_CROSSOVER_CAP = 12.0
+_CROSSOVER_TOL = 1e-8
 _ASYM_TERMS = 300
 # below the crossover: one Chebyshev table per alpha, fitted at nodes of the
 # Fourier integral, which quad resolves to these tolerances
 _TABLE_DEGREE = 40
 _NODE_EPSABS = 1e-14
 _NODE_EPSREL = 1e-12
-
-
-def _asym_err_estimate(alpha: float, x: float, asym_terms: int) -> float:
-    """log of the asymptotic optimal-truncation error relative to the first term."""
-    lx = math.log(x)
-    lt1 = lgamma(1.0 + alpha) - alpha * lx
-    best = 0.0
-    prev = 0.0
-    for n in range(2, asym_terms + 1):
-        lt = lgamma(1.0 + alpha * n) - lgamma(n + 1.0) - alpha * n * lx - lt1
-        if lt > prev and n > 3:
-            break
-        prev = lt
-        best = min(best, lt)
-    return best
-
-
-@functools.lru_cache(maxsize=64)
-def _auto_crossover(alpha: float, asym_terms: int) -> float:
-    """Smallest x where the asymptotic branch reaches ~1e-8 relative accuracy."""
-    for x in np.arange(0.8, _CROSSOVER_CAP + 1e-9, 0.025):
-        if _asym_err_estimate(alpha, float(x), asym_terms) < math.log(1e-8):
-            return float(x)
-    return _CROSSOVER_CAP
 
 
 def _l0_fourier(alpha: float, x: float) -> float:
@@ -120,6 +100,24 @@ def _l0_fourier(alpha: float, x: float) -> float:
             partial=val / math.pi,
         )
     return val / math.pi
+
+
+@functools.lru_cache(maxsize=64)
+def _auto_crossover(alpha: float, asym_terms: int) -> float:
+    """Smallest grid x from which up to the cap the asymptotic branch agrees
+    with the Fourier integral to _CROSSOVER_TOL relative."""
+    grid = np.arange(0.8, _CROSSOVER_CAP + 1e-9, 0.025)[::-1]
+    cross = _CROSSOVER_CAP
+    with warnings.catch_warnings():
+        # quad may flag roundoff at a few far-out x for alpha near 1; the
+        # comparison needs 1e-8, far less than the quad tolerances
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for x, asym in zip(grid, _l0_asym(alpha, grid, asym_terms)):
+            exact = _l0_fourier(alpha, float(x))
+            if abs(asym - exact) > _CROSSOVER_TOL * exact:
+                break
+            cross = float(x)
+    return cross
 
 
 @functools.lru_cache(maxsize=64)

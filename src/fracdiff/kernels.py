@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
 from .errors import DomainError
 from .greens import FractionalOrder, reduced_green
 from .specfun import gamma_rec, s_combo, t_combo
@@ -36,7 +35,6 @@ from .specfun import gamma_rec, s_combo, t_combo
 __all__ = [
     "KernelKind",
     "KernelSpec",
-    "CBeta",
     "c_beta",
     "eta",
     "eta1",
@@ -64,18 +62,6 @@ class KernelKind(enum.Enum):
     F = "f"
     K = "k"
     E = "e"
-
-
-@dataclass(frozen=True)
-class CBeta:
-    """The flux constant c_beta = 1/(2 Gamma(1-beta) sin(beta pi/2))."""
-
-    beta: float
-    value: float
-
-    @classmethod
-    def of(cls, beta: float) -> "CBeta":
-        return cls(beta=beta, value=c_beta(beta))
 
 
 def c_beta(beta: float) -> float:
@@ -186,13 +172,8 @@ _DISPATCH = {
 }
 
 
-def unscaled(kind: KernelKind, order: FractionalOrder, r):
-    """Evaluate the unscaled kernel of the given kind."""
-    return _DISPATCH[kind](order, r)
-
-
 def scaled(spec: KernelSpec, r):
     """Mollifier scaling: k_eps(r) = (1/eps) k(r/eps)."""
     ra = np.asarray(r, dtype=float)
-    out = np.asarray(unscaled(spec.kind, spec.order, ra / spec.epsilon)) / spec.epsilon
+    out = np.asarray(_DISPATCH[spec.kind](spec.order, ra / spec.epsilon)) / spec.epsilon
     return _maybe_scalar(r, out)

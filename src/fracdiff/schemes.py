@@ -14,11 +14,15 @@ Stepper:
     GPSE   u_i^{n+1} = u_i^n + sum_j V_j (u_j^n - u_i^n) E_eps(x_j - x_i),
            eps = dt^{1/alpha}  (tied to the step; field.epsilon is ignored)
 
-On uniform grids all interaction sums are Toeplitz matrix-vector products;
-they are evaluated as FFT convolutions against per-separation kernel tables
-built once per operator (positions never move).  Non-uniform fields fall back
-to dense pairwise sums.  RLPSE is experimental: its smoothed potential decays
-like |x|^-beta, so the exchange pass sees large errors near the grid edges.
+Every scheme is built from one interaction sum, sum_j V_j k_eps(x_i - x_j) w_j,
+with a scheme-specific kernel and prefactor, applied once (DD, KPSE, GPSE) or
+twice (FPSE, RLPSE), together with its fixed row sums.  On uniform grids that
+sum is a Toeplitz matrix-vector product, evaluated as one real FFT product
+against the circulant embedding (length >= 2N-1) of the per-separation kernel
+table, built once per operator (positions never move).  Non-uniform fields
+use the dense pairwise matrix.  RLPSE is experimental: its smoothed potential
+decays like |x|^-beta, so the exchange pass sees large errors near the grid
+edges.
 """
 
 from __future__ import annotations
@@ -36,11 +40,6 @@ from .kernels import KernelKind, KernelSpec
 
 __all__ = [
     "SchemeKind",
-    "rhs_dd",
-    "rhs_fpse",
-    "rhs_kpse",
-    "rhs_rlpse",
-    "step_gpse",
     "make_rate_operator",
     "make_gpse_stepper",
     "assemble_matrix",
@@ -49,8 +48,6 @@ __all__ = [
 
 MATRIX_SIZE_GUARD = 20000
 
-_DIRECT_CONV_MAX = 150  # below this N, plain direct convolution is faster
-
 
 class SchemeKind(enum.Enum):
     DD = "dd"
@@ -58,43 +55,6 @@ class SchemeKind(enum.Enum):
     KPSE = "kpse"
     RLPSE = "rlpse"
     GPSE = "gpse"
-
-    @property
-    def is_stepper(self) -> bool:
-        return self is SchemeKind.GPSE
-
-
-class _Conv:
-    """y_i = sum_j g[i-j] w_j for a fixed separation table g, via FFT."""
-
-    def __init__(self, g_full: np.ndarray, n: int):
-        self.n = n
-        self.g_full = g_full
-        if n < _DIRECT_CONV_MAX:
-            self._gf = None
-        else:
-            self._len = scipy.fft.next_fast_len(3 * n - 2)
-            self._gf = scipy.fft.rfft(g_full, self._len)
-
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        n = self.n
-        if self._gf is None:
-            return np.convolve(w, self.g_full)[n - 1:2 * n - 1]
-        full = scipy.fft.irfft(scipy.fft.rfft(w, self._len) * self._gf, self._len)
-        return full[n - 1:2 * n - 1]
-
-
-def _separation_table(field: ParticleField, kind: KernelKind, eps: float,
-                      odd: bool) -> _Conv:
-    h = field.uniform_spacing()
-    n = len(field)
-    spec = KernelSpec(kind, field.order, eps)
-    half = np.asarray(kernels.scaled(spec, np.arange(n) * h))
-    if odd:
-        g_full = np.concatenate([-half[:0:-1], half])
-    else:
-        g_full = np.concatenate([half[:0:-1], half])
-    return _Conv(g_full, n)
 
 
 def _pairwise_matrix(field: ParticleField, kind: KernelKind, eps: float,
@@ -110,59 +70,68 @@ def _pairwise_matrix(field: ParticleField, kind: KernelKind, eps: float,
     return out
 
 
-def _make_conv_or_dense(field: ParticleField, kind: KernelKind, eps: float, odd: bool):
-    """Return a matvec closure w -> sum_j k_eps(x_i - x_j) w_j."""
-    if field.uniform_spacing() is not None:
-        return _separation_table(field, kind, eps, odd)
-    mat = _pairwise_matrix(field, kind, eps)
-    return lambda w: mat @ w
+def _interaction(field: ParticleField, kind: KernelKind, eps: float, odd: bool):
+    """The interaction sum apply(w)_i = sum_j V_j k_eps(x_i - x_j) w_j and its
+    fixed row sums row = apply(1).
+
+    On a uniform grid the matrix is Toeplitz: apply is one rFFT product with
+    the circulant embedding (length >= 2N-1) of the per-separation table.
+    """
+    v = field.volumes
+    n = len(field)
+    h = field.uniform_spacing()
+    if h is None:
+        mat = _pairwise_matrix(field, kind, eps)
+
+        def apply(w: np.ndarray) -> np.ndarray:
+            return mat @ (v * w)
+    else:
+        spec = KernelSpec(kind, field.order, eps)
+        half = np.asarray(kernels.scaled(spec, np.arange(n) * h))
+        m = scipy.fft.next_fast_len(2 * n - 1, real=True)
+        circ = np.zeros(m)
+        circ[:n] = half
+        circ[m - n + 1:] = (-1.0 if odd else 1.0) * half[:0:-1]
+        spectrum = scipy.fft.rfft(circ)
+
+        def apply(w: np.ndarray) -> np.ndarray:
+            return scipy.fft.irfft(scipy.fft.rfft(v * w, m) * spectrum, m)[:n]
+    return apply, apply(np.ones(n))
 
 
 def make_rate_operator(field: ParticleField, kind: SchemeKind):
     """Build du/dt = L(u) as a reusable closure over fixed positions."""
-    v = field.volumes
     eps = field.epsilon
     alpha = field.order.alpha
     beta = field.order.beta
     if kind is SchemeKind.DD:
-        conv = _make_conv_or_dense(field, KernelKind.GD, eps, odd=False)
+        gd, _ = _interaction(field, KernelKind.GD, eps, odd=False)
         pref = eps ** (-alpha)
-
-        def rate(u: np.ndarray) -> np.ndarray:
-            return pref * conv(v * u)
-
-        return rate
+        return lambda u: pref * gd(u)
     if kind is SchemeKind.KPSE:
-        conv = _make_conv_or_dense(field, KernelKind.K, eps, odd=False)
-        row = conv(v.copy())  # sum_j V_j K_eps(x_i - x_j), fixed
+        k, row = _interaction(field, KernelKind.K, eps, odd=False)
         pref = alpha / eps ** alpha
-
-        def rate(u: np.ndarray) -> np.ndarray:
-            return pref * (conv(v * u) - u * row)
-
-        return rate
+        return lambda u: pref * (k(u) - u * row)
     if kind is SchemeKind.FPSE:
-        conv_f = _make_conv_or_dense(field, KernelKind.F, eps, odd=True)
-        conv_e = _make_conv_or_dense(field, KernelKind.ETA1, eps, odd=True)
-        row = conv_e(v.copy())  # sum_j V_j eta1_eps(x_i - x_j), fixed
+        f, _ = _interaction(field, KernelKind.F, eps, odd=True)
+        e1, row = _interaction(field, KernelKind.ETA1, eps, odd=True)
         pref_q = -(eps ** (-beta))
         pref_d = -1.0 / eps
 
         def rate(u: np.ndarray) -> np.ndarray:
-            q = pref_q * conv_f(v * u)
-            return pref_d * (conv_e(v * q) + q * row)
+            q = pref_q * f(u)
+            return pref_d * (e1(q) + q * row)
 
         return rate
     if kind is SchemeKind.RLPSE:
-        conv_k = _make_conv_or_dense(field, KernelKind.KAPPA_BETA, eps, odd=False)
-        conv_p = _make_conv_or_dense(field, KernelKind.PHI, eps, odd=False)
-        row = conv_p(v.copy())
+        kappa, _ = _interaction(field, KernelKind.KAPPA_BETA, eps, odd=False)
+        phi, row = _interaction(field, KernelKind.PHI, eps, odd=False)
         pref_u = eps ** (1.0 - beta)
         pref_d = 2.0 / eps ** 2
 
         def rate(u: np.ndarray) -> np.ndarray:
-            ut = pref_u * conv_k(v * u)
-            return pref_d * (conv_p(v * ut) - ut * row)
+            ut = pref_u * kappa(u)
+            return pref_d * (phi(ut) - ut * row)
 
         return rate
     raise ConfigError(f"{kind} is not a rate scheme")
@@ -172,49 +141,8 @@ def make_gpse_stepper(field: ParticleField, dt: float):
     """Build the GPSE map u^n -> u^{n+1} for a fixed time step."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainError(f"dt must be positive, got {dt}")
-    eps = dt ** field.order.gamma
-    v = field.volumes
-    if field.uniform_spacing() is not None:
-        h = field.uniform_spacing()
-        n = len(field)
-        spec = KernelSpec(KernelKind.E, field.order, eps)
-        half = np.asarray(kernels.scaled(spec, np.arange(n) * h))
-        conv = _Conv(np.concatenate([half[:0:-1], half]), n)
-    else:
-        mat = _pairwise_matrix(field, KernelKind.E, eps)
-        conv = lambda w: mat @ w  # noqa: E731
-    row = conv(v.copy())
-
-    def step(u: np.ndarray) -> np.ndarray:
-        return u + conv(v * u) - u * row
-
-    return step
-
-
-def rhs_dd(field: ParticleField) -> np.ndarray:
-    """Direct-differentiation rates (non-conservative)."""
-    return make_rate_operator(field, SchemeKind.DD)(field.strengths)
-
-
-def rhs_fpse(field: ParticleField) -> np.ndarray:
-    """Flux-PSE rates: flux pass followed by symmetrized divergence pass."""
-    return make_rate_operator(field, SchemeKind.FPSE)(field.strengths)
-
-
-def rhs_kpse(field: ParticleField) -> np.ndarray:
-    """Regularized-Riesz exchange rates (kernel K, prefactor alpha)."""
-    return make_rate_operator(field, SchemeKind.KPSE)(field.strengths)
-
-
-def rhs_rlpse(field: ParticleField) -> np.ndarray:
-    """Experimental smoothed-potential PSE rates (edge errors; see module doc)."""
-    return make_rate_operator(field, SchemeKind.RLPSE)(field.strengths)
-
-
-def step_gpse(field: ParticleField, dt: float) -> ParticleField:
-    """One Green's-function exchange step; returns a new field at t + dt."""
-    u1 = make_gpse_stepper(field, dt)(field.strengths)
-    return field.with_strengths(u1)
+    e, row = _interaction(field, KernelKind.E, dt ** field.order.gamma, odd=False)
+    return lambda u: u + e(u) - u * row
 
 
 def assemble_matrix(field: ParticleField, kind: SchemeKind,

@@ -33,9 +33,7 @@ arbitrary-precision output are out of scope.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -43,9 +41,6 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "PcfOrder",
-    "EvalRegime",
-    "Regime",
     "DEFAULT_SWITCH_RADIUS",
     "pcf_u",
     "pcf_v",
@@ -72,48 +67,6 @@ _MAX_ASYM_TERMS = 120
 # rerun the series in extended precision once the U(a,0)*u1 + U'(a,0)*u2
 # cancellation has eaten more than ~6 of the 16 float digits
 _CANCEL_GUARD = 1e-6
-
-
-class Regime(enum.Enum):
-    SERIES = "series"
-    ASYMPTOTIC = "asymptotic"
-
-
-@dataclass(frozen=True)
-class EvalRegime:
-    """Evaluation-regime selection: which branch, and where to switch."""
-
-    mode: Regime
-    switch_radius: float = DEFAULT_SWITCH_RADIUS
-
-    def __post_init__(self):
-        if not (math.isfinite(self.switch_radius) and self.switch_radius > 0):
-            raise DomainError("switch_radius must be finite and positive")
-
-    @staticmethod
-    def for_argument(z: float, switch_radius: float = DEFAULT_SWITCH_RADIUS) -> "EvalRegime":
-        mode = Regime.ASYMPTOTIC if abs(z) >= switch_radius else Regime.SERIES
-        return EvalRegime(mode, switch_radius)
-
-
-@dataclass(frozen=True)
-class PcfOrder:
-    """Order bookkeeping: D_nu(z) = U(a, z) with a = -1/2 - nu."""
-
-    a: float
-    nu: float
-
-    def __post_init__(self):
-        if abs(self.a + self.nu + 0.5) > 1e-12:
-            raise DomainError("PcfOrder requires a + nu = -1/2")
-
-    @classmethod
-    def from_nu(cls, nu: float) -> "PcfOrder":
-        return cls(a=-0.5 - nu, nu=nu)
-
-    @classmethod
-    def from_a(cls, a: float) -> "PcfOrder":
-        return cls(a=a, nu=-0.5 - a)
 
 
 def gamma_rec(x: float) -> float:

@@ -40,13 +40,13 @@ def test_reduced_green_mass():
     assert 2.0 * (core + tail) == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 1.95, 1.99])
 def test_branch_agreement_at_crossover(alpha):
     cross = _auto_crossover(alpha, 300)
     x = np.array([cross])
     series = l0_series_mp(alpha, x, 500)[0]
     asym = _l0_asym(alpha, x, 300)[0]
-    assert series == pytest.approx(asym, rel=1e-6)
+    assert asym == pytest.approx(series, rel=1e-8)
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])

@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from fracdiff.errors import DomainError
 from fracdiff.greens import FractionalOrder, reduced_green
-from fracdiff.kernels import (CBeta, KernelKind, KernelSpec, c_beta, eta,
-                              eta1, kernel_e, kernel_f, kernel_gd, kernel_k,
+from fracdiff.kernels import (KernelKind, KernelSpec, c_beta, eta, eta1,
+                              kernel_e, kernel_f, kernel_gd, kernel_k,
                               kernel_kappa, phi, scaled)
 
 from oracles import central_first, central_second, riesz_quad, utilde_quad
@@ -35,7 +35,6 @@ def test_c_beta_gamma_oracle():
     with mp.workdps(40):
         ref = float(1 / (2 * mp.gamma(1 - mp.mpf("0.3")) * mp.sinpi(mp.mpf("0.3") / 2)))
     assert c_beta(0.3) == pytest.approx(ref, rel=1e-12)
-    assert CBeta.of(0.3).value == c_beta(0.3)
 
 
 def test_mollifier_values():

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from fracdiff.errors import ConfigError
 from fracdiff.field import DomainSpec, ParticleField, init_uniform, total_strength
 from fracdiff.greens import FractionalOrder, green_function
-from fracdiff.schemes import (SchemeKind, assemble_matrix, make_rate_operator,
-                              rhs_dd, rhs_fpse, rhs_kpse, rhs_rlpse, step_gpse)
+from fracdiff.kernels import KernelKind, KernelSpec, scaled
+from fracdiff.schemes import (SchemeKind, assemble_matrix, make_gpse_stepper,
+                              make_rate_operator)
 
 from oracles import riesz_quad
 
@@ -28,28 +29,32 @@ def reference_field(n=1001, C=10.0):
     return init_uniform(dom, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
 
 
-RHS = {SchemeKind.DD: rhs_dd, SchemeKind.FPSE: rhs_fpse,
-       SchemeKind.KPSE: rhs_kpse, SchemeKind.RLPSE: rhs_rlpse}
+def rates(f, kind):
+    return make_rate_operator(f, kind)(f.strengths)
+
+
+def gpse_step(f, dt):
+    return f.with_strengths(make_gpse_stepper(f, dt)(f.strengths))
 
 
 def test_zero_field_zero_rates():
     f = gaussian_field().with_strengths(np.zeros(101))
     for kind in RATE_SCHEMES:
-        assert np.all(RHS[kind](f) == 0.0)
+        assert np.all(rates(f, kind) == 0.0)
 
 
 def test_symmetric_field_symmetric_rates():
     f = gaussian_field()
     for kind in RATE_SCHEMES:
-        r = RHS[kind](f)
+        r = rates(f, kind)
         assert np.allclose(r, r[::-1], rtol=1e-12, atol=1e-13 * np.abs(r).max())
 
 
 def test_uniform_strengths_fixed_points():
     f = gaussian_field().with_strengths(np.full(101, 0.7))
-    assert np.allclose(rhs_kpse(f), 0.0, atol=1e-14)
+    assert np.allclose(rates(f, SchemeKind.KPSE), 0.0, atol=1e-14)
     # GPSE: uniform strengths are a fixed point of the exchange step
-    f1 = step_gpse(f, 1e-2)
+    f1 = gpse_step(f, 1e-2)
     assert np.allclose(f1.strengths, f.strengths, rtol=0, atol=1e-15)
 
 
@@ -60,19 +65,19 @@ def test_conservation_on_random_strengths(seed):
     f = gaussian_field(n=51).with_strengths(rng.standard_normal(51))
     scale = math.fsum(f.volumes * np.abs(f.strengths))
     for kind in CONSERVATIVE:
-        tot = math.fsum(f.volumes * RHS[kind](f))
+        tot = math.fsum(f.volumes * rates(f, kind))
         assert abs(tot) <= 1e-12 * scale
 
 
 def test_dd_not_conservative():
     f = reference_field(n=401)
-    tot = math.fsum(f.volumes * rhs_dd(f))
+    tot = math.fsum(f.volumes * rates(f, SchemeKind.DD))
     assert abs(tot) > 1e-6  # physical outflow through the truncated boundary
 
 
 def test_gpse_step_conserves_and_keeps_positions():
     f = reference_field(n=401)
-    f1 = step_gpse(f, 1e-2)
+    f1 = gpse_step(f, 1e-2)
     assert f1.positions is f.positions or np.array_equal(f1.positions, f.positions)
     assert total_strength(f1) == pytest.approx(total_strength(f), abs=1e-14)
 
@@ -81,9 +86,9 @@ def test_cross_scheme_center_rate_consistency():
     # all discretizations approximate the same operator at the peak
     f = reference_field(n=2001)
     mid = len(f) // 2
-    r_dd = rhs_dd(f)[mid]
-    assert rhs_fpse(f)[mid] == pytest.approx(r_dd, rel=0.05)
-    assert rhs_kpse(f)[mid] == pytest.approx(r_dd, rel=0.05)
+    r_dd = rates(f, SchemeKind.DD)[mid]
+    assert rates(f, SchemeKind.FPSE)[mid] == pytest.approx(r_dd, rel=0.05)
+    assert rates(f, SchemeKind.KPSE)[mid] == pytest.approx(r_dd, rel=0.05)
 
 
 def test_dd_center_rate_against_riesz_oracle():
@@ -98,15 +103,15 @@ def test_dd_center_rate_against_riesz_oracle():
         return eval_u(f, y)
 
     ref = riesz_quad(u_eps, x0, ORDER.alpha)
-    assert rhs_dd(f)[mid] == pytest.approx(ref, rel=1e-5)
+    assert rates(f, SchemeKind.DD)[mid] == pytest.approx(ref, rel=1e-5)
 
 
 def test_rlpse_edge_errors_larger_than_center():
     # documented caveat: the smoothed potential decays slowly, so the
     # experimental scheme degrades toward the grid edges
     f = reference_field(n=1001)
-    r_rl = rhs_rlpse(f)
-    r_dd = rhs_dd(f)
+    r_rl = rates(f, SchemeKind.RLPSE)
+    r_dd = rates(f, SchemeKind.DD)
     n = len(f)
     center = slice(n // 2 - 50, n // 2 + 51)
     edge = slice(n - 101, n)
@@ -150,8 +155,10 @@ def test_matrix_conservation_column_sums():
         assert np.abs(cols).max() <= 1e-12 * np.abs(A).max()
 
 
-def test_matrix_operator_equivalence():
-    f = gaussian_field(n=101)
+@pytest.mark.parametrize("n", [3, 101, 401])
+def test_matrix_operator_equivalence(n):
+    # uniform grids of every size take the FFT path; the dense matrix is the oracle
+    f = gaussian_field(n=n)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(len(f))
     for kind in (SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE):
@@ -164,7 +171,19 @@ def test_matrix_toy_grid_bitwise_tolerant():
     dom = DomainSpec(half_width_D=1.0, n_particles=3)
     f = init_uniform(dom, ORDER, 2.0, lambda x: np.array([0.2, 1.0, 0.4]))
     A = assemble_matrix(f, SchemeKind.KPSE)
-    assert np.abs(A @ f.strengths - rhs_kpse(f)).max() <= 1e-14
+    assert np.abs(A @ f.strengths - rates(f, SchemeKind.KPSE)).max() <= 1e-14
+
+
+def test_gpse_stepper_matches_dense_exchange():
+    # u + E(v u) - u (E v), with E[i, j] = E_eps(x_i - x_j) built directly
+    f = reference_field(n=401)
+    dt = 1e-2
+    eps = dt ** ORDER.gamma
+    x, v, u = f.positions, f.volumes, f.strengths
+    E = scaled(KernelSpec(KernelKind.E, ORDER, eps), x[:, None] - x[None, :])
+    expected = u + E @ (v * u) - u * (E @ v)
+    got = make_gpse_stepper(f, dt)(u)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_matrix_guards():

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracdiff.errors import DomainError
-from fracdiff.specfun import (DEFAULT_SWITCH_RADIUS, EvalRegime, PcfOrder,
-                              Regime, gamma_rec, pcf_d, pcf_u, pcf_v, s_combo,
-                              t_combo)
+from fracdiff.specfun import (DEFAULT_SWITCH_RADIUS, gamma_rec, pcf_d, pcf_u,
+                              pcf_v, s_combo, t_combo)
 from fracdiff.specfun import _series_uv, _u_asym, _v_asym
 
 from oracles import central_first, pcf_d_quad
@@ -134,20 +133,6 @@ def test_nonfinite_inputs_rejected():
         pcf_u(0.1, math.inf)
     with pytest.raises(DomainError):
         s_combo(0.5, np.array([1.0, math.nan]))
-
-
-def test_pcf_order_invariant():
-    o = PcfOrder.from_nu(0.5)
-    assert o.a == -1.0
-    with pytest.raises(DomainError):
-        PcfOrder(a=0.0, nu=0.0)
-
-
-def test_eval_regime():
-    assert EvalRegime.for_argument(11.0).mode is Regime.ASYMPTOTIC
-    assert EvalRegime.for_argument(-3.0).mode is Regime.SERIES
-    with pytest.raises(DomainError):
-        EvalRegime(Regime.SERIES, switch_radius=-1.0)
 
 
 def test_gamma_rec_poles():

@@ -53,12 +53,13 @@ def test_rk2_step_is_explicit_midpoint():
 
 
 def test_gpse_routing():
-    from fracdiff.schemes import step_gpse
+    from fracdiff.schemes import make_gpse_stepper
     f = gaussian_field(n=61)
     dt = 1e-2
     out = integrate(f, SchemeKind.GPSE, IntegratorSpec(RKOrder.RK1, dt, 0.0, 3 * dt))
-    manual = step_gpse(step_gpse(step_gpse(f, dt), dt), dt)
-    assert np.array_equal(out.strengths, manual.strengths)
+    step = make_gpse_stepper(f, dt)
+    manual = step(step(step(f.strengths)))
+    assert np.array_equal(out.strengths, manual)
 
 
 def test_divergence_guard_carries_step():
