@@ -76,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         else:  # kernels dump
             cfg = parse_config("study = kernels", _overrides(args))
         files = run(cfg)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable config, out-dir naming a file, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -14,15 +14,16 @@ Stepper:
     GPSE   u_i^{n+1} = u_i^n + sum_j V_j (u_j^n - u_i^n) E_eps(x_j - x_i),
            eps = dt^{1/alpha}  (tied to the step; field.epsilon is ignored)
 
-Every scheme is built from one interaction sum, sum_j V_j k_eps(x_i - x_j) w_j,
+Every scheme is built from one interaction sum, pref sum_j V_j k_eps(x_i - x_j) w_j,
 with a scheme-specific kernel and prefactor, applied once (DD, KPSE, GPSE) or
 twice (FPSE, RLPSE), together with its fixed row sums.  On uniform grids that
-sum is a Toeplitz matrix-vector product, evaluated as one real FFT product
-against the circulant embedding (length >= 2N-1) of the per-separation kernel
-table, built once per operator (positions never move).  Non-uniform fields
-use the dense pairwise matrix.  RLPSE is experimental: its smoothed potential
-decays like |x|^-beta, so the exchange pass sees large errors near the grid
-edges.
+sum is a Toeplitz matrix-vector product: one real FFT product against the
+spectrum of the per-separation kernel table's circulant embedding, built once
+per operator (positions never move) with pref and the volume folded in.  The
+circulant length is the smallest power of two >= 2N-1, or the 5-smooth length
+when 2N-1 fills at most 15/16 of that power.  Non-uniform fields use the dense
+pairwise matrix.  RLPSE is experimental: its smoothed potential decays like
+|x|^-beta, so the exchange pass sees large errors near the grid edges.
 """
 
 from __future__ import annotations
@@ -70,32 +71,38 @@ def _pairwise_matrix(field: ParticleField, kind: KernelKind, eps: float,
     return out
 
 
-def _interaction(field: ParticleField, kind: KernelKind, eps: float, odd: bool):
-    """The interaction sum apply(w)_i = sum_j V_j k_eps(x_i - x_j) w_j and its
-    fixed row sums row = apply(1).
+def _interaction(field: ParticleField, kind: KernelKind, eps: float,
+                 pref: float, odd: bool = False):
+    """The interaction sum apply(w)_i = pref sum_j V_j k_eps(x_i - x_j) w_j and
+    its fixed row sums row = apply(1).
 
-    On a uniform grid the matrix is Toeplitz: apply is one rFFT product with
-    the circulant embedding (length >= 2N-1) of the per-separation table.
+    pref and V are folded once into the dense matrix or, on a uniform grid,
+    into the spectrum of the circulant embedding (unequal volumes keep V_j/V_0
+    as a per-call weight).  apply reuses its own padded buffer: not reentrant.
     """
     v = field.volumes
     n = len(field)
     h = field.uniform_spacing()
     if h is None:
-        mat = _pairwise_matrix(field, kind, eps)
-
-        def apply(w: np.ndarray) -> np.ndarray:
-            return mat @ (v * w)
+        apply = (pref * _pairwise_matrix(field, kind, eps) * v).dot
     else:
         spec = KernelSpec(kind, field.order, eps)
         half = np.asarray(kernels.scaled(spec, np.arange(n) * h))
-        m = scipy.fft.next_fast_len(2 * n - 1, real=True)
+        # a power of two costs about as much as the 5-smooth length, or less,
+        # when 2N-1 fills more than 15/16 of it; below that it can cost 3x
+        m = 1 << (2 * n - 2).bit_length()
+        if 16 * (2 * n - 1) <= 15 * m:
+            m = scipy.fft.next_fast_len(2 * n - 1, real=True)
         circ = np.zeros(m)
         circ[:n] = half
         circ[m - n + 1:] = (-1.0 if odd else 1.0) * half[:0:-1]
-        spectrum = scipy.fft.rfft(circ)
+        spectrum = scipy.fft.rfft((pref * v[0]) * circ)
+        weight = None if np.all(v == v[0]) else v / v[0]
+        buf = np.zeros(m)
 
         def apply(w: np.ndarray) -> np.ndarray:
-            return scipy.fft.irfft(scipy.fft.rfft(v * w, m) * spectrum, m)[:n]
+            buf[:n] = w if weight is None else weight * w
+            return scipy.fft.irfft(scipy.fft.rfft(buf) * spectrum, m)[:n]
     return apply, apply(np.ones(n))
 
 
@@ -105,33 +112,26 @@ def make_rate_operator(field: ParticleField, kind: SchemeKind):
     alpha = field.order.alpha
     beta = field.order.beta
     if kind is SchemeKind.DD:
-        gd, _ = _interaction(field, KernelKind.GD, eps, odd=False)
-        pref = eps ** (-alpha)
-        return lambda u: pref * gd(u)
+        return _interaction(field, KernelKind.GD, eps, eps ** (-alpha))[0]
     if kind is SchemeKind.KPSE:
-        k, row = _interaction(field, KernelKind.K, eps, odd=False)
-        pref = alpha / eps ** alpha
-        return lambda u: pref * (k(u) - u * row)
+        k, row = _interaction(field, KernelKind.K, eps, alpha / eps ** alpha)
+        return lambda u: k(u) - u * row
     if kind is SchemeKind.FPSE:
-        f, _ = _interaction(field, KernelKind.F, eps, odd=True)
-        e1, row = _interaction(field, KernelKind.ETA1, eps, odd=True)
-        pref_q = -(eps ** (-beta))
-        pref_d = -1.0 / eps
+        f, _ = _interaction(field, KernelKind.F, eps, -(eps ** (-beta)), odd=True)
+        e1, row = _interaction(field, KernelKind.ETA1, eps, -1.0 / eps, odd=True)
 
         def rate(u: np.ndarray) -> np.ndarray:
-            q = pref_q * f(u)
-            return pref_d * (e1(q) + q * row)
+            q = f(u)
+            return e1(q) + q * row
 
         return rate
     if kind is SchemeKind.RLPSE:
-        kappa, _ = _interaction(field, KernelKind.KAPPA_BETA, eps, odd=False)
-        phi, row = _interaction(field, KernelKind.PHI, eps, odd=False)
-        pref_u = eps ** (1.0 - beta)
-        pref_d = 2.0 / eps ** 2
+        kappa, _ = _interaction(field, KernelKind.KAPPA_BETA, eps, eps ** (1.0 - beta))
+        phi, row = _interaction(field, KernelKind.PHI, eps, 2.0 / eps ** 2)
 
         def rate(u: np.ndarray) -> np.ndarray:
-            ut = pref_u * kappa(u)
-            return pref_d * (phi(ut) - ut * row)
+            ut = kappa(u)
+            return phi(ut) - ut * row
 
         return rate
     raise ConfigError(f"{kind} is not a rate scheme")
@@ -141,7 +141,7 @@ def make_gpse_stepper(field: ParticleField, dt: float):
     """Build the GPSE map u^n -> u^{n+1} for a fixed time step."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainError(f"dt must be positive, got {dt}")
-    e, row = _interaction(field, KernelKind.E, dt ** field.order.gamma, odd=False)
+    e, row = _interaction(field, KernelKind.E, dt ** field.order.gamma, 1.0)
     return lambda u: u + e(u) - u * row
 
 

@@ -174,6 +174,18 @@ def test_cli_config_error_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_cli_os_errors_exit_2(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    # --out-dir naming an existing file, and a config path that is a directory
+    assert main(["run", str(cfg_file), "--out-dir", str(taken)]) == 2
+    assert main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
 def test_cli_numerical_failure_exit_3(tmp_path):
     # dt far beyond the stability bound trips the divergence guard
     cfg_file = tmp_path / "unstable.cfg"

@@ -155,9 +155,10 @@ def test_matrix_conservation_column_sums():
         assert np.abs(cols).max() <= 1e-12 * np.abs(A).max()
 
 
-@pytest.mark.parametrize("n", [3, 101, 401])
+@pytest.mark.parametrize("n", [3, 101, 401, 501])
 def test_matrix_operator_equivalence(n):
     # uniform grids of every size take the FFT path; the dense matrix is the oracle
+    # (n = 501 pads to a power of two, the others to a 5-smooth length)
     f = gaussian_field(n=n)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(len(f))
@@ -184,6 +185,35 @@ def test_gpse_stepper_matches_dense_exchange():
     expected = u + E @ (v * u) - u * (E @ v)
     got = make_gpse_stepper(f, dt)(u)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [201, 251])
+def test_uniform_grid_unequal_volumes_match_dense(n):
+    # uniform positions keep the FFT path; the volumes are applied per call
+    f = gaussian_field(n=n)
+    rng = np.random.default_rng(7)
+    f = ParticleField(f.positions, rng.uniform(0.5, 1.5, n) * f.volumes,
+                      rng.standard_normal(n), f.epsilon, ORDER)
+    for kind in (SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE):
+        expected = assemble_matrix(f, kind) @ f.strengths
+        got = rates(f, kind)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_rlpse_matches_dense_form():
+    # pref_d ((Phi V) ut - ut * row), ut = pref_u (kappa V) u, row = (Phi V) 1
+    f = reference_field(n=401)
+    eps, beta = f.epsilon, ORDER.beta
+    x, v, u = f.positions, f.volumes, f.strengths
+    sep = x[:, None] - x[None, :]
+    kappa_v = scaled(KernelSpec(KernelKind.KAPPA_BETA, ORDER, eps), sep) * v
+    phi_v = scaled(KernelSpec(KernelKind.PHI, ORDER, eps), sep) * v
+    ut = eps ** (1.0 - beta) * (kappa_v @ u)
+    pref_d = 2.0 / eps ** 2
+    exchange, self_term = pref_d * (phi_v @ ut), pref_d * ut * phi_v.sum(axis=1)
+    got = rates(f, SchemeKind.RLPSE)
+    scale = max(np.abs(exchange).max(), np.abs(self_term).max())
+    assert np.abs(got - (exchange - self_term)).max() <= 1e-13 * scale
 
 
 def test_matrix_guards():

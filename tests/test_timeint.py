@@ -72,6 +72,17 @@ def test_divergence_guard_carries_step():
     assert 0 < exc.value.step <= 400
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_divergence_guard_nonfinite_start(bad):
+    u = gaussian_field(n=101).strengths.copy()
+    u[30] = bad
+    f = gaussian_field(n=101).with_strengths(u)
+    for kind in (SchemeKind.DD, SchemeKind.KPSE, SchemeKind.GPSE):
+        with pytest.raises(InstabilityError) as exc, np.errstate(invalid="ignore"):
+            integrate(f, kind, IntegratorSpec(RKOrder.RK1, 1e-3, 0.0, 1e-2))
+        assert exc.value.step == 1
+
+
 def test_power_iteration_two_particle_closed_form():
     # N = 2 exchange system: A = c K [[-V, V], [V, -V]], eigenvalues 0, -2cKV
     d, v, eps = 0.4, 0.3, 0.5
