@@ -6,6 +6,10 @@ in the denominator:
 
     err = sum_{|x_i|<=d_eps} V_i |u_i - G0(x_i, t)|  /  int_{-d_eps}^{d_eps} |G0(x, t)| dx.
 
+The denominator is the mass of L0 on |x| <= d_eps t^{-1/alpha}, in closed
+form from the L0 table and the tail integral of its asymptotic expansion
+(greens.reduced_green_mass), not by quadrature.
+
 Self-convergence orders come from triples of runs whose control parameter
 halves between levels:
 
@@ -22,11 +26,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .field import ParticleField, total_strength
-from .greens import green_function
+from .greens import _as_order, green_function, reduced_green_mass
 
 __all__ = [
     "ConvergenceLevel",
@@ -38,10 +41,10 @@ __all__ = [
 
 
 def exact_mass(field_order, t: float, d_eps: float) -> float:
-    """int_{-d_eps}^{d_eps} |G0| dx by adaptive quadrature (G0 > 0)."""
-    val, _ = quad(lambda x: green_function(field_order, x, t), 0.0, d_eps,
-                  epsabs=1e-12, epsrel=1e-10, limit=200)
-    return 2.0 * val
+    """int_{-d_eps}^{d_eps} |G0| dx (G0 > 0), the mass of L0 on |x| <= d_eps t^{-1/alpha}."""
+    if not (t > 0.0 and math.isfinite(t)):
+        raise DomainError(f"t must be positive and finite, got {t}")
+    return reduced_green_mass(field_order, d_eps * t ** -_as_order(field_order).gamma)
 
 
 def rel_l1_error(field: ParticleField, t: float, d_eps: float) -> float:

@@ -5,7 +5,7 @@
     fracdiff stability [--n N] [--overlap R] [--out-dir DIR] [--seed N]
     fracdiff kernels dump [--out-dir DIR]
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or domain error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import AccuracyError, ConfigError, InstabilityError
+from .errors import AccuracyError, ConfigError, DomainError, InstabilityError
 from .experiments import PRESETS, parse_config, run
 
 __all__ = ["main"]
@@ -81,6 +81,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DomainError as exc:  # an argument outside a formula's domain
+        print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, InstabilityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -11,8 +11,9 @@ significant digits so reruns can be compared bit for bit.
 
 from __future__ import annotations
 
-import csv
 import enum
+import functools
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -164,6 +165,12 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig, provided: frozenset):
+    for key in ("beta", "c", "d", "overlap", "dt", "t0", "tf", "d_eps_factor"):
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value}")
+    if cfg.values and not all(map(math.isfinite, cfg.values)):
+        raise ConfigError(f"values: must be finite, got {cfg.values}")
     if not (0.0 < cfg.beta < 1.0):
         raise ConfigError(f"beta: must lie in (0, 1), got {cfg.beta}")
     if cfg.n % 2 == 0 or cfg.n < 3:
@@ -176,6 +183,10 @@ def _validate(cfg: ExperimentConfig, provided: frozenset):
         raise ConfigError(f"d: must be positive, got {cfg.d}")
     if cfg.c <= 0:
         raise ConfigError(f"c: must be positive, got {cfg.c}")
+    if cfg.t0 <= 0:
+        raise ConfigError(f"t0: must be positive, got {cfg.t0}")
+    if cfg.d_eps_factor <= 0:
+        raise ConfigError(f"d_eps_factor: must be positive, got {cfg.d_eps_factor}")
     if cfg.levels < 3:
         raise ConfigError(f"levels: need at least 3, got {cfg.levels}")
     if cfg.study in (StudyKind.SINGLE, StudyKind.DOMAIN_SWEEP, StudyKind.SPACE_SWEEP,
@@ -190,15 +201,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@functools.lru_cache(maxsize=32)
+def _line_format(types: tuple) -> str:
+    """'%' template of one CSV line with cells of these types, rendered as
+    _fmt renders them: floats by %.17g, anything else by %s."""
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\r\n"
+
+
 def _write_csv(path: str, echo: dict, columns: list[str], rows) -> str:
+    """Echo header, then one line per row, streamed.
+
+    Lines end in CRLF, as csv.writer ends them.  No field (numbers, scheme
+    and kernel names, column names) holds a comma, quote or line break, so
+    none is quoted.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(f"# fracdiff {__version__}\n")
         for key, value in echo.items():
             fh.write(f"# {key} = {_fmt(value)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(columns) + "\r\n")
+        # one '%' per line: _fmt cell by cell is about 15% slower on 32001 rows
+        fh.writelines(_line_format(tuple(map(type, row))) % tuple(row) for row in rows)
     return path
 
 
@@ -229,8 +252,8 @@ def _run_one(cfg: ExperimentConfig, c: float | None = None, n: int | None = None
 
 def _snapshot_rows(field: ParticleField, t: float, order: FractionalOrder):
     exact = green_function(order, field.positions, t)
-    for x, u, ue in zip(field.positions, field.strengths, exact):
-        yield x, u, ue
+    # Python floats: iterating the arrays would build slower numpy scalars
+    return zip(field.positions.tolist(), field.strengths.tolist(), exact.tolist())
 
 
 def run(cfg: ExperimentConfig) -> list[str]:

@@ -19,7 +19,11 @@ terms does not show.  Below it, L0 is smooth on a fixed interval, so one
 degree-40 Chebyshev interpolant per alpha reproduces it to 1e-11 relative or
 better (Trefethen 2013, Approximation Theory and Approximation Practice).  The
 interpolant is fitted once, at Chebyshev nodes whose values come from the
-Fourier integral by adaptive quadrature, and cached.
+Fourier integral by adaptive quadrature, and cached.  The mass of L0 on
+|x| <= y integrates the same two branches term by term: the Chebyshev
+interpolant exactly, and the asymptotic sum through
+
+    int_x^inf L0 = -(1/pi) sum_{n>=1} (-1)^n Gamma(alpha n)/n! sin(alpha n pi/2) x^-(alpha n).
 
 The characteristic width R_alpha is the first absolute moment of L0_alpha,
 which for this law has the closed form (2/pi) Gamma(1 - 1/alpha)
@@ -35,14 +39,14 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebinterpolate, chebval
-from scipy.integrate import IntegrationWarning, quad
+from numpy.polynomial.chebyshev import chebint, chebinterpolate, chebval
 
 from .errors import AccuracyError, DomainError
 
 __all__ = [
     "FractionalOrder",
     "reduced_green",
+    "reduced_green_mass",
     "green_function",
     "characteristic_width",
 ]
@@ -91,6 +95,9 @@ _NODE_EPSREL = 1e-12
 
 def _l0_fourier(alpha: float, x: float) -> float:
     """L0(x) = (1/pi) int_0^inf cos(kx) exp(-k^alpha) dk, cut where exp underflows."""
+    # imported here: only a cold table fit needs scipy.integrate
+    from scipy.integrate import quad
+
     val, err = quad(lambda k: math.cos(k * x) * math.exp(-k ** alpha),
                     0.0, 745.0 ** (1.0 / alpha),
                     epsabs=_NODE_EPSABS, epsrel=_NODE_EPSREL, limit=200)
@@ -106,6 +113,8 @@ def _l0_fourier(alpha: float, x: float) -> float:
 def _auto_crossover(alpha: float, asym_terms: int) -> float:
     """Smallest grid x from which up to the cap the asymptotic branch agrees
     with the Fourier integral to _CROSSOVER_TOL relative."""
+    from scipy.integrate import IntegrationWarning
+
     grid = np.arange(0.8, _CROSSOVER_CAP + 1e-9, 0.025)[::-1]
     cross = _CROSSOVER_CAP
     with warnings.catch_warnings():
@@ -133,27 +142,41 @@ def _l0_table(alpha: float) -> np.ndarray:
     return coef
 
 
-def _l0_asym(alpha: float, ax: np.ndarray, max_terms: int) -> np.ndarray:
-    """Asymptotic branch, each element frozen at its smallest term.
+def _asym_sum(alpha: float, ax: np.ndarray, shift: float, max_terms: int) -> np.ndarray:
+    """sum_n (-1)^n sin(alpha n pi/2) Gamma(shift + alpha n)/n! ax^(-alpha n),
+    over a 1-D array, each element frozen at its smallest term.
 
     Growth detection uses the sin-free term envelope: sin(alpha n pi/2) can
     pass arbitrarily close to zero, which would otherwise fake a minimum.
+    Only the elements still summing are carried from one term to the next,
+    so an element's value does not depend on the others.
     """
-    out = np.zeros_like(ax)
+    out = np.empty_like(ax)
+    live = np.arange(ax.size)
     lnx = np.log(ax)
-    done = np.zeros(ax.shape, dtype=bool)
+    acc = np.zeros_like(ax)
     prev_env = np.full(ax.shape, np.inf)
     for n in range(1, max_terms + 1):
         s = math.sin(alpha * n * math.pi / 2.0)
-        clog = lgamma(1.0 + alpha * n) - lgamma(n + 1.0)
+        clog = lgamma(shift + alpha * n) - lgamma(n + 1.0)
         env = np.exp(clog - alpha * n * lnx)
-        done |= env > prev_env
-        out += np.where(done, 0.0, ((-1.0) ** n * s) * env)
-        done |= env <= 1e-17 * np.abs(out)
-        if done.all():
+        grown = env > prev_env
+        acc += np.where(grown, 0.0, ((-1.0) ** n * s) * env)
+        stop = grown | (env <= 1e-17 * np.abs(acc))
+        if stop.any():
+            out[live[stop]] = acc[stop]
+            keep = ~stop
+            live, lnx, acc, env = live[keep], lnx[keep], acc[keep], env[keep]
+        if not live.size:
             break
-        prev_env = np.where(done, prev_env, env)
-    return -out / (ax * math.pi)
+        prev_env = env
+    out[live] = acc
+    return out
+
+
+def _l0_asym(alpha: float, ax: np.ndarray, max_terms: int) -> np.ndarray:
+    """Asymptotic branch of L0 at ax > 0."""
+    return -_asym_sum(alpha, ax, 1.0, max_terms) / (ax * math.pi)
 
 
 def reduced_green(alpha, x):
@@ -172,6 +195,26 @@ def reduced_green(alpha, x):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def reduced_green_mass(alpha, y) -> float:
+    """Mass int_{-y}^{y} L0_alpha(x) dx of the reduced Green function, y >= 0.
+
+    The Chebyshev table integrates exactly up to the crossover; beyond it the
+    optimally truncated tail integral of the asymptotic expansion (module
+    docstring) adds int_cross^y L0 = tail(cross) - tail(y).
+    """
+    order = _as_order(alpha)
+    y = float(y)
+    if not y >= 0.0:
+        raise DomainError(f"y must be non-negative, got {y}")
+    cross = _auto_crossover(order.alpha, _ASYM_TERMS)
+    s = 2.0 * min(y, cross) / cross - 1.0
+    half = 0.5 * cross * chebval(s, chebint(_l0_table(order.alpha), lbnd=-1.0))
+    if y > cross:
+        tail = -_asym_sum(order.alpha, np.array([cross, y]), 0.0, _ASYM_TERMS) / math.pi
+        half += tail[0] - tail[1]
+    return 2.0 * float(half)
 
 
 def green_function(alpha, x, t):

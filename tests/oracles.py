@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from fracdiff.errors import AccuracyError, DomainError
-from fracdiff.greens import _as_order
+from fracdiff.greens import _as_order, green_function
 
 
 def pcf_d_quad(nu: float, z: float) -> float:
@@ -301,3 +301,14 @@ def l0_series_mp(alpha: float, xs: np.ndarray, max_terms: int) -> np.ndarray:
                 raise AccuracyError(f"L0 extended series did not converge (alpha={alpha}, x={xv})")
             out[i] = float(s / mp.pi)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the rel_l1 denominator by adaptive quadrature
+
+
+def exact_mass_quad(field_order, t: float, d_eps: float) -> float:
+    """int_{-d_eps}^{d_eps} |G0| dx by adaptive quadrature (G0 > 0)."""
+    val, _ = quad(lambda x: green_function(field_order, x, t), 0.0, d_eps,
+                  epsabs=1e-12, epsrel=1e-10, limit=200)
+    return 2.0 * val

@@ -6,9 +6,12 @@ from fracdiff.analysis import (ConvergenceLevel, conservation_drift,
                                self_convergence_order)
 from fracdiff.errors import DomainError
 from fracdiff.field import DomainSpec, init_uniform
-from fracdiff.greens import FractionalOrder, characteristic_width, green_function
+from fracdiff.greens import (FractionalOrder, _auto_crossover,
+                             characteristic_width, green_function)
 from fracdiff.schemes import SchemeKind
 from fracdiff.timeint import IntegratorSpec, RKOrder, integrate
+
+from oracles import exact_mass_quad
 
 ORDER = FractionalOrder.from_beta(0.5)
 R_ALPHA = characteristic_width(ORDER)
@@ -29,6 +32,28 @@ def test_denominator_holds_97_percent():
     # |x| <= 5 R_alpha captures roughly 97% of the unit mass at t_f = 1.5
     mass = exact_mass(ORDER, 1.5, 5.0 * R_ALPHA)
     assert mass == pytest.approx(0.97, abs=0.01)
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("t", [0.51, 1.5])
+@pytest.mark.parametrize("y_over_cross", [0.5, 0.999, 1.001, 3.0])
+def test_exact_mass_matches_quadrature(beta, t, y_over_cross):
+    # d_eps on both sides of the L0 crossover, in reduced units y = d t^{-1/alpha}
+    order = FractionalOrder.from_beta(beta)
+    d_eps = y_over_cross * _auto_crossover(order.alpha, 300) * t ** order.gamma
+    assert exact_mass(order, t, d_eps) == pytest.approx(
+        exact_mass_quad(order, t, d_eps), rel=1e-9)
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.1, 0.5, 0.9, 0.99])
+def test_exact_mass_total_is_one(beta):
+    # the table integral and the asymptotic tail must add up to the unit mass
+    assert exact_mass(FractionalOrder.from_beta(beta), 1.0, 1e12) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_exact_mass_rejects_bad_time():
+    with pytest.raises(DomainError):
+        exact_mass(ORDER, 0.0, 1.0)
 
 
 def test_rel_l1_scale_awareness():

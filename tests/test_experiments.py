@@ -1,9 +1,15 @@
 import csv
+import io
 import math
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import fracdiff
+from fracdiff import __version__
 from fracdiff.cli import main
 from fracdiff.errors import ConfigError
 from fracdiff.experiments import PRESETS, parse_config, run
@@ -186,6 +192,27 @@ def test_cli_os_errors_exit_2(tmp_path, capsys):
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
 
+@pytest.mark.parametrize("line", ["tf = inf", "c = nan", "values = 10, inf",
+                                  "t0 = 0", "t0 = -0.5",
+                                  "d_eps_factor = 0", "d_eps_factor = -1"])
+def test_cli_rejects_bad_config_up_front(tmp_path, capsys, line):
+    # each failed late (after the integration) or with a traceback
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(TINY + line + "\n")
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + line.split(" =")[0] + ":")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_domain_error_exit_2(tmp_path, capsys):
+    # a time sweep of two levels runs, then has no order to estimate
+    cfg_file = tmp_path / "two.cfg"
+    cfg_file.write_text(TINY + "study = time\nvalues = 2e-3, 1e-3\n")
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("domain error: ")
+
+
 def test_cli_numerical_failure_exit_3(tmp_path):
     # dt far beyond the stability bound trips the divergence guard
     cfg_file = tmp_path / "unstable.cfg"
@@ -217,3 +244,41 @@ def test_csv_roundtrip_17_digits(tmp_path):
     # formatting at 17 significant digits round-trips the float exactly
     v = float(rows[5]["u"])
     assert ex._fmt(v) == rows[5]["u"]
+
+
+def _csv_writer_bytes(echo, columns, rows):
+    buf = io.StringIO(newline="")
+    buf.write(f"# fracdiff {__version__}\n")
+    for key, value in echo.items():
+        buf.write(f"# {key} = {format(value, '.17g') if isinstance(value, float) else value}\n")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue().encode()
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    import fracdiff.experiments as ex
+    echo = {"beta": 0.5, "n": 201, "scheme": "kpse", "values": ""}
+    floats = [(0.0, -0.0, 5e-320), (1e300, -1e300, -2.5e-7), (1 / 3, -math.pi, 1e-5),
+              (math.inf, -math.inf, math.nan)]
+    mixed = [["dd", 0.5, "dt", 5e-5, 4.0732060862549886e-05, "", 3.7e-4],
+             ["dd", 0.5, "h", 0.125, "", 1.9999999999999998, ""],
+             [0.1, "fpse", 2001, -1234.5, 7.049],
+             ["gd", 0.1, np.float64(0.05), np.float64(-3.2e-9)]]
+    for name, columns, rows in (("floats.csv", ["x", "u", "u_exact"], floats),
+                                ("mixed.csv", list("abcdefg"), mixed)):
+        path = ex._write_csv(str(tmp_path / name), echo, columns, iter(rows))
+        with open(path, "rb") as fh:
+            assert fh.read() == _csv_writer_bytes(echo, columns, rows)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # quadrature is only needed to fit an L0 table, not to import the package
+    src = os.path.dirname(os.path.dirname(fracdiff.__file__))
+    code = "import sys, fracdiff, fracdiff.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"

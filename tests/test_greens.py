@@ -49,6 +49,20 @@ def test_branch_agreement_at_crossover(alpha):
     assert asym == pytest.approx(series, rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
+def test_asymptotic_branch_pointwise(alpha):
+    # each point stops at its own smallest term: its value must not depend on
+    # which points share the array
+    cross = _auto_crossover(alpha, 300)
+    rng = np.random.default_rng(3)
+    x = np.concatenate([cross * (1.0 + rng.random(40) ** 3),
+                        cross * np.exp(rng.uniform(0.0, 12.0, 40)), [cross, 1e8]])
+    rng.shuffle(x)
+    full = _l0_asym(alpha, x, 300)
+    for i in range(x.size):
+        assert full[i] == _l0_asym(alpha, x[i:i + 1], 300)[0]
+
+
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
 def test_reduced_green_positive_decaying(alpha):
     x = np.linspace(0.0, 25.0, 500)
