@@ -14,7 +14,7 @@ from .errors import (AccuracyError, ConfigError, DomainError, FracdiffError,
                      InstabilityError)
 from .greens import (FractionalOrder, characteristic_width, green_function,
                      reduced_green)
-from .specfun import DEFAULT_SWITCH_RADIUS, pcf_d, pcf_u, pcf_v, s_combo, t_combo
+from .specfun import pcf_d, s_combo, t_combo
 from .kernels import (KernelKind, KernelSpec, c_beta, eta, eta1, kernel_e,
                       kernel_f, kernel_gd, kernel_k, kernel_kappa, phi, scaled)
 from .field import (DomainSpec, ParticleField, eval_flux, eval_u, eval_utilde,

@@ -193,6 +193,42 @@ def _validate(cfg: ExperimentConfig, provided: frozenset):
                      StudyKind.TIME_SWEEP):
         # validates the step count
         IntegratorSpec(cfg.integrator, cfg.dt, cfg.t0, cfg.tf)
+    if cfg.study is StudyKind.TIME_SWEEP:
+        values = _sweep_values(cfg)
+        for dt in values:
+            try:
+                IntegratorSpec(cfg.integrator, dt, cfg.t0, cfg.tf)
+            except ConfigError as exc:
+                raise ConfigError(f"values: {exc}") from None
+        # the order estimate needs three levels whose dt halves
+        if len(values) < 3 or any(abs(values[i] / values[i + 1] - 2.0) > 1e-9
+                                  for i in (0, 1)):
+            raise ConfigError(f"values: a time sweep needs at least 3 time steps, "
+                              f"the first three halving, got {values}")
+    if cfg.study is StudyKind.DOMAIN_SWEEP:
+        for c in _sweep_values(cfg):
+            if not c > 0:
+                raise ConfigError(f"values: every C must be positive, got {c}")
+            if _domain_sweep_n(cfg, c) < 3:
+                raise ConfigError(f"values: C = {c} leaves fewer than 3 particles "
+                                  f"at the sweep's fixed spacing")
+
+
+def _sweep_values(cfg: ExperimentConfig) -> tuple[float, ...]:
+    """The swept C (domain) or dt (time) values, with their defaults."""
+    if cfg.values:
+        return cfg.values
+    if cfg.study is StudyKind.DOMAIN_SWEEP:
+        return (10.0, 20.0, 40.0, 80.0, 160.0)
+    return (cfg.dt, cfg.dt / 2.0, cfg.dt / 4.0)
+
+
+def _domain_sweep_n(cfg: ExperimentConfig, c: float) -> int:
+    """Odd particle count of domain-sweep point C, at the spacing of cfg's own grid
+    (N grows with the domain)."""
+    h = 2.0 * cfg.half_width() / (cfg.n - 1)
+    n = int(round(2.0 * cfg.half_width(c) / h)) + 1
+    return n + 1 if n % 2 == 0 else n
 
 
 def _fmt(value) -> str:
@@ -278,15 +314,9 @@ def run(cfg: ExperimentConfig) -> list[str]:
                               [[cfg.scheme.value, cfg.beta, "dt", cfg.dt,
                                 err, "", drift]]))
     elif cfg.study is StudyKind.DOMAIN_SWEEP:
-        values = cfg.values or (10.0, 20.0, 40.0, 80.0, 160.0)
         rows = []
-        for c in values:
-            # fixed h across the sweep: N grows with the domain
-            h = 2.0 * cfg.half_width() / (cfg.n - 1)
-            n = int(round(2.0 * cfg.half_width(c) / h)) + 1
-            if n % 2 == 0:
-                n += 1
-            _, _, err, drift = _run_one(cfg, c=c, n=n)
+        for c in _sweep_values(cfg):
+            _, _, err, drift = _run_one(cfg, c=c, n=_domain_sweep_n(cfg, c))
             rows.append([cfg.scheme.value, cfg.beta, "C", c, err, "", drift])
         out.append(_write_csv(path("domain_sweep.csv"), echo,
                               ["scheme", "beta", "param_name", "param",
@@ -306,7 +336,7 @@ def run(cfg: ExperimentConfig) -> list[str]:
                               ["scheme", "beta", "param_name", "param",
                                "rel_l1", "p", "drift"], rows))
     elif cfg.study is StudyKind.TIME_SWEEP:
-        values = cfg.values or (cfg.dt, cfg.dt / 2.0, cfg.dt / 4.0)
+        values = _sweep_values(cfg)
         rows, fields = [], []
         for dt in values:
             sub = replace(cfg, dt=dt)

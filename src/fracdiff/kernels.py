@@ -4,13 +4,18 @@ All kernels are built from the squared-exponential mollifier
 
     eta(r) = exp(-r^2)/sqrt(pi)
 
-and the parabolic-cylinder combinations S^nu, T^nu:
+and the parabolic-cylinder combinations S^nu, T^nu (closed Kummer-function
+forms in specfun):
 
     kappa^beta(r) = 2^{(beta-3)/2}/(sqrt(pi) sin(beta pi/2)) S^beta(r)
     F(r)          = 2^{(beta-2)/2}/(sqrt(pi) sin(beta pi/2)) T^alpha(r)
     G^d(r)        = -2^{(alpha-2)/2}/(sqrt(pi) cos(alpha pi/2)) S^{alpha+1}(r)
     K(r)          = -(1/r) d(kappa^beta)/dr = -F(r)/r
+                  = K(0) M((alpha+1)/2, 3/2, -r^2)
     E(r)          = L0_alpha(r)
+
+T^alpha(r) is r times that Kummer function M, so r divides out of K in
+closed form and K(0) = -2^alpha / (sin(beta pi/2) Gamma((1-alpha)/2)).
 
 kappa is the |r|^-beta convolution of eta (the smoothed Riemann-Liouville
 potential of a unit particle); F is its derivative (the flux kernel) and G^d
@@ -27,10 +32,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hyp1f1
 
 from .errors import DomainError
 from .greens import FractionalOrder, reduced_green
-from .specfun import gamma_rec, s_combo, t_combo
+from .specfun import _minus_z2, gamma_rec, s_combo, t_combo
 
 __all__ = [
     "KernelKind",
@@ -48,9 +54,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-
-# below this |r| the exchange kernel K is evaluated by its analytic r -> 0 limit
-_K_LIMIT_RADIUS = 1e-6
 
 
 class KernelKind(enum.Enum):
@@ -118,28 +121,12 @@ def kernel_f(alpha, r):
     return pref * t_combo(order.alpha, r)
 
 
-def _k_at_origin(order: FractionalOrder) -> float:
-    # K(0) = -F'(0) = -2^alpha / (sin(beta pi/2) Gamma((1-alpha)/2))
-    a = order.alpha
-    return -(2.0 ** a) * gamma_rec((1.0 - a) / 2.0) / math.sin(order.beta * math.pi / 2.0)
-
-
 def kernel_k(alpha, r):
-    """Strength-exchange kernel K(r) = -F(r)/r (even, positive).
-
-    The removable singularity at r = 0 is replaced by the analytic limit
-    -F'(0) for |r| < 1e-6.
-    """
+    """Strength-exchange kernel K(r) = -F(r)/r (even, positive)."""
     order = alpha if isinstance(alpha, FractionalOrder) else FractionalOrder(float(alpha))
-    ra = np.asarray(r, dtype=float)
-    out = np.empty_like(ra)
-    tiny = np.abs(ra) < _K_LIMIT_RADIUS
-    if tiny.any():
-        out[tiny] = _k_at_origin(order)
-    if (~tiny).any():
-        rr = ra[~tiny]
-        out[~tiny] = -np.asarray(kernel_f(order, rr)) / rr
-    return _maybe_scalar(r, out)
+    a = order.alpha
+    k0 = -(2.0 ** a) * gamma_rec((1.0 - a) / 2.0) / math.sin(order.beta * math.pi / 2.0)
+    return _maybe_scalar(r, k0 * hyp1f1((a + 1.0) / 2.0, 1.5, _minus_z2(r)))
 
 
 def kernel_e(alpha, r):

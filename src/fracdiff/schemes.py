@@ -102,7 +102,9 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float,
 
         def apply(w: np.ndarray) -> np.ndarray:
             buf[:n] = w if weight is None else weight * w
-            return scipy.fft.irfft(scipy.fft.rfft(buf) * spectrum, m)[:n]
+            x = scipy.fft.rfft(buf)
+            x *= spectrum
+            return scipy.fft.irfft(x, m, overwrite_x=True)[:n]
     return apply, apply(np.ones(n))
 
 
@@ -142,7 +144,15 @@ def make_gpse_stepper(field: ParticleField, dt: float):
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainError(f"dt must be positive, got {dt}")
     e, row = _interaction(field, KernelKind.E, dt ** field.order.gamma, 1.0)
-    return lambda u: u + e(u) - u * row
+
+    def step(u: np.ndarray) -> np.ndarray:
+        # (u + e(u)) - u row; the sum is a fresh length-N array, so the
+        # padded FFT output that e(u) is a view of is freed at once
+        out = u + e(u)
+        out -= u * row
+        return out
+
+    return step
 
 
 def assemble_matrix(field: ParticleField, kind: SchemeKind,

@@ -11,7 +11,7 @@ import pytest
 import fracdiff
 from fracdiff import __version__
 from fracdiff.cli import main
-from fracdiff.errors import ConfigError
+from fracdiff.errors import ConfigError, DomainError
 from fracdiff.experiments import PRESETS, parse_config, run
 from fracdiff.schemes import SchemeKind
 from fracdiff.timeint import RKOrder
@@ -205,10 +205,31 @@ def test_cli_rejects_bad_config_up_front(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_domain_error_exit_2(tmp_path, capsys):
-    # a time sweep of two levels runs, then has no order to estimate
-    cfg_file = tmp_path / "two.cfg"
-    cfg_file.write_text(TINY + "study = time\nvalues = 2e-3, 1e-3\n")
+@pytest.mark.parametrize("study,values", [
+    ("domain", "5, -10"),                # a negative C
+    ("domain", "5, 1e-6"),               # a C too small for 3 particles
+    ("time", "2e-3, 1e-3"),              # two levels: no order
+    ("time", "2e-3, 1e-3, 4e-4"),        # not halving
+    ("time", "3e-3, 1.5e-3, 7.5e-4"),    # 3e-3 does not divide tf - t0
+], ids=["domain-negative", "domain-tiny", "time-two-levels", "time-not-halving",
+        "time-not-dividing"])
+def test_cli_rejects_bad_sweep_values(tmp_path, capsys, study, values):
+    # each used to fail only after some (or all) of the sweep had run
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(TINY + f"study = {study}\nvalues = {values}\n")
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: values: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_domain_error_exit_2(tmp_path, capsys, monkeypatch):
+    # configs are checked up front, so stand in a run that meets a domain error
+    def run_out_of_domain(cfg):
+        raise DomainError("t must be positive")
+
+    monkeypatch.setattr("fracdiff.cli.run", run_out_of_domain)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY)
     assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("domain error: ")
 
@@ -278,6 +299,16 @@ def test_import_leaves_scipy_integrate_unloaded():
     # quadrature is only needed to fit an L0 table, not to import the package
     src = os.path.dirname(os.path.dirname(fracdiff.__file__))
     code = "import sys, fracdiff, fracdiff.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
+
+
+def test_import_leaves_mpmath_unloaded():
+    # mpmath serves pcf_d alone, and is imported by its first call
+    src = os.path.dirname(os.path.dirname(fracdiff.__file__))
+    code = "import sys, fracdiff, fracdiff.cli; print('mpmath' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout

@@ -72,6 +72,32 @@ def test_k_limit_matches_kappa_second_derivative():
     assert kernel_k(order, 0.0) == pytest.approx(fd, rel=1e-6)
 
 
+@pytest.mark.parametrize("beta", [0.01, 0.5, 0.99])
+def test_k_matches_mpmath_flux_over_r(beta):
+    # K = -F/r, with F from its parabolic-cylinder definition at 40 digits,
+    # down to r = 1e-8 (inside the old limit switch at 1e-6); K(0) is the limit
+    order = FractionalOrder.from_beta(beta)
+    with mp.workdps(40):
+        a, b = mp.mpf(order.alpha), mp.mpf(beta)
+        pref = mp.mpf(2) ** ((b - 2) / 2) / (mp.sqrt(mp.pi) * mp.sin(b * mp.pi / 2))
+
+        def k_ref(r):
+            w = mp.sqrt(2) * mp.mpf(r)
+            t = mp.exp(-w * w / 4) * (mp.pcfd(a - 1, -w) - mp.pcfd(a - 1, w))
+            return float(-pref * t / mp.mpf(r))
+
+        k0 = float(-mp.mpf(2) ** a * mp.rgamma((1 - a) / 2) / mp.sin(b * mp.pi / 2))
+        r = np.array([1e-8, 1e-6, 1e-3, 0.3, 1.0, 2.5, 4.0, 6.4, 9.0])
+        ref = np.array([k_ref(ri) for ri in r])
+    assert kernel_k(order, 0.0) == pytest.approx(k0, rel=1e-15)
+    assert np.asarray(kernel_k(order, r)) == pytest.approx(ref, rel=2e-13)
+
+
+def test_k_rejects_nonfinite():
+    with pytest.raises(DomainError):
+        kernel_k(FractionalOrder(1.5), np.array([0.5, math.nan]))
+
+
 def test_k_positive():
     order = FractionalOrder(1.5)
     r = np.geomspace(1e-4, 30.0, 50)

@@ -1,39 +1,66 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracdiff.errors import DomainError
-from fracdiff.specfun import (DEFAULT_SWITCH_RADIUS, gamma_rec, pcf_d, pcf_u,
-                              pcf_v, s_combo, t_combo)
-from fracdiff.specfun import _series_uv, _u_asym, _v_asym
+from fracdiff.specfun import gamma_rec, pcf_d, s_combo, t_combo
 
 from oracles import central_first, pcf_d_quad
 
 SQRT2 = math.sqrt(2.0)
 
+# production radii reach (N-1)/overlap = 16000 in units of eps
+Z_GRID = np.concatenate([np.linspace(0.0, 12.0, 241), np.geomspace(12.0, 16000.0, 41)[1:]])
+
+
+def _u_origin_mp(a):
+    """U(a,0) and U'(a,0) (DLMF 12.2.6-7), in the current mpmath precision."""
+    u0 = mp.sqrt(mp.pi) * mp.rgamma(mp.mpf(3) / 4 + a / 2) / mp.mpf(2) ** (a / 2 + mp.mpf(1) / 4)
+    u0p = -mp.sqrt(mp.pi) * mp.rgamma(mp.mpf(1) / 4 + a / 2) / mp.mpf(2) ** (a / 2 - mp.mpf(1) / 4)
+    return u0, u0p
+
+
+def s_hyp_mp(nu, z):
+    """S^nu(z) = 2 U(a,0) M(nu/2, 1/2, -z^2), a = 1/2 - nu, at 40 digits."""
+    with mp.workdps(40):
+        nu, z = mp.mpf(nu), mp.mpf(z)
+        u0, _ = _u_origin_mp(mp.mpf(1) / 2 - nu)
+        return float(2 * u0 * mp.hyp1f1(nu / 2, mp.mpf(1) / 2, -z * z))
+
+
+def t_hyp_mp(nu, z):
+    """T^nu(z) = -2 sqrt2 U'(a,0) z M((nu+1)/2, 3/2, -z^2), at 40 digits."""
+    with mp.workdps(40):
+        nu, z = mp.mpf(nu), mp.mpf(z)
+        _, u0p = _u_origin_mp(mp.mpf(1) / 2 - nu)
+        return float(-2 * mp.sqrt(2) * u0p * z * mp.hyp1f1((nu + 1) / 2, mp.mpf(3) / 2, -z * z))
+
+
+def combo_def_mp(nu, z, sign):
+    """exp(-z^2/2) (D_{nu-1}(-sqrt2 z) + sign D_{nu-1}(sqrt2 z)), the definition."""
+    with mp.workdps(40):
+        nu, w = mp.mpf(nu), mp.sqrt(2) * mp.mpf(z)
+        return float(mp.exp(-w * w / 4) * (mp.pcfd(nu - 1, -w) + sign * mp.pcfd(nu - 1, w)))
+
 
 def test_pcf_u_gaussian_case():
-    # D_0(z) = U(-1/2, z) = exp(-z^2/4)
-    assert pcf_u(-0.5, 1.0) == pytest.approx(math.exp(-0.25), rel=1e-14)
+    # U(-1/2, z) = D_0(z) = exp(-z^2/4)
+    assert pcf_d(0.0, 1.0) == pytest.approx(math.exp(-0.25), rel=1e-14)
 
 
 def test_pcf_u_origin_value():
+    # U(0, 0) = D_{-1/2}(0)
     expected = math.sqrt(math.pi) / (2.0 ** 0.25 * math.gamma(0.75))
-    assert pcf_u(0.0, 0.0) == pytest.approx(expected, rel=1e-14)
-
-
-def test_pcf_v_origin_value():
-    a = 0.25
-    expected = (math.pi * 2.0 ** (a / 2 + 0.25)
-                / (math.gamma(0.75 - a / 2) ** 2 * math.gamma(0.25 + a / 2)))
-    assert pcf_v(a, 0.0) == pytest.approx(expected, rel=1e-14)
+    assert pcf_d(-0.5, 0.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_pcf_d_trivial():
     assert pcf_d(0.0, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-    assert pcf_d(-0.5, 0.0) == pytest.approx(pcf_u(0.0, 0.0), rel=1e-15)
+    # D_1(z) = z exp(-z^2/4)
+    assert pcf_d(1.0, 2.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("nu,z", [(-0.5, 1.7), (-0.9, 0.4), (-0.2, -3.1),
@@ -45,43 +72,36 @@ def test_pcf_d_against_quadrature(nu, z):
 @pytest.mark.parametrize("a", [-1.3, -0.7, -0.2, 0.0, 0.3])
 @pytest.mark.parametrize("z", [0.3, 1.1, 2.9, 4.4, 6.7])
 def test_reflection_identity(a, z):
-    # U(a,-z) = -sin(pi a) U(a,z) + pi/Gamma(1/2+a) V(a,z)
-    lhs = pcf_u(a, -z)
-    rhs = (-math.sin(math.pi * a) * pcf_u(a, z)
-           + math.pi * gamma_rec(0.5 + a) * pcf_v(a, z))
+    # U(a,-z) = -sin(pi a) U(a,z) + pi/Gamma(1/2+a) V(a,z), with U(a,.) = D_{-a-1/2}
+    lhs = pcf_d(-a - 0.5, -z)
+    rhs = (-math.sin(math.pi * a) * pcf_d(-a - 0.5, z)
+           + math.pi * gamma_rec(0.5 + a) * float(mp.pcfv(a, z)))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_v_branch_agreement_example():
-    a = -0.4
-    # at the switch radius the branches agree far inside 1e-8
-    z = DEFAULT_SWITCH_RADIUS
-    assert _series_uv(a, z)[1] == pytest.approx(_v_asym(a, z), rel=1e-8)
-    # below it (z = 6) the asymptotic optimal-truncation floor is ~1.0e-8
-    assert _series_uv(a, 6.0)[1] == pytest.approx(_v_asym(a, 6.0), rel=2e-8)
+@pytest.mark.parametrize("beta", [0.01, 0.1, 0.5, 0.9, 0.99])
+def test_combos_match_mpmath(beta):
+    """S^beta, S^{alpha+1} and T^alpha, the three orders the kernels use,
+    against the Kummer-function forms in 40-digit mpmath on z in [0, 16000]."""
+    alpha = 1.0 + beta
+    for nu, got_fn, ref_fn in ((beta, s_combo, s_hyp_mp), (alpha + 1.0, s_combo, s_hyp_mp),
+                               (alpha, t_combo, t_hyp_mp)):
+        got = got_fn(nu, Z_GRID)
+        ref = np.array([ref_fn(nu, z) for z in Z_GRID])
+        nonzero = ref != 0.0
+        assert np.array_equal(got == 0.0, ~nonzero)
+        # worst measured: 1.3e-13 for T^alpha and S^{alpha+1} at beta = 0.99
+        # near z = 6.4-6.7, where the Gaussian and algebraic parts cross
+        rel = np.abs(got[nonzero] / ref[nonzero] - 1.0)
+        assert rel.max() <= 2e-13, (nu, rel.max(), Z_GRID[nonzero][rel.argmax()])
 
 
-@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
-def test_overlap_band_agreement(beta):
-    """Series and asymptotic evaluations agree to 1e-7 across the band
-    [0.8 sr, 1.2 sr] around the default switch radius (sqrt2-scaled)."""
-    sr = DEFAULT_SWITCH_RADIUS
-    for nu in (beta, beta + 1.0, beta + 2.0):
-        for w in np.linspace(0.8 * sr, 1.2 * sr, 7):
-            z = w / SQRT2
-            s_ser = s_combo(nu, z, switch_radius=1e9)
-            s_asy = s_combo(nu, z, switch_radius=1e-9)
-            assert s_ser == pytest.approx(s_asy, rel=1e-7)
-            t_ser = t_combo(nu, z, switch_radius=1e9)
-            t_asy = t_combo(nu, z, switch_radius=1e-9)
-            assert t_ser == pytest.approx(t_asy, rel=1e-7)
-
-
-@pytest.mark.parametrize("a", [-2.2, -0.9, 0.3])
-def test_u_branch_agreement_at_switch(a):
-    sr = DEFAULT_SWITCH_RADIUS
-    for z in (0.8 * sr, sr):
-        assert _series_uv(a, z)[0] == pytest.approx(_u_asym(a, z), rel=1e-7)
+@pytest.mark.parametrize("nu", [0.05, 0.5, 1.5, 2.5])
+def test_combos_match_parabolic_cylinder_definition(nu):
+    # checks the Kummer-function identities themselves against mpmath's D_nu
+    for z in (0.0, 0.4, 1.5, 3.0, 6.0, 9.0):
+        assert s_combo(nu, z) == pytest.approx(combo_def_mp(nu, z, 1), rel=1e-13, abs=0)
+        assert t_combo(nu, z) == pytest.approx(combo_def_mp(nu, z, -1), rel=1e-13, abs=1e-300)
 
 
 @given(nu=st.floats(-1.5, 2.5), z=st.floats(-12.0, 12.0))
@@ -128,11 +148,13 @@ def test_combo_array_matches_scalar():
 
 def test_nonfinite_inputs_rejected():
     with pytest.raises(DomainError):
-        pcf_u(math.nan, 1.0)
+        pcf_d(math.nan, 1.0)
     with pytest.raises(DomainError):
-        pcf_u(0.1, math.inf)
+        pcf_d(0.1, math.inf)
     with pytest.raises(DomainError):
         s_combo(0.5, np.array([1.0, math.nan]))
+    with pytest.raises(DomainError):
+        t_combo(0.5, math.inf)
 
 
 def test_gamma_rec_poles():

@@ -83,6 +83,45 @@ def test_divergence_guard_nonfinite_start(bad):
         assert exc.value.step == 1
 
 
+def _naive_integrate(f, kind, dt, n_steps):
+    """The RK1 (or GPSE) stepping loop written out, every update a fresh array."""
+    from fracdiff.kernels import KernelKind
+    from fracdiff.schemes import _interaction, make_rate_operator
+    u = f.strengths.copy()
+    if kind is SchemeKind.GPSE:
+        e, row = _interaction(f, KernelKind.E, dt ** f.order.gamma, 1.0)
+        for _ in range(n_steps):
+            u = u + e(u) - u * row
+        return u
+    rate = make_rate_operator(f, kind)
+    for _ in range(n_steps):
+        u = u + dt * rate(u)
+    return u
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE,
+                                  SchemeKind.GPSE])
+def test_in_place_steps_equal_naive_loop(kind):
+    # integrate updates in place; the arithmetic, and so every bit, is the same
+    f = gaussian_field(n=401, D=20.0)
+    dt = 1e-3
+    out = integrate(f, kind, IntegratorSpec(RKOrder.RK1, dt, 0.0, 20 * dt))
+    assert np.array_equal(out.strengths, _naive_integrate(f, kind, dt, 20))
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE,
+                                  SchemeKind.GPSE])
+def test_divergence_guard_huge_finite_start(kind):
+    # ||u||^2 overflows past entries of about 1e154; the guard must not
+    f = gaussian_field(n=101)
+    huge = f.with_strengths(1e300 * f.strengths)
+    spec = IntegratorSpec(RKOrder.RK1, 1e-3, 0.0, 1e-2)
+    out = integrate(huge, kind, spec)
+    ref = integrate(f, kind, spec)
+    assert np.all(np.isfinite(out.strengths))
+    assert np.abs(out.strengths / 1e300 - ref.strengths).max() <= 1e-12 * np.abs(ref.strengths).max()
+
+
 def test_power_iteration_two_particle_closed_form():
     # N = 2 exchange system: A = c K [[-V, V], [V, -V]], eigenvalues 0, -2cKV
     d, v, eps = 0.4, 0.3, 0.5
