@@ -13,10 +13,9 @@ forward Euler / explicit midpoint.
 Run:  python demos/convergence_study.py
 """
 
-from fracdiff import (DomainSpec, FractionalOrder, IntegratorSpec, RKOrder,
-                      SchemeKind, characteristic_width, green_function,
-                      init_uniform, integrate, nested_levels,
-                      self_convergence_order)
+from fracdiff import (FractionalOrder, IntegratorSpec, RKOrder, SchemeKind,
+                      characteristic_width, green_function, init_uniform,
+                      integrate, self_convergence_order)
 
 order = FractionalOrder.from_beta(0.5)
 r_alpha = characteristic_width(order)
@@ -24,8 +23,7 @@ D = 20.0 * 1.5 ** order.gamma * r_alpha
 
 
 def make_field(n):
-    dom = DomainSpec(half_width_D=D, n_particles=n)
-    return init_uniform(dom, order, 2.0, lambda x: green_function(order, x, 0.5))
+    return init_uniform(D, n, order, 2.0, lambda x: green_function(order, x, 0.5))
 
 
 print("spatial self-convergence (nested grids 2001 -> 4001 -> 8001)")
@@ -36,7 +34,7 @@ for kind in (SchemeKind.DD, SchemeKind.KPSE, SchemeKind.FPSE):
         f0 = make_field(n)
         fields.append(integrate(f0, kind, IntegratorSpec(RKOrder.RK1, 1e-4, 0.5, 0.52)))
         hs.append(f0.uniform_spacing())
-    p = self_convergence_order(nested_levels(fields, hs))
+    p = self_convergence_order(fields, hs)
     note = ""
     if kind is SchemeKind.FPSE:
         note = ("  <- boundary layer: on this narrow domain the one-sided "
@@ -52,5 +50,5 @@ for kind in (SchemeKind.DD, SchemeKind.FPSE):
         for dt in (2e-2, 1e-2, 5e-3):
             fields.append(integrate(f0, kind, IntegratorSpec(rk, dt, 0.5, 1.5)))
             dts.append(dt)
-        p = self_convergence_order(nested_levels(fields, dts))
+        p = self_convergence_order(fields, dts)
         print(f"  {kind.value:>5} {rk.name}: p = {p:.3f}")

@@ -10,9 +10,9 @@ Run:  python demos/reference_run.py
 
 import time
 
-from fracdiff import (DomainSpec, FractionalOrder, IntegratorSpec, RKOrder,
-                      SchemeKind, characteristic_width, green_function,
-                      init_uniform, integrate, rel_l1_error, total_strength)
+from fracdiff import (FractionalOrder, IntegratorSpec, RKOrder, SchemeKind,
+                      characteristic_width, green_function, init_uniform,
+                      integrate, rel_l1_error, total_strength)
 
 beta = 0.5
 order = FractionalOrder.from_beta(beta)
@@ -21,8 +21,7 @@ print(f"beta = {beta}: alpha = {order.alpha}, characteristic width R = {r_alpha:
 
 C, n = 20.0, 4001
 D = C * 1.5 ** order.gamma * r_alpha
-domain = DomainSpec(half_width_D=D, n_particles=n)
-field0 = init_uniform(domain, order, overlap=2.0,
+field0 = init_uniform(D, n, order, overlap=2.0,
                       init=lambda x: green_function(order, x, 0.5))
 h = field0.uniform_spacing()
 print(f"domain half-width D = {D:.2f}, N = {n}, h = {h:.4f}, eps = {field0.epsilon:.4f}")

@@ -9,17 +9,15 @@ empirical probe: integrating just under and just over the limit.
 Run:  python demos/stability_study.py   (about a minute)
 """
 
-from fracdiff import (DomainSpec, FractionalOrder, InstabilityError,
-                      IntegratorSpec, RKOrder, SchemeKind,
-                      characteristic_width, green_function, init_uniform,
-                      integrate, power_iteration_min_eig)
+from fracdiff import (FractionalOrder, InstabilityError, IntegratorSpec,
+                      RKOrder, SchemeKind, characteristic_width, green_function,
+                      init_uniform, integrate, power_iteration_min_eig)
 
 
 def make_field(beta, n, C=20.0):
     order = FractionalOrder.from_beta(beta)
     D = C * 1.5 ** order.gamma * characteristic_width(order)
-    dom = DomainSpec(half_width_D=D, n_particles=n)
-    return init_uniform(dom, order, 2.0, lambda x: green_function(order, x, 0.5))
+    return init_uniform(D, n, order, 2.0, lambda x: green_function(order, x, 0.5))
 
 
 print("stability constant a = 2 / (|lambda_min| h^alpha) at N = 2001")

@@ -17,12 +17,11 @@ from .greens import (FractionalOrder, characteristic_width, green_function,
 from .specfun import pcf_d, s_combo, t_combo
 from .kernels import (KernelKind, KernelSpec, c_beta, eta, eta1, kernel_e,
                       kernel_f, kernel_gd, kernel_k, kernel_kappa, phi, scaled)
-from .field import (DomainSpec, ParticleField, eval_flux, eval_u, eval_utilde,
-                    init_uniform, total_strength)
+from .field import (ParticleField, eval_flux, eval_u, eval_utilde, init_uniform,
+                    total_strength)
 from .schemes import (SchemeKind, assemble_matrix, make_gpse_stepper,
                       make_rate_operator)
 from .timeint import (IntegratorSpec, RKOrder, StabilityReport, integrate,
                       power_iteration_min_eig, stability_limit_check)
-from .analysis import (ConvergenceLevel, conservation_drift, nested_levels,
-                       rel_l1_error, self_convergence_order)
+from .analysis import conservation_drift, rel_l1_error, self_convergence_order
 from .experiments import ExperimentConfig, StudyKind, parse_config, run

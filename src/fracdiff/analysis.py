@@ -10,19 +10,23 @@ The denominator is the mass of L0 on |x| <= d_eps t^{-1/alpha}, in closed
 form from the L0 table and the tail integral of its asymptotic expansion
 (greens.reduced_green_mass), not by quadrature.
 
-Self-convergence orders come from triples of runs whose control parameter
-halves between levels:
+Self-convergence orders come from the final fields of three runs whose
+control parameter halves between levels:
 
     p = log2( sum_I |u^(l) - u^(l+1)| / sum_I |u^(l+1) - u^(l+2)| )
 
-restricted to the particles shared by all three levels (on nested grids
-N -> 2N-1 the coarse nodes are every second, resp. fourth, fine node).
+over the particles I shared by all three levels.  self_convergence_order
+restricts the fields itself: on nested grids N -> 2N-1 -> 4N-3 the coarse
+nodes are every second, resp. fourth, fine node; a time sweep's levels share
+one grid.
+
+The strength drift of a run is max_n |S_n - S_0| / |S_0| over its snapshots,
+S = sum_i V_i u_i (conservation_drift).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,11 +36,9 @@ from .field import ParticleField, total_strength
 from .greens import _as_order, green_function, reduced_green_mass
 
 __all__ = [
-    "ConvergenceLevel",
     "rel_l1_error",
     "self_convergence_order",
     "conservation_drift",
-    "nested_levels",
 ]
 
 
@@ -58,51 +60,32 @@ def rel_l1_error(field: ParticleField, t: float, d_eps: float) -> float:
     return num / den
 
 
-@dataclass(frozen=True)
-class ConvergenceLevel:
-    """One refinement level: halving parameter and common-set strengths."""
-
-    level: int
-    parameter: float
-    strengths: np.ndarray
-
-
-def nested_levels(fields: Sequence[ParticleField], parameters: Sequence[float]) -> list[ConvergenceLevel]:
-    """Build levels from nested uniform grids (N, 2N-1, 4N-3, ...).
+def self_convergence_order(fields: Sequence[ParticleField],
+                           parameters: Sequence[float]) -> float:
+    """Observed order p from three runs on nested uniform grids (N, 2N-1,
+    4N-3, or one grid) whose parameter halves between levels.
 
     Strengths are restricted to the coarsest grid's nodes, which are every
     2^k-th node of level k; positions are checked to actually coincide.
     """
-    if len(fields) != len(parameters):
-        raise DomainError("one parameter per field is required")
+    if len(fields) != 3 or len(parameters) != 3:
+        raise DomainError("self-convergence needs exactly three levels")
+    for a, b in zip(parameters, parameters[1:]):
+        ratio = a / b
+        if abs(ratio - 2.0) > 1e-9:
+            raise DomainError(f"parameters must halve between levels, got ratio {ratio}")
     coarse = fields[0]
-    out = []
-    for lvl, (f, p) in enumerate(zip(fields, parameters)):
+    strengths = []
+    for lvl, f in enumerate(fields):
         stride = (len(f) - 1) // (len(coarse) - 1) if len(coarse) > 1 else 1
         if stride * (len(coarse) - 1) != len(f) - 1:
             raise DomainError(f"level {lvl} grid is not a refinement of level 0")
-        pos = f.positions[::stride]
-        if not np.allclose(pos, coarse.positions, rtol=0.0,
+        if not np.allclose(f.positions[::stride], coarse.positions, rtol=0.0,
                            atol=1e-9 * max(1.0, abs(coarse.positions[-1]))):
             raise DomainError(f"level {lvl} nodes do not contain the coarse nodes")
-        out.append(ConvergenceLevel(level=lvl, parameter=float(p),
-                                    strengths=f.strengths[::stride].copy()))
-    return out
-
-
-def self_convergence_order(levels: Sequence[ConvergenceLevel]) -> float:
-    """Observed order p from three levels with halved parameter."""
-    if len(levels) != 3:
-        raise DomainError("self-convergence needs exactly three levels")
-    l0, l1, l2 = levels
-    for a, b in ((l0, l1), (l1, l2)):
-        ratio = a.parameter / b.parameter
-        if abs(ratio - 2.0) > 1e-9:
-            raise DomainError(f"parameters must halve between levels, got ratio {ratio}")
-    if not (len(l0.strengths) == len(l1.strengths) == len(l2.strengths)):
-        raise DomainError("levels must share a common particle index set")
-    num = math.fsum(np.abs(l0.strengths - l1.strengths))
-    den = math.fsum(np.abs(l1.strengths - l2.strengths))
+        strengths.append(f.strengths[::stride])
+    num = math.fsum(np.abs(strengths[0] - strengths[1]))
+    den = math.fsum(np.abs(strengths[1] - strengths[2]))
     if den == 0.0:
         raise DomainError("degenerate level difference (zero denominator)")
     return math.log2(num / den)

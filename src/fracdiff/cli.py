@@ -1,8 +1,7 @@
 """Command-line driver.
 
-    fracdiff run <config> [--preset NAME] [--out-dir DIR] [--seed N]
-                          [--experimental]
-    fracdiff stability [--n N] [--overlap R] [--out-dir DIR] [--seed N]
+    fracdiff run <config> [--preset NAME] [--out-dir DIR] [--experimental]
+    fracdiff stability [--n N] [--overlap R] [--out-dir DIR]
     fracdiff kernels dump [--out-dir DIR]
 
 Exit codes: 0 success, 2 configuration or domain error, 3 numerical failure.
@@ -19,11 +18,6 @@ from .experiments import PRESETS, parse_config, run
 __all__ = ["main"]
 
 
-def _common(parser: argparse.ArgumentParser):
-    parser.add_argument("--out-dir", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fracdiff",
                                      description="particle solvers for 1D fractional diffusion")
@@ -35,36 +29,27 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="apply a named parameter preset")
     p_run.add_argument("--experimental", action="store_true",
                        help="allow the experimental RLPSE scheme")
-    _common(p_run)
+    p_run.add_argument("--out-dir", help="output directory")
 
     p_st = sub.add_parser("stability", help="stability-constant table (9 rows)")
     p_st.add_argument("--n", type=int, default=2001, help="odd particle count")
     p_st.add_argument("--overlap", type=float, default=2.0)
-    _common(p_st)
+    p_st.add_argument("--out-dir", help="output directory")
 
     p_k = sub.add_parser("kernels", help="kernel utilities")
     k_sub = p_k.add_subparsers(dest="kernels_command", required=True)
     p_kd = k_sub.add_parser("dump", help="dump kernel curves as CSV")
-    _common(p_kd)
+    p_kd.add_argument("--out-dir", help="output directory")
     return parser
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    for key in ("out_dir", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {"out_dir": args.out_dir}  # parse_config skips a None
     try:
         if args.command == "run":
             with open(args.config) as fh:
                 text = fh.read()
-            overrides = _overrides(args)
             if args.preset:
                 overrides = {**PRESETS[args.preset], **overrides}
             if args.experimental:
@@ -72,9 +57,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg = parse_config(text, overrides)
         elif args.command == "stability":
             cfg = parse_config("study = stability",
-                               {"n": args.n, "overlap": args.overlap, **_overrides(args)})
+                               {"n": args.n, "overlap": args.overlap, **overrides})
         else:  # kernels dump
-            cfg = parse_config("study = kernels", _overrides(args))
+            cfg = parse_config("study = kernels", overrides)
         files = run(cfg)
     except OSError as exc:  # unreadable config, out-dir naming a file, ...
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,13 @@ Configs are flat ``key = value`` text (``#`` comments).  Defaults reproduce
 the reference case: beta = 0.5, C = 160 (so D ~ 357.5), N = 32001,
 overlap = 2, RK1 with dt = 5e-5, from t0 = 0.5 to tf = 1.5.
 
+The single, domain, space and time studies are one loop over runs
+(param, config, C, n).  Each run integrates one field from t0 to tf and adds
+a row (param, rel_l1, drift) to the study's one table; the space and time
+sweeps close it with the self-convergence order p of their first three runs,
+and a single run also writes its solution snapshot.  The stability and
+kernels studies write tables of their own.
+
 Outputs are CSV files; every file starts with ``#``-prefixed lines echoing
 the full configuration and the code version, and numbers are written with 17
 significant digits so reruns can be compared bit for bit.
@@ -11,6 +18,7 @@ significant digits so reruns can be compared bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 import math
@@ -20,12 +28,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .analysis import nested_levels, rel_l1_error, self_convergence_order
+from .analysis import conservation_drift, rel_l1_error, self_convergence_order
 from .errors import ConfigError
-from .field import DomainSpec, ParticleField, init_uniform, total_strength
+from .field import ParticleField, init_uniform
 from .greens import FractionalOrder, characteristic_width, green_function
 from .kernels import KernelKind, KernelSpec, scaled
-from .schemes import SchemeKind
+from .schemes import SchemeKind, rate_prefactors
 from .timeint import IntegratorSpec, RKOrder, integrate, power_iteration_min_eig
 
 __all__ = ["StudyKind", "ExperimentConfig", "parse_config", "run", "PRESETS"]
@@ -50,6 +58,16 @@ class StudyKind(enum.Enum):
     KERNELS = "kernels"
 
 
+# the integrating studies: the table each writes, and its parameter's name
+_TABLES = {
+    StudyKind.SINGLE: ("report.csv", "dt"),
+    StudyKind.DOMAIN_SWEEP: ("domain_sweep.csv", "C"),
+    StudyKind.SPACE_SWEEP: ("space_sweep.csv", "h"),
+    StudyKind.TIME_SWEEP: ("time_sweep.csv", "dt"),
+}
+_COLUMNS = ["scheme", "beta", "param_name", "param", "rel_l1", "p", "drift"]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scheme: SchemeKind = SchemeKind.DD
@@ -67,7 +85,6 @@ class ExperimentConfig:
     levels: int = 3
     d_eps_factor: float = 5.0
     out_dir: str = "."
-    seed: int = 0
     experimental: bool = False
 
     @property
@@ -84,24 +101,13 @@ class ExperimentConfig:
         return cc * self.tf ** self.order.gamma * self.r_alpha()
 
     def echo(self) -> dict:
-        return {
-            "scheme": self.scheme.value,
-            "beta": self.beta,
-            "c": self.c,
-            "d": self.half_width(),
-            "n": self.n,
-            "overlap": self.overlap,
-            "integrator": f"rk{self.integrator.value}",
-            "dt": self.dt,
-            "t0": self.t0,
-            "tf": self.tf,
-            "study": self.study.value,
-            "values": ",".join(repr(v) for v in self.values) if self.values else "",
-            "levels": self.levels,
-            "d_eps_factor": self.d_eps_factor,
-            "seed": self.seed,
-            "experimental": self.experimental,
-        }
+        """The CSV header's config: every key but out_dir, in field order, with
+        enums as the config file spells them and d the half-width in use."""
+        echo = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name != "out_dir"}
+        return {**echo, "scheme": self.scheme.value, "d": self.half_width(),
+                "integrator": f"rk{self.integrator.value}", "study": self.study.value,
+                "values": ",".join(map(repr, self.values)) if self.values else ""}
 
 
 _PARSERS = {
@@ -120,7 +126,6 @@ _PARSERS = {
     "levels": int,
     "d_eps_factor": float,
     "out_dir": str,
-    "seed": int,
     "experimental": lambda s: s.lower() in ("1", "true", "yes", "on"),
 }
 
@@ -151,20 +156,19 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             if key not in _PARSERS:
                 raise ConfigError(f"unknown key: {key}")
             raw[key] = value if not isinstance(value, str) else _PARSERS[key](value)
-    provided = frozenset(raw)
     if raw.get("scheme") is SchemeKind.GPSE:
-        if "overlap" in provided:
+        if "overlap" in raw:
             raise ConfigError(
                 "overlap: GPSE derives epsilon from dt (eps = dt^{1/alpha}); "
                 "an independent smoothing length cannot be set"
             )
         raw.setdefault("dt", 1e-2)
     cfg = ExperimentConfig(**raw)
-    _validate(cfg, provided)
+    _validate(cfg)
     return cfg
 
 
-def _validate(cfg: ExperimentConfig, provided: frozenset):
+def _validate(cfg: ExperimentConfig):
     for key in ("beta", "c", "d", "overlap", "dt", "t0", "tf", "d_eps_factor"):
         value = getattr(cfg, key)
         if value is not None and not math.isfinite(value):
@@ -179,18 +183,13 @@ def _validate(cfg: ExperimentConfig, provided: frozenset):
         raise ConfigError(f"overlap: must be >= 1, got {cfg.overlap}")
     if cfg.scheme is SchemeKind.RLPSE and not cfg.experimental:
         raise ConfigError("scheme: rlpse is experimental; set experimental=true to enable")
-    if cfg.d is not None and cfg.d <= 0:
-        raise ConfigError(f"d: must be positive, got {cfg.d}")
-    if cfg.c <= 0:
-        raise ConfigError(f"c: must be positive, got {cfg.c}")
-    if cfg.t0 <= 0:
-        raise ConfigError(f"t0: must be positive, got {cfg.t0}")
-    if cfg.d_eps_factor <= 0:
-        raise ConfigError(f"d_eps_factor: must be positive, got {cfg.d_eps_factor}")
+    for key in ("d", "c", "t0", "d_eps_factor"):
+        value = getattr(cfg, key)
+        if value is not None and value <= 0:
+            raise ConfigError(f"{key}: must be positive, got {value}")
     if cfg.levels < 3:
         raise ConfigError(f"levels: need at least 3, got {cfg.levels}")
-    if cfg.study in (StudyKind.SINGLE, StudyKind.DOMAIN_SWEEP, StudyKind.SPACE_SWEEP,
-                     StudyKind.TIME_SWEEP):
+    if cfg.study in _TABLES:
         # validates the step count
         IntegratorSpec(cfg.integrator, cfg.dt, cfg.t0, cfg.tf)
     if cfg.study is StudyKind.TIME_SWEEP:
@@ -212,6 +211,22 @@ def _validate(cfg: ExperimentConfig, provided: frozenset):
             if _domain_sweep_n(cfg, c) < 3:
                 raise ConfigError(f"values: C = {c} leaves fewer than 3 particles "
                                   f"at the sweep's fixed spacing")
+    # every scheme prefactor must be finite and non-zero at the smoothing
+    # length of every field the study builds (GPSE's prefactor is 1)
+    schemes = _STABILITY_SCHEMES if cfg.study is StudyKind.STABILITY else (cfg.scheme,)
+    for _, sub, c, n in _runs(cfg):
+        eps = (sub.dt ** sub.order.gamma if sub.scheme is SchemeKind.GPSE  # as _build_field
+               else sub.overlap * (2.0 * sub.half_width(c) / (n - 1)))
+        for scheme in schemes:
+            try:
+                ok = scheme is SchemeKind.GPSE or all(
+                    0.0 < abs(p) < math.inf for p in rate_prefactors(scheme, sub.order, eps))
+            except (OverflowError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"{'c' if cfg.d is None else 'd'}: the smoothing length "
+                                  f"{eps:.3g} of the n = {n} grid puts a {scheme.value} "
+                                  f"prefactor outside float range")
 
 
 def _sweep_values(cfg: ExperimentConfig) -> tuple[float, ...]:
@@ -261,13 +276,25 @@ def _write_csv(path: str, echo: dict, columns: list[str], rows) -> str:
     return path
 
 
-def _build_field(cfg: ExperimentConfig, c: float | None = None,
-                 n: int | None = None) -> ParticleField:
+def _runs(cfg: ExperimentConfig) -> list[tuple]:
+    """(param, config, C, n) of each field the study builds, in table order.
+    A space level's param is None: it is the h of the field it builds."""
+    if cfg.study is StudyKind.KERNELS:
+        return []
+    if cfg.study is StudyKind.STABILITY:
+        return [(beta, replace(cfg, beta=beta), None, cfg.n) for beta in _STABILITY_BETAS]
+    if cfg.study is StudyKind.DOMAIN_SWEEP:
+        return [(c, cfg, c, _domain_sweep_n(cfg, c)) for c in _sweep_values(cfg)]
+    if cfg.study is StudyKind.SPACE_SWEEP:
+        return [(None, cfg, None, (cfg.n - 1) * 2 ** lvl + 1) for lvl in range(cfg.levels)]
+    if cfg.study is StudyKind.TIME_SWEEP:
+        return [(dt, replace(cfg, dt=dt), None, cfg.n) for dt in _sweep_values(cfg)]
+    return [(cfg.dt, cfg, None, cfg.n)]
+
+
+def _build_field(cfg: ExperimentConfig, c: float | None, n: int) -> ParticleField:
     order = cfg.order
-    domain = DomainSpec(half_width_D=cfg.half_width(c), n_particles=n or cfg.n,
-                        width_rule_C=cfg.c if cfg.d is None else None)
-    overlap = cfg.overlap
-    f = init_uniform(domain, order, overlap,
+    f = init_uniform(cfg.half_width(c), n, order, cfg.overlap,
                      lambda x: green_function(order, x, cfg.t0))
     if cfg.scheme is SchemeKind.GPSE:
         # epsilon is per-step (dt^{1/alpha}); the field value is unused but
@@ -276,20 +303,12 @@ def _build_field(cfg: ExperimentConfig, c: float | None = None,
     return f
 
 
-def _run_one(cfg: ExperimentConfig, c: float | None = None, n: int | None = None):
-    f0 = _build_field(cfg, c=c, n=n)
+def _run_one(cfg: ExperimentConfig, c: float | None, n: int):
+    f0 = _build_field(cfg, c, n)
     spec = IntegratorSpec(cfg.integrator, cfg.dt, cfg.t0, cfg.tf)
     f1 = integrate(f0, cfg.scheme, spec)
     d_eps = cfg.d_eps_factor * cfg.r_alpha()
-    err = rel_l1_error(f1, cfg.tf, d_eps)
-    drift = abs(total_strength(f1) - total_strength(f0)) / abs(total_strength(f0))
-    return f0, f1, err, drift
-
-
-def _snapshot_rows(field: ParticleField, t: float, order: FractionalOrder):
-    exact = green_function(order, field.positions, t)
-    # Python floats: iterating the arrays would build slower numpy scalars
-    return zip(field.positions.tolist(), field.strengths.tolist(), exact.tolist())
+    return f0, f1, rel_l1_error(f1, cfg.tf, d_eps), conservation_drift([f0, f1])
 
 
 def run(cfg: ExperimentConfig) -> list[str]:
@@ -297,69 +316,39 @@ def run(cfg: ExperimentConfig) -> list[str]:
     os.makedirs(cfg.out_dir, exist_ok=True)
     echo = cfg.echo()
     out = []
-
-    def path(name: str) -> str:
-        return os.path.join(cfg.out_dir, name)
-
-    if cfg.study is StudyKind.SINGLE:
-        f0, f1, err, drift = _run_one(cfg)
-        snap_echo = {"beta": cfg.beta, "t": cfg.tf, "n": len(f1),
-                     "d": cfg.half_width(), "epsilon": f1.epsilon, **echo}
-        out.append(_write_csv(path("solution.csv"), snap_echo,
-                              ["x", "u", "u_exact"],
-                              _snapshot_rows(f1, cfg.tf, cfg.order)))
-        out.append(_write_csv(path("report.csv"), echo,
-                              ["scheme", "beta", "param_name", "param",
-                               "rel_l1", "p", "drift"],
-                              [[cfg.scheme.value, cfg.beta, "dt", cfg.dt,
-                                err, "", drift]]))
-    elif cfg.study is StudyKind.DOMAIN_SWEEP:
-        rows = []
-        for c in _sweep_values(cfg):
-            _, _, err, drift = _run_one(cfg, c=c, n=_domain_sweep_n(cfg, c))
-            rows.append([cfg.scheme.value, cfg.beta, "C", c, err, "", drift])
-        out.append(_write_csv(path("domain_sweep.csv"), echo,
-                              ["scheme", "beta", "param_name", "param",
-                               "rel_l1", "p", "drift"], rows))
-    elif cfg.study is StudyKind.SPACE_SWEEP:
+    path = functools.partial(os.path.join, cfg.out_dir)
+    if cfg.study in _TABLES:
+        table, param_name = _TABLES[cfg.study]
         rows, fields, params = [], [], []
-        for lvl in range(cfg.levels):
-            n = (cfg.n - 1) * 2 ** lvl + 1
-            _, f1, err, drift = _run_one(cfg, n=n)
-            h = 2.0 * cfg.half_width() / (n - 1)
+        for param, sub, c, n in _runs(cfg):
+            f0, f1, err, drift = _run_one(sub, c, n)
+            param = float(f0.volumes[0]) if param is None else param  # space: V_i = h
             fields.append(f1)
-            params.append(h)
-            rows.append([cfg.scheme.value, cfg.beta, "h", h, err, "", drift])
-        p = self_convergence_order(nested_levels(fields[:3], params[:3]))
-        rows.append([cfg.scheme.value, cfg.beta, "h", params[0], "", p, ""])
-        out.append(_write_csv(path("space_sweep.csv"), echo,
-                              ["scheme", "beta", "param_name", "param",
-                               "rel_l1", "p", "drift"], rows))
-    elif cfg.study is StudyKind.TIME_SWEEP:
-        values = _sweep_values(cfg)
-        rows, fields = [], []
-        for dt in values:
-            sub = replace(cfg, dt=dt)
-            _, f1, err, drift = _run_one(sub)
-            fields.append(f1)
-            rows.append([cfg.scheme.value, cfg.beta, "dt", dt, err, "", drift])
-        p = self_convergence_order(nested_levels(fields[:3], list(values[:3])))
-        rows.append([cfg.scheme.value, cfg.beta, "dt", values[0], "", p, ""])
-        out.append(_write_csv(path("time_sweep.csv"), echo,
-                              ["scheme", "beta", "param_name", "param",
-                               "rel_l1", "p", "drift"], rows))
+            params.append(param)
+            rows.append([cfg.scheme.value, cfg.beta, param_name, param, err, "", drift])
+        if cfg.study is StudyKind.SINGLE:
+            snap_echo = {"beta": cfg.beta, "t": cfg.tf, "n": len(f1),
+                         "d": cfg.half_width(), "epsilon": f1.epsilon, **echo}
+            exact = green_function(cfg.order, f1.positions, cfg.tf)
+            # Python floats: iterating the arrays would build slower numpy scalars
+            out.append(_write_csv(path("solution.csv"), snap_echo, ["x", "u", "u_exact"],
+                                  zip(f1.positions.tolist(), f1.strengths.tolist(),
+                                      exact.tolist())))
+        elif cfg.study is not StudyKind.DOMAIN_SWEEP:
+            p = self_convergence_order(fields[:3], params[:3])
+            rows.append([cfg.scheme.value, cfg.beta, param_name, params[0], "", p, ""])
+        out.append(_write_csv(path(table), echo, _COLUMNS, rows))
     elif cfg.study is StudyKind.STABILITY:
         rows = []
-        for beta in _STABILITY_BETAS:
-            sub = replace(cfg, beta=beta)
-            f = _build_field(sub)
+        for beta, sub, c, n in _runs(cfg):
+            f = _build_field(sub, c, n)
             for scheme in _STABILITY_SCHEMES:
-                rep = power_iteration_min_eig(f, scheme, seed=cfg.seed)
+                rep = power_iteration_min_eig(f, scheme)
                 rows.append([beta, scheme.value, len(f), rep.lambda_min,
                              rep.a_constant])
         out.append(_write_csv(path("stability.csv"), echo,
                               ["beta", "scheme", "n", "lambda_min", "a"], rows))
-    elif cfg.study is StudyKind.KERNELS:
+    else:  # kernels
         rows = []
         r = np.concatenate([np.arange(0.0, 10.0, 0.05),
                             np.geomspace(10.0, 100.0, 120)])
@@ -371,6 +360,4 @@ def run(cfg: ExperimentConfig) -> list[str]:
                 rows.extend([kind.value, beta, ri, vi] for ri, vi in zip(r, vals))
         out.append(_write_csv(path("kernels.csv"), echo,
                               ["kind", "beta", "r", "value"], rows))
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled study {cfg.study}")
     return out

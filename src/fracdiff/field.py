@@ -20,12 +20,11 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError
-from .greens import FractionalOrder, characteristic_width
+from .greens import FractionalOrder
 from .kernels import KernelKind, KernelSpec
 
 __all__ = [
     "ParticleField",
-    "DomainSpec",
     "init_uniform",
     "eval_u",
     "eval_utilde",
@@ -82,41 +81,21 @@ class ParticleField:
         return None
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Truncated-domain geometry.  With the width rule, D = C t_f^{1/alpha} R_alpha."""
-
-    half_width_D: float
-    n_particles: int
-    width_rule_C: float | None = None
-
-    def __post_init__(self):
-        if not (self.half_width_D > 0.0):
-            raise ConfigError(f"half_width_D must be positive, got {self.half_width_D}")
-        if self.n_particles < 3 or self.n_particles % 2 == 0:
-            raise ConfigError(f"n_particles must be odd and >= 3, got {self.n_particles}")
-
-    @classmethod
-    def from_width_rule(cls, C: float, t_f: float, order: FractionalOrder,
-                        n_particles: int, r_alpha: float | None = None) -> "DomainSpec":
-        if r_alpha is None:
-            r_alpha = characteristic_width(order)
-        D = C * t_f ** (1.0 / order.alpha) * r_alpha
-        return cls(half_width_D=D, n_particles=n_particles, width_rule_C=C)
-
-
-def init_uniform(domain: DomainSpec, order: FractionalOrder, overlap: float,
+def init_uniform(half_width: float, n: int, order: FractionalOrder, overlap: float,
                  init: Callable[[np.ndarray], np.ndarray]) -> ParticleField:
-    """Uniform symmetric grid on [-D, D] with collocation-sampled strengths.
+    """Uniform symmetric grid of n particles on [-D, D], D = half_width, with
+    collocation-sampled strengths.
 
     ``init`` is evaluated at the particle centers (midpoint-rule sampling);
     it may be vectorized or scalar.
     """
+    if not half_width > 0.0:
+        raise ConfigError(f"half_width must be positive, got {half_width}")
+    if n < 3 or n % 2 == 0:
+        raise ConfigError(f"n must be odd and >= 3, got {n}")
     if overlap < 1.0:
         raise ConfigError(f"overlap must be >= 1, got {overlap}")
-    n = domain.n_particles
-    D = domain.half_width_D
-    h = 2.0 * D / (n - 1)
+    h = 2.0 * half_width / (n - 1)
     # integer multiples of h: center particle exactly at 0, exact +- symmetry,
     # and nested refinements (N -> 2N-1) share coarse nodes bit for bit
     x = (np.arange(n) - (n - 1) // 2) * h

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import hyp1f1
 
 from .errors import DomainError
-from .greens import FractionalOrder, reduced_green
+from .greens import FractionalOrder, _as_order, reduced_green
 from .specfun import _minus_z2, gamma_rec, s_combo, t_combo
 
 __all__ = [
@@ -99,7 +99,7 @@ def phi(r):
 
 def kernel_gd(alpha, r):
     """Direct-differentiation kernel G^d_alpha(r) (even)."""
-    order = alpha if isinstance(alpha, FractionalOrder) else FractionalOrder(float(alpha))
+    order = _as_order(alpha)
     a = order.alpha
     pref = -(2.0 ** ((a - 2.0) / 2.0)) / (_SQRT_PI * math.cos(math.pi * a / 2.0))
     return pref * s_combo(a + 1.0, r)
@@ -115,7 +115,7 @@ def kernel_kappa(beta: float, r):
 
 def kernel_f(alpha, r):
     """Flux kernel F(r) = d(kappa^beta)/dr (odd, negative for r > 0)."""
-    order = alpha if isinstance(alpha, FractionalOrder) else FractionalOrder(float(alpha))
+    order = _as_order(alpha)
     b = order.beta
     pref = 2.0 ** ((b - 2.0) / 2.0) / (_SQRT_PI * math.sin(b * math.pi / 2.0))
     return pref * t_combo(order.alpha, r)
@@ -123,7 +123,7 @@ def kernel_f(alpha, r):
 
 def kernel_k(alpha, r):
     """Strength-exchange kernel K(r) = -F(r)/r (even, positive)."""
-    order = alpha if isinstance(alpha, FractionalOrder) else FractionalOrder(float(alpha))
+    order = _as_order(alpha)
     a = order.alpha
     k0 = -(2.0 ** a) * gamma_rec((1.0 - a) / 2.0) / math.sin(order.beta * math.pi / 2.0)
     return _maybe_scalar(r, k0 * hyp1f1((a + 1.0) / 2.0, 1.5, _minus_z2(r)))

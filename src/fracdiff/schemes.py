@@ -37,10 +37,12 @@ import scipy.fft
 from . import kernels
 from .errors import ConfigError, DomainError
 from .field import ParticleField
+from .greens import FractionalOrder
 from .kernels import KernelKind, KernelSpec
 
 __all__ = [
     "SchemeKind",
+    "rate_prefactors",
     "make_rate_operator",
     "make_gpse_stepper",
     "assemble_matrix",
@@ -108,35 +110,50 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float,
     return apply, apply(np.ones(n))
 
 
+def rate_prefactors(kind: SchemeKind, order: FractionalOrder,
+                    eps: float) -> tuple[float, ...]:
+    """The prefactors of a rate scheme's interaction sums at smoothing length eps, in
+    make_rate_operator's order.  A power out of float range raises OverflowError
+    or ZeroDivisionError."""
+    alpha, beta = order.alpha, order.beta
+    if kind is SchemeKind.DD:
+        return (eps ** (-alpha),)
+    if kind is SchemeKind.KPSE:
+        return (alpha / eps ** alpha,)
+    if kind is SchemeKind.FPSE:
+        return (-(eps ** (-beta)), -1.0 / eps)
+    if kind is SchemeKind.RLPSE:
+        return (eps ** (1.0 - beta), 2.0 / eps ** 2)
+    raise ConfigError(f"{kind} is not a rate scheme")
+
+
 def make_rate_operator(field: ParticleField, kind: SchemeKind):
     """Build du/dt = L(u) as a reusable closure over fixed positions."""
     eps = field.epsilon
-    alpha = field.order.alpha
-    beta = field.order.beta
+    pref = rate_prefactors(kind, field.order, eps)
     if kind is SchemeKind.DD:
-        return _interaction(field, KernelKind.GD, eps, eps ** (-alpha))[0]
+        return _interaction(field, KernelKind.GD, eps, pref[0])[0]
     if kind is SchemeKind.KPSE:
-        k, row = _interaction(field, KernelKind.K, eps, alpha / eps ** alpha)
+        k, row = _interaction(field, KernelKind.K, eps, pref[0])
         return lambda u: k(u) - u * row
     if kind is SchemeKind.FPSE:
-        f, _ = _interaction(field, KernelKind.F, eps, -(eps ** (-beta)), odd=True)
-        e1, row = _interaction(field, KernelKind.ETA1, eps, -1.0 / eps, odd=True)
+        f, _ = _interaction(field, KernelKind.F, eps, pref[0], odd=True)
+        e1, row = _interaction(field, KernelKind.ETA1, eps, pref[1], odd=True)
 
         def rate(u: np.ndarray) -> np.ndarray:
             q = f(u)
             return e1(q) + q * row
 
         return rate
-    if kind is SchemeKind.RLPSE:
-        kappa, _ = _interaction(field, KernelKind.KAPPA_BETA, eps, eps ** (1.0 - beta))
-        phi, row = _interaction(field, KernelKind.PHI, eps, 2.0 / eps ** 2)
+    # RLPSE: rate_prefactors has rejected every other kind
+    kappa, _ = _interaction(field, KernelKind.KAPPA_BETA, eps, pref[0])
+    phi, row = _interaction(field, KernelKind.PHI, eps, pref[1])
 
-        def rate(u: np.ndarray) -> np.ndarray:
-            ut = kappa(u)
-            return phi(ut) - ut * row
+    def rate(u: np.ndarray) -> np.ndarray:
+        ut = kappa(u)
+        return phi(ut) - ut * row
 
-        return rate
-    raise ConfigError(f"{kind} is not a rate scheme")
+    return rate
 
 
 def make_gpse_stepper(field: ParticleField, dt: float):

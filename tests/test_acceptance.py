@@ -14,9 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from fracdiff.analysis import nested_levels, rel_l1_error, self_convergence_order
+from fracdiff.analysis import rel_l1_error, self_convergence_order
 from fracdiff.errors import InstabilityError
-from fracdiff.field import DomainSpec, init_uniform, total_strength
+from fracdiff.field import init_uniform, total_strength
 from fracdiff.greens import (FractionalOrder, characteristic_width,
                              green_function)
 from fracdiff.kernels import kernel_f, kernel_k
@@ -44,8 +44,7 @@ def build_reference(beta, C, n, t0=0.5, r_alpha=None):
     order = FractionalOrder.from_beta(beta)
     r = r_alpha if r_alpha is not None else characteristic_width(order)
     D = C * 1.5 ** order.gamma * r
-    dom = DomainSpec(half_width_D=D, n_particles=n)
-    return init_uniform(dom, order, 2.0, lambda x: green_function(order, x, t0))
+    return init_uniform(D, n, order, 2.0, lambda x: green_function(order, x, t0))
 
 
 def test_criterion_1_r_alpha_table():
@@ -85,7 +84,7 @@ def _space_orders(schemes, tf=0.52, dt=1e-4):
             f1 = integrate(f0, kind, IntegratorSpec(RKOrder.RK1, dt, 0.5, tf))
             fields.append(f1)
             hs.append(f0.uniform_spacing())
-        out[kind] = self_convergence_order(nested_levels(fields, hs))
+        out[kind] = self_convergence_order(fields, hs)
     return out
 
 
@@ -122,8 +121,7 @@ def test_criterion_4_temporal_self_convergence():
                 f1 = integrate(f0, kind, IntegratorSpec(rk, dt, 0.5, 1.5))
                 fields.append(f1)
                 dts.append(dt)
-            results[(kind.value, rk.name)] = self_convergence_order(
-                nested_levels(fields, dts))
+            results[(kind.value, rk.name)] = self_convergence_order(fields, dts)
     # KPSE joins at its stable time-step row
     for rk in (RKOrder.RK1, RKOrder.RK2):
         fields, dts = [], []
@@ -131,7 +129,7 @@ def test_criterion_4_temporal_self_convergence():
             f1 = integrate(f0, SchemeKind.KPSE, IntegratorSpec(rk, dt, 0.5, 1.5))
             fields.append(f1)
             dts.append(dt)
-        results[("kpse", rk.name)] = self_convergence_order(nested_levels(fields, dts))
+        results[("kpse", rk.name)] = self_convergence_order(fields, dts)
     ok = all((abs(p - 1.0) <= 0.05 if rk == "RK1" else abs(p - 2.0) <= 0.15)
              for (_, rk), p in results.items())
     detail = ", ".join(f"{s}/{rk}: {p:.3f}" for (s, rk), p in results.items())
@@ -198,8 +196,7 @@ def test_criterion_7_domain_truncation():
         n = int(round(2 * D / h)) + 1
         if n % 2 == 0:
             n += 1
-        dom = DomainSpec(half_width_D=D, n_particles=n)
-        f0 = init_uniform(dom, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
+        f0 = init_uniform(D, n, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
         f1 = integrate(f0, kind, IntegratorSpec(RKOrder.RK1, dt, 0.5, tf))
         return rel_l1_error(f1, tf, d_eps)
 

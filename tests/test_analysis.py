@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from fracdiff.analysis import (ConvergenceLevel, conservation_drift,
-                               exact_mass, nested_levels, rel_l1_error,
+from fracdiff.analysis import (conservation_drift, exact_mass, rel_l1_error,
                                self_convergence_order)
 from fracdiff.errors import DomainError
-from fracdiff.field import DomainSpec, init_uniform
+from fracdiff.field import init_uniform
 from fracdiff.greens import (FractionalOrder, _auto_crossover,
                              characteristic_width, green_function)
 from fracdiff.schemes import SchemeKind
@@ -19,8 +18,7 @@ R_ALPHA = characteristic_width(ORDER)
 
 def reference_field(n=1001, C=10.0, t=0.5):
     D = C * 1.5 ** ORDER.gamma * R_ALPHA
-    dom = DomainSpec(half_width_D=D, n_particles=n)
-    return init_uniform(dom, ORDER, 2.0, lambda x: green_function(ORDER, x, t))
+    return init_uniform(D, n, ORDER, 2.0, lambda x: green_function(ORDER, x, t))
 
 
 def test_exact_sampling_gives_zero_error():
@@ -74,34 +72,56 @@ def test_rel_l1_requires_particles_inside():
         rel_l1_error(f, 1.5, 0.5)
 
 
+def nested_fields(coarse_strengths, fine_only=0.0):
+    """Fields on the nested grids N, 2N-1, 4N-3 of [-1, 1]: level l carries
+    coarse_strengths[l] on its every 2^l-th node and fine_only elsewhere."""
+    out = []
+    for l, u in enumerate(coarse_strengths):
+        f = init_uniform(1.0, (len(u) - 1) * 2 ** l + 1, ORDER, 2.0,
+                         lambda x: np.full_like(x, fine_only))
+        strengths = f.strengths.copy()
+        strengths[::2 ** l] = u
+        out.append(f.with_strengths(strengths))
+    return out
+
+
 def test_self_convergence_synthetic_second_order():
     rng = np.random.default_rng(0)
     base = rng.standard_normal(101)
     err = rng.standard_normal(101)
-    levels = [ConvergenceLevel(level=l, parameter=2.0 ** -l,
-                               strengths=base + err * 4.0 ** -l)
-              for l in range(3)]
-    assert self_convergence_order(levels) == pytest.approx(2.0, abs=1e-12)
+    grid = init_uniform(1.0, 101, ORDER, 2.0, np.zeros_like)
+    fields = [grid.with_strengths(base + err * 4.0 ** -l) for l in range(3)]
+    assert self_convergence_order(fields, [2.0 ** -l for l in range(3)]) == pytest.approx(
+        2.0, abs=1e-12)
 
 
 def test_self_convergence_validation():
-    mk = lambda l, p: ConvergenceLevel(l, p, np.zeros(5))
-    with pytest.raises(DomainError):
-        self_convergence_order([mk(0, 1.0), mk(1, 0.5)])
-    with pytest.raises(DomainError):
-        self_convergence_order([mk(0, 1.0), mk(1, 0.7), mk(2, 0.35)])
-    with pytest.raises(DomainError):
-        self_convergence_order([mk(0, 1.0), mk(1, 0.5), mk(2, 0.25)])  # zero diff
+    zero = init_uniform(1.0, 5, ORDER, 2.0, np.zeros_like)
+    with pytest.raises(DomainError, match="three levels"):
+        self_convergence_order([zero, zero], [1.0, 0.5])
+    with pytest.raises(DomainError, match="three levels"):
+        self_convergence_order([zero, zero, zero], [1.0, 0.5])
+    with pytest.raises(DomainError, match="halve"):
+        self_convergence_order([zero, zero, zero], [1.0, 0.7, 0.35])
+    with pytest.raises(DomainError, match="zero denominator"):
+        self_convergence_order([zero, zero, zero], [1.0, 0.5, 0.25])
 
 
-def test_nested_levels_restriction():
-    fields = [reference_field(n=(101 - 1) * 2 ** l + 1) for l in range(3)]
-    levels = nested_levels(fields, [4.0, 2.0, 1.0])
-    assert all(len(lv.strengths) == 101 for lv in levels)
-    # coarse nodes are every 2^l-th fine node
-    assert np.array_equal(levels[1].strengths, fields[1].strengths[::2])
-    with pytest.raises(DomainError):
-        nested_levels([fields[0], reference_field(n=151)], [2.0, 1.0])
+def test_nested_grid_restriction():
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal(101)
+    err = rng.standard_normal(101)
+    coarse = [base + err * 4.0 ** -l for l in range(3)]
+    # only every 2^l-th node of level l counts: the others may hold anything
+    fields = nested_fields(coarse, fine_only=1e3)
+    assert [len(f) for f in fields] == [101, 201, 401]
+    assert self_convergence_order(fields, [4.0, 2.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(DomainError, match="not a refinement"):
+        self_convergence_order([fields[0], reference_field(n=151), fields[2]],
+                               [4.0, 2.0, 1.0])
+    shifted = init_uniform(1.1, 201, ORDER, 2.0, np.zeros_like)
+    with pytest.raises(DomainError, match="coarse nodes"):
+        self_convergence_order([fields[0], shifted, fields[2]], [4.0, 2.0, 1.0])
 
 
 def test_conservation_drift_kpse_short_run():

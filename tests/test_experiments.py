@@ -67,9 +67,19 @@ def test_even_count_rejected():
         parse_config("n = 32002")
 
 
-def test_unknown_key_rejected():
+def test_unknown_key_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError, match="unknown key: frobnicate"):
         parse_config("frobnicate = 1")
+    # power iteration always starts from default_rng(0): seed is no key or option
+    cfg_file = tmp_path / "seed.cfg"
+    cfg_file.write_text(TINY + "seed = 0\n")
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown key: seed")
+    assert not (tmp_path / "out").exists()
+    for argv in (["run", str(cfg_file)], ["stability"], ["kernels", "dump"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "0"])
+        assert exc.value.code == 2
 
 
 def test_malformed_line_rejected():
@@ -222,6 +232,24 @@ def test_cli_rejects_bad_sweep_values(tmp_path, capsys, study, values):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", ["c = 1e300", "d = 1e300", "c = 1e-300", "d = 1e-300"])
+def test_cli_rejects_prefactor_out_of_range(tmp_path, capsys, line):
+    # kpse's alpha / eps^alpha raised OverflowError (eps huge) or
+    # ZeroDivisionError (eps tiny) in run, with a traceback
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"scheme = kpse\nn = 51\n{line}\n")
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: " + line.split(" =")[0] + ":")
+    assert not (tmp_path / "out").exists()
+
+
+def test_prefactor_check_covers_every_space_level():
+    text = "scheme = kpse\nn = 51\nc = 1e-204\ndt = 1e-3\ntf = 0.51\n"
+    parse_config(text)  # the n = 51 grid alone is in range
+    with pytest.raises(ConfigError, match=r"^c: .* n = 201 grid"):
+        parse_config(text + "study = space\n")
+
+
 def test_cli_domain_error_exit_2(tmp_path, capsys, monkeypatch):
     # configs are checked up front, so stand in a run that meets a domain error
     def run_out_of_domain(cfg):
@@ -313,3 +341,46 @@ def test_import_leaves_mpmath_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "False"
+
+
+# --- table layout of the integrating studies --------------------------------
+
+LAYOUT = "scheme = dd\nc = 5\nn = 51\ndt = 2e-3\nt0 = 0.5\ntf = 0.508\n"
+COLUMNS = ["scheme", "beta", "param_name", "param", "rel_l1", "p", "drift"]
+
+
+def _table(tmp_path, text):
+    (path,) = [f for f in run(parse_config(text, {"out_dir": str(tmp_path)}))
+               if not f.endswith("solution.csv")]
+    with open(path, newline="") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))
+
+
+def _h(level):
+    cfg = parse_config(LAYOUT)
+    return 2.0 * cfg.half_width() / ((cfg.n - 1) * 2 ** level)
+
+
+@pytest.mark.parametrize("study,extra,name,params,first_three", [
+    ("single", "", "dt", [2e-3], None),
+    ("domain", "values = 3, 5, 8\n", "C", [3.0, 5.0, 8.0], None),
+    ("space", "levels = 4\n", "h", [_h(l) for l in range(4)], "levels = 3\n"),
+    ("time", "values = 4e-3, 2e-3, 1e-3, 5e-4\n", "dt", [4e-3, 2e-3, 1e-3, 5e-4],
+     "values = 4e-3, 2e-3, 1e-3\n"),
+], ids=["single", "domain", "space", "time"])
+def test_study_table_layout(tmp_path, study, extra, name, params, first_three):
+    rows = _table(tmp_path / "all", LAYOUT + f"study = {study}\n" + extra)
+    assert rows[0] == COLUMNS
+    runs = rows[1:len(params) + 1]
+    assert [(r[0], r[1], r[2], r[3]) for r in runs] == [
+        ("dd", "0.5", name, format(v, ".17g")) for v in params]
+    assert all(r[5] == "" and float(r[4]) > 0 and math.isfinite(float(r[6])) for r in runs)
+    if first_three is None:
+        assert len(rows) == len(params) + 1
+        return
+    # one p row, last, at the first run's parameter, from the first three runs
+    (p_row,) = rows[len(params) + 1:]
+    assert p_row[:4] == ["dd", "0.5", name, format(params[0], ".17g")]
+    assert (p_row[4], p_row[6]) == ("", "")
+    three = _table(tmp_path / "three", LAYOUT + f"study = {study}\n" + first_three)
+    assert len(three) == 5 and p_row[5] == three[-1][5]

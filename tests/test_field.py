@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fracdiff.errors import ConfigError, DomainError
-from fracdiff.field import (DomainSpec, ParticleField, eval_flux, eval_u,
-                            eval_utilde, init_uniform, total_strength)
+from fracdiff.experiments import parse_config
+from fracdiff.field import (ParticleField, eval_flux, eval_u, eval_utilde,
+                            init_uniform, total_strength)
 from fracdiff.greens import FractionalOrder, green_function
 from fracdiff.kernels import KernelKind, KernelSpec, scaled
 
@@ -15,13 +16,11 @@ ORDER = FractionalOrder.from_beta(0.5)
 
 
 def small_field(n=41, D=4.0, overlap=2.0, init=None):
-    dom = DomainSpec(half_width_D=D, n_particles=n)
-    return init_uniform(dom, ORDER, overlap, init or (lambda x: np.exp(-x * x)))
+    return init_uniform(D, n, ORDER, overlap, init or (lambda x: np.exp(-x * x)))
 
 
 def test_reference_grid_geometry():
-    dom = DomainSpec(half_width_D=357.5, n_particles=32001)
-    f = init_uniform(dom, ORDER, 2.0, lambda x: np.zeros_like(x))
+    f = init_uniform(357.5, 32001, ORDER, 2.0, lambda x: np.zeros_like(x))
     h = f.uniform_spacing()
     assert h == pytest.approx(2.234e-2, rel=1e-3)
     assert f.epsilon == pytest.approx(2 * h, rel=1e-12)
@@ -31,27 +30,31 @@ def test_reference_grid_geometry():
 
 
 def test_three_particle_grid():
-    dom = DomainSpec(half_width_D=1.0, n_particles=3)
-    f = init_uniform(dom, ORDER, 2.0, lambda x: np.ones_like(x))
+    f = init_uniform(1.0, 3, ORDER, 2.0, lambda x: np.ones_like(x))
     assert np.allclose(f.positions, [-1.0, 0.0, 1.0], atol=0)
     assert np.all(f.volumes == 1.0)
 
 
 def test_width_rule():
-    dom = DomainSpec.from_width_rule(C=160.0, t_f=1.5, order=ORDER, n_particles=32001)
-    assert dom.half_width_D == pytest.approx(357.5, abs=0.5)
-    assert dom.width_rule_C == 160.0
+    # D = C t_f^{1/alpha} R_alpha
+    assert parse_config("c = 160\ntf = 1.5").half_width() == pytest.approx(357.5, abs=0.5)
 
 
 def test_even_count_rejected():
     with pytest.raises(ConfigError):
-        DomainSpec(half_width_D=1.0, n_particles=4)
+        init_uniform(1.0, 4, ORDER, 2.0, lambda x: np.zeros_like(x))
+
+
+@pytest.mark.parametrize("half_width,n", [(0.0, 5), (-1.0, 5), (math.nan, 5), (1.0, 1)],
+                         ids=["D-zero", "D-negative", "D-nan", "n-one"])
+def test_bad_geometry_rejected(half_width, n):
+    with pytest.raises(ConfigError):
+        init_uniform(half_width, n, ORDER, 2.0, lambda x: np.zeros_like(x))
 
 
 def test_overlap_below_one_rejected():
-    dom = DomainSpec(half_width_D=1.0, n_particles=5)
     with pytest.raises(ConfigError):
-        init_uniform(dom, ORDER, 0.5, lambda x: np.zeros_like(x))
+        init_uniform(1.0, 5, ORDER, 0.5, lambda x: np.zeros_like(x))
 
 
 def test_field_validation():
@@ -76,8 +79,7 @@ def test_eval_u_zero_field():
 
 
 def test_eval_u_reference_peak():
-    dom = DomainSpec(half_width_D=22.4, n_particles=2001)
-    f = init_uniform(dom, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
+    f = init_uniform(22.4, 2001, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
     assert eval_u(f, 0.0) == pytest.approx(green_function(ORDER, 0.0, 0.5), rel=1e-3)
 
 
@@ -128,8 +130,7 @@ def test_eval_flux_single_particle_oracle():
 
 
 def test_eval_flux_decays_at_domain_edge():
-    dom = DomainSpec(half_width_D=22.4, n_particles=1001)
-    f = init_uniform(dom, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
+    f = init_uniform(22.4, 1001, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
     inner = abs(eval_flux(f, 2.0))
     outer = abs(eval_flux(f, 21.5))
     assert outer < 0.05 * inner
@@ -138,8 +139,8 @@ def test_eval_flux_decays_at_domain_edge():
 def test_total_strength():
     f = small_field(init=lambda x: np.zeros_like(x))
     assert total_strength(f) == 0.0
-    dom = DomainSpec(half_width_D=357.5, n_particles=8001)  # reference-width domain
-    g = init_uniform(dom, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
+    # reference-width domain
+    g = init_uniform(357.5, 8001, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
     assert total_strength(g) == pytest.approx(1.0, abs=1e-3)
     # exact summation: any ordering of the addends gives the same float
     terms = g.volumes * g.strengths

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracdiff.errors import ConfigError
-from fracdiff.field import DomainSpec, ParticleField, init_uniform, total_strength
+from fracdiff.field import ParticleField, init_uniform, total_strength
 from fracdiff.greens import FractionalOrder, green_function
 from fracdiff.kernels import KernelKind, KernelSpec, scaled
 from fracdiff.schemes import (SchemeKind, assemble_matrix, make_gpse_stepper,
@@ -19,14 +19,12 @@ CONSERVATIVE = [SchemeKind.FPSE, SchemeKind.KPSE, SchemeKind.RLPSE]
 
 
 def gaussian_field(n=101, D=8.0, overlap=2.0):
-    dom = DomainSpec(half_width_D=D, n_particles=n)
-    return init_uniform(dom, ORDER, overlap, lambda x: np.exp(-x * x))
+    return init_uniform(D, n, ORDER, overlap, lambda x: np.exp(-x * x))
 
 
 def reference_field(n=1001, C=10.0):
     D = C * 1.5 ** ORDER.gamma * 1.7054652  # R_alpha(1.5)
-    dom = DomainSpec(half_width_D=D, n_particles=n)
-    return init_uniform(dom, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
+    return init_uniform(D, n, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
 
 
 def rates(f, kind):
@@ -169,8 +167,7 @@ def test_matrix_operator_equivalence(n):
 
 
 def test_matrix_toy_grid_bitwise_tolerant():
-    dom = DomainSpec(half_width_D=1.0, n_particles=3)
-    f = init_uniform(dom, ORDER, 2.0, lambda x: np.array([0.2, 1.0, 0.4]))
+    f = init_uniform(1.0, 3, ORDER, 2.0, lambda x: np.array([0.2, 1.0, 0.4]))
     A = assemble_matrix(f, SchemeKind.KPSE)
     assert np.abs(A @ f.strengths - rates(f, SchemeKind.KPSE)).max() <= 1e-14
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracdiff.errors import AccuracyError, ConfigError, InstabilityError
-from fracdiff.field import DomainSpec, ParticleField, init_uniform
+from fracdiff.field import ParticleField, init_uniform
 from fracdiff.greens import FractionalOrder
 from fracdiff.schemes import SchemeKind, assemble_matrix
 from fracdiff.timeint import (IntegratorSpec, RKOrder, integrate,
@@ -12,8 +12,7 @@ ORDER = FractionalOrder.from_beta(0.5)
 
 
 def gaussian_field(n=101, D=8.0):
-    dom = DomainSpec(half_width_D=D, n_particles=n)
-    return init_uniform(dom, ORDER, 2.0, lambda x: np.exp(-x * x))
+    return init_uniform(D, n, ORDER, 2.0, lambda x: np.exp(-x * x))
 
 
 def test_integrator_spec_validation():
