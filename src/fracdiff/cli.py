@@ -4,7 +4,8 @@
     fracdiff stability [--n N] [--overlap R] [--out-dir DIR]
     fracdiff kernels dump [--out-dir DIR]
 
-Exit codes: 0 success, 2 configuration or domain error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or domain error (or a grid too large
+for memory), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ def main(argv: list[str] | None = None) -> int:
         files = run(cfg)
     except OSError as exc:  # unreadable config, out-dir naming a file, ...
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid too large for this machine
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from math import lgamma
 
@@ -112,21 +111,28 @@ def _l0_fourier(alpha: float, x: float) -> float:
 @functools.lru_cache(maxsize=64)
 def _auto_crossover(alpha: float, asym_terms: int) -> float:
     """Smallest grid x from which up to the cap the asymptotic branch agrees
-    with the Fourier integral to _CROSSOVER_TOL relative."""
-    from scipy.integrate import IntegrationWarning
+    with the Fourier integral to _CROSSOVER_TOL relative.
+
+    The Fourier integral on the whole grid is one vector-valued quadrature,
+    held to the node tolerances in the max norm.
+    """
+    from scipy.integrate import quad_vec
 
     grid = np.arange(0.8, _CROSSOVER_CAP + 1e-9, 0.025)[::-1]
-    cross = _CROSSOVER_CAP
-    with warnings.catch_warnings():
-        # quad may flag roundoff at a few far-out x for alpha near 1; the
-        # comparison needs 1e-8, far less than the quad tolerances
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for x, asym in zip(grid, _l0_asym(alpha, grid, asym_terms)):
-            exact = _l0_fourier(alpha, float(x))
-            if abs(asym - exact) > _CROSSOVER_TOL * exact:
-                break
-            cross = float(x)
-    return cross
+    # with full_output, quad_vec reports roundoff in its info instead of
+    # warning; for alpha near 1 it flags roundoff with the tolerance met, so
+    # the error estimate is checked here, as _l0_fourier checks its own
+    val, err, _ = quad_vec(lambda k: np.cos(k * grid) * math.exp(-k ** alpha),
+                           0.0, 745.0 ** (1.0 / alpha), epsabs=_NODE_EPSABS,
+                           epsrel=_NODE_EPSREL, norm="max", full_output=True)
+    if err > _NODE_EPSABS + _NODE_EPSREL * np.abs(val).max():
+        raise AccuracyError(f"L0 Fourier integral on the crossover grid: error "
+                            f"estimate {err:.1e} too large (alpha={alpha})")
+    exact = val / math.pi
+    bad = np.abs(_l0_asym(alpha, grid, asym_terms) - exact) > _CROSSOVER_TOL * exact
+    # walking down from the cap, the last x before the first disagreement
+    agreed = int(np.argmax(bad)) if bad.any() else len(grid)
+    return float(grid[agreed - 1]) if agreed else _CROSSOVER_CAP
 
 
 @functools.lru_cache(maxsize=64)
@@ -140,6 +146,20 @@ def _l0_table(alpha: float) -> np.ndarray:
     coef = chebinterpolate(nodes, _TABLE_DEGREE)
     coef.setflags(write=False)
     return coef
+
+
+def _mass_tail(alpha: float, x: float) -> float:
+    """int_x^inf L0 from the asymptotic expansion (module docstring)."""
+    return float(-_asym_sum(alpha, np.array([x]), 0.0, _ASYM_TERMS)[0] / math.pi)
+
+
+@functools.lru_cache(maxsize=64)
+def _mass_table(alpha: float) -> tuple[np.ndarray, float]:
+    """Chebyshev coefficients of int_0^x L0 on [0, crossover] in the table's
+    variable (read-only, shared), and the asymptotic tail at the crossover."""
+    integral = chebint(_l0_table(alpha), lbnd=-1.0)
+    integral.setflags(write=False)
+    return integral, _mass_tail(alpha, _auto_crossover(alpha, _ASYM_TERMS))
 
 
 def _asym_sum(alpha: float, ax: np.ndarray, shift: float, max_terms: int) -> np.ndarray:
@@ -209,11 +229,10 @@ def reduced_green_mass(alpha, y) -> float:
     if not y >= 0.0:
         raise DomainError(f"y must be non-negative, got {y}")
     cross = _auto_crossover(order.alpha, _ASYM_TERMS)
-    s = 2.0 * min(y, cross) / cross - 1.0
-    half = 0.5 * cross * chebval(s, chebint(_l0_table(order.alpha), lbnd=-1.0))
+    integral, tail_cross = _mass_table(order.alpha)
+    half = 0.5 * cross * chebval(2.0 * min(y, cross) / cross - 1.0, integral)
     if y > cross:
-        tail = -_asym_sum(order.alpha, np.array([cross, y]), 0.0, _ASYM_TERMS) / math.pi
-        half += tail[0] - tail[1]
+        half += tail_cross - _mass_tail(order.alpha, y)
     return 2.0 * float(half)
 
 

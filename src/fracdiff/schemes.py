@@ -101,6 +101,12 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float,
         spectrum = scipy.fft.rfft((pref * v[0]) * circ)
         weight = None if np.all(v == v[0]) else v / v[0]
         buf = np.zeros(m)
+        # each call allocates and frees the rfft and irfft outputs and
+        # pocketfft's scratch, about 8m bytes each.  Freeing a mapped block
+        # raises glibc's mmap and trim thresholds above it (mallopt(3)), so
+        # after this untouched 32m-byte block those come from the heap
+        # instead of being mapped and faulted in afresh on every call
+        np.empty(4 * m)
 
         def apply(w: np.ndarray) -> np.ndarray:
             buf[:n] = w if weight is None else weight * w

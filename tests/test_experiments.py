@@ -221,8 +221,10 @@ def test_cli_rejects_bad_config_up_front(tmp_path, capsys, line):
     ("time", "2e-3, 1e-3"),              # two levels: no order
     ("time", "2e-3, 1e-3, 4e-4"),        # not halving
     ("time", "3e-3, 1.5e-3, 7.5e-4"),    # 3e-3 does not divide tf - t0
+    ("domain", "5, 10, 1e300"),          # about 1e301 particles
+    ("domain", "5, 1e308"),              # the half-width overflows
 ], ids=["domain-negative", "domain-tiny", "time-two-levels", "time-not-halving",
-        "time-not-dividing"])
+        "time-not-dividing", "domain-huge", "domain-overflow"])
 def test_cli_rejects_bad_sweep_values(tmp_path, capsys, study, values):
     # each used to fail only after some (or all) of the sweep had run
     cfg_file = tmp_path / "sweep.cfg"
@@ -248,6 +250,31 @@ def test_prefactor_check_covers_every_space_level():
     parse_config(text)  # the n = 51 grid alone is in range
     with pytest.raises(ConfigError, match=r"^c: .* n = 201 grid"):
         parse_config(text + "study = space\n")
+
+
+@pytest.mark.parametrize("study", ["stability", "kernels"])
+@pytest.mark.parametrize("tf", ["-1", "0"])
+def test_cli_rejects_nonpositive_tf_for_every_study(tmp_path, capsys, study, tf):
+    # tf = -1 made the half-width complex: init_uniform raised TypeError (a
+    # traceback), and a kernels dump wrote a complex d into its header
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"study = {study}\nn = 51\ntf = {tf}\n")
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: tf: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # stands in a grid too large to allocate, without allocating one
+    def run_out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 74.5 PiB for an array")
+
+    monkeypatch.setattr("fracdiff.cli.run", run_out_of_memory)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY)
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: out of memory: Unable to allocate 74.5 PiB for an array"]
 
 
 def test_cli_domain_error_exit_2(tmp_path, capsys, monkeypatch):
@@ -316,8 +343,19 @@ def test_write_csv_matches_csv_writer(tmp_path):
              ["dd", 0.5, "h", 0.125, "", 1.9999999999999998, ""],
              [0.1, "fpse", 2001, -1234.5, 7.049],
              ["gd", 0.1, np.float64(0.05), np.float64(-3.2e-9)]]
+    # longer than two blocks; the cell types change inside a block and on both
+    # sides of each block boundary
+    b = ex._BLOCK
+    long = [(i / 7.0, -i * 1e-300, float(i)) for i in range(2 * b + 5)]
+    for i in (3, 4, 100, b - 1, b, 2 * b - 1):
+        long[i] = (i / 7.0, "", i)
+    long[b + 1] = (np.float64(0.25), np.float64(-1.5), 2.0)
+    # ragged rows whose cells alone would repeat one row's types
+    ragged = [(1.0, 2.0, 3.0), (4.0, 5.0), (6.0, 7.0, 8.0, 9.0)]
     for name, columns, rows in (("floats.csv", ["x", "u", "u_exact"], floats),
-                                ("mixed.csv", list("abcdefg"), mixed)):
+                                ("mixed.csv", list("abcdefg"), mixed),
+                                ("long.csv", ["x", "u", "u_exact"], long),
+                                ("ragged.csv", ["x", "u", "u_exact"], ragged)):
         path = ex._write_csv(str(tmp_path / name), echo, columns, iter(rows))
         with open(path, "rb") as fh:
             assert fh.read() == _csv_writer_bytes(echo, columns, rows)

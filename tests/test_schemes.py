@@ -1,9 +1,14 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracdiff
 from fracdiff.errors import ConfigError
 from fracdiff.field import ParticleField, init_uniform, total_strength
 from fracdiff.greens import FractionalOrder, green_function
@@ -232,3 +237,44 @@ def test_nonuniform_field_dense_path():
         A = assemble_matrix(f, kind)
         r = make_rate_operator(f, kind)(u)
         assert np.abs(A @ u - r).max() <= 1e-12 * max(1.0, np.abs(r).max())
+
+
+FRESH_STEPS = """
+import resource
+import fracdiff.timeint as ti
+from fracdiff.experiments import _build_field, parse_config
+from fracdiff.schemes import SchemeKind
+from fracdiff.timeint import IntegratorSpec, RKOrder, integrate
+
+faults = []
+build = ti.make_rate_operator
+
+
+def counted(field, kind):
+    rate = build(field, kind)
+
+    def rate_counted(u):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return rate(u)
+    return rate_counted
+
+
+ti.make_rate_operator = counted
+cfg = parse_config("")  # the production case: DD, N = 32001, RK1
+integrate(_build_field(cfg, None, cfg.n), SchemeKind.DD,
+          IntegratorSpec(RKOrder.RK1, cfg.dt, cfg.t0, cfg.t0 + 51 * cfg.dt))
+print((faults[-1] - faults[0]) / 50)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="counts the minor page faults of glibc's allocator")
+def test_fresh_process_steps_take_no_page_faults():
+    # each matvec's FFT temporaries (512 KiB each at m = 65536) were mapped and
+    # faulted in afresh on every step of a fresh process: about 470-700 faults
+    src = os.path.dirname(os.path.dirname(fracdiff.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", FRESH_STEPS], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert float(out) < 10.0
