@@ -15,7 +15,7 @@ from .errors import (AccuracyError, ConfigError, DomainError, FracdiffError,
 from .greens import (FractionalOrder, characteristic_width, green_function,
                      reduced_green)
 from .specfun import pcf_d, s_combo, t_combo
-from .kernels import (KernelKind, KernelSpec, c_beta, eta, eta1, kernel_e,
+from .kernels import (ODD_KINDS, KernelKind, c_beta, eta, eta1, kernel_e,
                       kernel_f, kernel_gd, kernel_k, kernel_kappa, phi, scaled)
 from .field import (ParticleField, eval_flux, eval_u, eval_utilde, init_uniform,
                     total_strength)

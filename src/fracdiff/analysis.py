@@ -57,6 +57,8 @@ def rel_l1_error(field: ParticleField, t: float, d_eps: float) -> float:
     exact = green_function(field.order, field.positions[mask], t)
     num = math.fsum(field.volumes[mask] * np.abs(field.strengths[mask] - exact))
     den = exact_mass(field.order, t, d_eps)
+    if not den > 0.0:
+        raise DomainError(f"the exact mass on |x| <= {d_eps} underflows to 0 at t = {t}")
     return num / den
 
 
@@ -86,8 +88,9 @@ def self_convergence_order(fields: Sequence[ParticleField],
         strengths.append(f.strengths[::stride])
     num = math.fsum(np.abs(strengths[0] - strengths[1]))
     den = math.fsum(np.abs(strengths[1] - strengths[2]))
-    if den == 0.0:
-        raise DomainError("degenerate level difference (zero denominator)")
+    for name, diff in (("denominator", den), ("numerator", num)):
+        if diff == 0.0:
+            raise DomainError(f"degenerate level difference (zero {name})")
     return math.log2(num / den)
 
 

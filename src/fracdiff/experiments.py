@@ -29,12 +29,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .analysis import conservation_drift, rel_l1_error, self_convergence_order
 from .errors import ConfigError
 from .field import ParticleField, init_uniform
 from .greens import FractionalOrder, characteristic_width, green_function
-from .kernels import KernelKind, KernelSpec, scaled
+from .kernels import KernelKind
 from .schemes import SchemeKind, rate_prefactors
 from .timeint import IntegratorSpec, RKOrder, integrate, power_iteration_min_eig
 
@@ -209,6 +209,8 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"values: a time sweep needs at least 3 time steps, "
                               f"the first three halving, got {values}")
     if cfg.study is StudyKind.DOMAIN_SWEEP:
+        if not 0.0 < cfg.half_width() < math.inf:  # it sets the sweep's fixed spacing
+            raise ConfigError(f"c: the half-width C tf^(1/alpha) R_alpha is {cfg.half_width()}")
         for c in _sweep_values(cfg):
             if not c > 0:
                 raise ConfigError(f"values: every C must be positive, got {c}")
@@ -223,12 +225,16 @@ def _validate(cfg: ExperimentConfig):
                 raise ConfigError(f"values: C = {c} asks for {n:.3g} particles at the "
                                   f"sweep's fixed spacing, more than a float64 array "
                                   f"can index")
+    # the finest space level has (n-1) 2^(levels-1) + 1 particles (shift capped)
+    if cfg.study is StudyKind.SPACE_SWEEP and (
+            (cfg.n - 1) << (min(cfg.levels, 64) - 1) >= _MAX_PARTICLES):
+        raise ConfigError(f"levels: {cfg.levels} levels refine the n = {cfg.n} grid past "
+                          f"what a float64 array can index")
     # every scheme prefactor must be finite and non-zero at the smoothing
     # length of every field the study builds (GPSE's prefactor is 1)
     schemes = _STABILITY_SCHEMES if cfg.study is StudyKind.STABILITY else (cfg.scheme,)
     for _, sub, c, n in _runs(cfg):
-        eps = (sub.dt ** sub.order.gamma if sub.scheme is SchemeKind.GPSE  # as _build_field
-               else sub.overlap * (2.0 * sub.half_width(c) / (n - 1)))
+        eps = sub.overlap * (2.0 * sub.half_width(c) / (n - 1))
         for scheme in schemes:
             try:
                 ok = scheme is SchemeKind.GPSE or all(
@@ -328,13 +334,8 @@ def _runs(cfg: ExperimentConfig) -> list[tuple]:
 
 def _build_field(cfg: ExperimentConfig, c: float | None, n: int) -> ParticleField:
     order = cfg.order
-    f = init_uniform(cfg.half_width(c), n, order, cfg.overlap,
-                     lambda x: green_function(order, x, cfg.t0))
-    if cfg.scheme is SchemeKind.GPSE:
-        # epsilon is per-step (dt^{1/alpha}); the field value is unused but
-        # kept consistent with it for the snapshot header
-        f = replace(f, epsilon=cfg.dt ** order.gamma)
-    return f
+    return init_uniform(cfg.half_width(c), n, order, cfg.overlap,
+                        lambda x: green_function(order, x, cfg.t0))
 
 
 def _run_one(cfg: ExperimentConfig, c: float | None, n: int):
@@ -361,8 +362,10 @@ def run(cfg: ExperimentConfig) -> list[str]:
             params.append(param)
             rows.append([cfg.scheme.value, cfg.beta, param_name, param, err, "", drift])
         if cfg.study is StudyKind.SINGLE:
+            # GPSE smooths with eps = dt^{1/alpha}, not with the field's epsilon
+            eps = cfg.dt ** cfg.order.gamma if cfg.scheme is SchemeKind.GPSE else f1.epsilon
             snap_echo = {"beta": cfg.beta, "t": cfg.tf, "n": len(f1),
-                         "d": cfg.half_width(), "epsilon": f1.epsilon, **echo}
+                         "d": cfg.half_width(), "epsilon": eps, **echo}
             exact = green_function(cfg.order, f1.positions, cfg.tf)
             # Python floats: iterating the arrays would build slower numpy scalars
             out.append(_write_csv(path("solution.csv"), snap_echo, ["x", "u", "u_exact"],
@@ -389,8 +392,7 @@ def run(cfg: ExperimentConfig) -> list[str]:
         for beta in _STABILITY_BETAS:
             order = FractionalOrder.from_beta(beta)
             for kind in _KERNEL_DUMP_KINDS:
-                spec = KernelSpec(kind, order, 1.0)
-                vals = np.asarray(scaled(spec, r))
+                vals = kernels.scaled(kind, r, order, 1.0)
                 rows.extend([kind.value, beta, ri, vi] for ri, vi in zip(r, vals))
         out.append(_write_csv(path("kernels.csv"), echo,
                               ["kind", "beta", "r", "value"], rows))

@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, DomainError
 from .greens import FractionalOrder
-from .kernels import KernelKind, KernelSpec
+from .kernels import KernelKind
 
 __all__ = [
     "ParticleField",
@@ -86,8 +86,8 @@ def init_uniform(half_width: float, n: int, order: FractionalOrder, overlap: flo
     """Uniform symmetric grid of n particles on [-D, D], D = half_width, with
     collocation-sampled strengths.
 
-    ``init`` is evaluated at the particle centers (midpoint-rule sampling);
-    it may be vectorized or scalar.
+    ``init`` is called once, on the array of particle centers (midpoint-rule
+    sampling), and must return the strengths as an array of the same shape.
     """
     if not half_width > 0.0:
         raise ConfigError(f"half_width must be positive, got {half_width}")
@@ -99,12 +99,9 @@ def init_uniform(half_width: float, n: int, order: FractionalOrder, overlap: flo
     # integer multiples of h: center particle exactly at 0, exact +- symmetry,
     # and nested refinements (N -> 2N-1) share coarse nodes bit for bit
     x = (np.arange(n) - (n - 1) // 2) * h
-    try:
-        u = np.asarray(init(x), dtype=float)
-        if u.shape != x.shape:
-            raise TypeError
-    except TypeError:
-        u = np.array([float(init(xi)) for xi in x])
+    u = np.asarray(init(x), dtype=float)
+    if u.shape != x.shape:
+        raise ConfigError(f"init: returned shape {u.shape} for {n} particle centers")
     return ParticleField(
         positions=x,
         volumes=np.full(n, h),
@@ -116,8 +113,7 @@ def init_uniform(half_width: float, n: int, order: FractionalOrder, overlap: flo
 
 def eval_u(field: ParticleField, x: float) -> float:
     """Field value sum_i V_i u_i eta_eps(x - x_i)."""
-    spec = KernelSpec(KernelKind.ETA, field.order, field.epsilon)
-    w = kernels.scaled(spec, x - field.positions)
+    w = kernels.scaled(KernelKind.ETA, x - field.positions, field.order, field.epsilon)
     return float(np.dot(field.volumes * field.strengths, w))
 
 
@@ -126,8 +122,7 @@ def eval_utilde(field: ParticleField, x: float) -> float:
 
     utilde(x) = eps^{1-beta} sum_i V_i u_i kappa^beta_eps(x - x_i).
     """
-    spec = KernelSpec(KernelKind.KAPPA_BETA, field.order, field.epsilon)
-    w = kernels.scaled(spec, x - field.positions)
+    w = kernels.scaled(KernelKind.KAPPA_BETA, x - field.positions, field.order, field.epsilon)
     return field.epsilon ** (1.0 - field.order.beta) * float(
         np.dot(field.volumes * field.strengths, w)
     )
@@ -135,8 +130,7 @@ def eval_utilde(field: ParticleField, x: float) -> float:
 
 def eval_flux(field: ParticleField, x: float) -> float:
     """Fractional diffusion flux Q^beta(x) = -eps^{-beta} sum_i V_i u_i F_eps(x - x_i)."""
-    spec = KernelSpec(KernelKind.F, field.order, field.epsilon)
-    w = kernels.scaled(spec, x - field.positions)
+    w = kernels.scaled(KernelKind.F, x - field.positions, field.order, field.epsilon)
     return -(field.epsilon ** (-field.order.beta)) * float(
         np.dot(field.volumes * field.strengths, w)
     )

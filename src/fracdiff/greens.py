@@ -25,6 +25,10 @@ interpolant exactly, and the asymptotic sum through
 
     int_x^inf L0 = -(1/pi) sum_{n>=1} (-1)^n Gamma(alpha n)/n! sin(alpha n pi/2) x^-(alpha n).
 
+Below y = 1e-4, where that integral keeps only an absolute precision of about
+1e-17, the mass takes two terms of int_0^y L0 = (1/pi) sum_{n>=0} (-1)^n
+Gamma(1 + (2n+1)/alpha) y^(2n+1) / ((2n+1)! (2n+1)).
+
 The characteristic width R_alpha is the first absolute moment of L0_alpha,
 which for this law has the closed form (2/pi) Gamma(1 - 1/alpha)
 (Samorodnitsky & Taqqu 1994, Prop. 1.2.17, p = 1).
@@ -90,6 +94,7 @@ _ASYM_TERMS = 300
 _TABLE_DEGREE = 40
 _NODE_EPSABS = 1e-14
 _NODE_EPSREL = 1e-12
+_MASS_SERIES_Y = 1e-4
 
 
 def _l0_fourier(alpha: float, x: float) -> float:
@@ -109,12 +114,15 @@ def _l0_fourier(alpha: float, x: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _auto_crossover(alpha: float, asym_terms: int) -> float:
-    """Smallest grid x from which up to the cap the asymptotic branch agrees
-    with the Fourier integral to _CROSSOVER_TOL relative.
+def _l0_model(alpha: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """The L0 model at this alpha (read-only, shared): the crossover, the
+    Chebyshev coefficients of L0 on [0, crossover], those of int_0^x L0 in the
+    same variable, and the asymptotic tail int_crossover^inf L0.
 
-    The Fourier integral on the whole grid is one vector-valued quadrature,
-    held to the node tolerances in the max norm.
+    The crossover is the smallest grid x from which up to the cap the
+    asymptotic branch agrees with the Fourier integral to _CROSSOVER_TOL
+    relative; the Fourier integral on the whole grid is one vector-valued
+    quadrature, held to the node tolerances in the max norm.
     """
     from scipy.integrate import quad_vec
 
@@ -129,40 +137,24 @@ def _auto_crossover(alpha: float, asym_terms: int) -> float:
         raise AccuracyError(f"L0 Fourier integral on the crossover grid: error "
                             f"estimate {err:.1e} too large (alpha={alpha})")
     exact = val / math.pi
-    bad = np.abs(_l0_asym(alpha, grid, asym_terms) - exact) > _CROSSOVER_TOL * exact
+    bad = np.abs(_l0_asym(alpha, grid) - exact) > _CROSSOVER_TOL * exact
     # walking down from the cap, the last x before the first disagreement
     agreed = int(np.argmax(bad)) if bad.any() else len(grid)
-    return float(grid[agreed - 1]) if agreed else _CROSSOVER_CAP
-
-
-@functools.lru_cache(maxsize=64)
-def _l0_table(alpha: float) -> np.ndarray:
-    """Chebyshev coefficients of L0 on [0, crossover] (read-only, shared)."""
-    cross = _auto_crossover(alpha, _ASYM_TERMS)
-
-    def nodes(t):
-        return np.array([_l0_fourier(alpha, float(x)) for x in 0.5 * cross * (t + 1.0)])
-
-    coef = chebinterpolate(nodes, _TABLE_DEGREE)
+    cross = float(grid[agreed - 1]) if agreed else _CROSSOVER_CAP
+    coef = chebinterpolate(lambda t: np.array(
+        [_l0_fourier(alpha, float(x)) for x in 0.5 * cross * (t + 1.0)]), _TABLE_DEGREE)
+    integral = chebint(coef, lbnd=-1.0)
     coef.setflags(write=False)
-    return coef
+    integral.setflags(write=False)
+    return cross, coef, integral, _mass_tail(alpha, cross)
 
 
 def _mass_tail(alpha: float, x: float) -> float:
     """int_x^inf L0 from the asymptotic expansion (module docstring)."""
-    return float(-_asym_sum(alpha, np.array([x]), 0.0, _ASYM_TERMS)[0] / math.pi)
+    return float(-_asym_sum(alpha, np.array([x]), 0.0)[0] / math.pi)
 
 
-@functools.lru_cache(maxsize=64)
-def _mass_table(alpha: float) -> tuple[np.ndarray, float]:
-    """Chebyshev coefficients of int_0^x L0 on [0, crossover] in the table's
-    variable (read-only, shared), and the asymptotic tail at the crossover."""
-    integral = chebint(_l0_table(alpha), lbnd=-1.0)
-    integral.setflags(write=False)
-    return integral, _mass_tail(alpha, _auto_crossover(alpha, _ASYM_TERMS))
-
-
-def _asym_sum(alpha: float, ax: np.ndarray, shift: float, max_terms: int) -> np.ndarray:
+def _asym_sum(alpha: float, ax: np.ndarray, shift: float) -> np.ndarray:
     """sum_n (-1)^n sin(alpha n pi/2) Gamma(shift + alpha n)/n! ax^(-alpha n),
     over a 1-D array, each element frozen at its smallest term.
 
@@ -176,7 +168,7 @@ def _asym_sum(alpha: float, ax: np.ndarray, shift: float, max_terms: int) -> np.
     lnx = np.log(ax)
     acc = np.zeros_like(ax)
     prev_env = np.full(ax.shape, np.inf)
-    for n in range(1, max_terms + 1):
+    for n in range(1, _ASYM_TERMS + 1):
         s = math.sin(alpha * n * math.pi / 2.0)
         clog = lgamma(shift + alpha * n) - lgamma(n + 1.0)
         env = np.exp(clog - alpha * n * lnx)
@@ -194,27 +186,26 @@ def _asym_sum(alpha: float, ax: np.ndarray, shift: float, max_terms: int) -> np.
     return out
 
 
-def _l0_asym(alpha: float, ax: np.ndarray, max_terms: int) -> np.ndarray:
+def _l0_asym(alpha: float, ax: np.ndarray) -> np.ndarray:
     """Asymptotic branch of L0 at ax > 0."""
-    return -_asym_sum(alpha, ax, 1.0, max_terms) / (ax * math.pi)
+    return -_asym_sum(alpha, ax, 1.0) / (ax * math.pi)
 
 
 def reduced_green(alpha, x):
-    """Reduced Green function L0_alpha(x).  Even in x; accepts arrays."""
+    """Reduced Green function L0_alpha(x), elementwise over the array x (a
+    scalar x gives a numpy float64).  Even in x."""
     order = _as_order(alpha)
     ax = np.abs(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(ax)):
         raise DomainError("non-finite argument to reduced_green")
-    cross = _auto_crossover(order.alpha, _ASYM_TERMS)
+    cross, coef = _l0_model(order.alpha)[:2]
     out = np.empty_like(ax)
     small = ax < cross
     if small.any():
-        out[small] = chebval(2.0 * ax[small] / cross - 1.0, _l0_table(order.alpha))
+        out[small] = chebval(2.0 * ax[small] / cross - 1.0, coef)
     if (~small).any():
-        out[~small] = _l0_asym(order.alpha, ax[~small], _ASYM_TERMS)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+        out[~small] = _l0_asym(order.alpha, ax[~small])
+    return out[()]
 
 
 def reduced_green_mass(alpha, y) -> float:
@@ -228,8 +219,10 @@ def reduced_green_mass(alpha, y) -> float:
     y = float(y)
     if not y >= 0.0:
         raise DomainError(f"y must be non-negative, got {y}")
-    cross = _auto_crossover(order.alpha, _ASYM_TERMS)
-    integral, tail_cross = _mass_table(order.alpha)
+    if y < _MASS_SERIES_Y:  # the series' third term is below 1e-15 relative
+        g1, g3 = math.gamma(1.0 + 1.0 / order.alpha), math.gamma(1.0 + 3.0 / order.alpha)
+        return 2.0 * y * (g1 - y * y * g3 / 18.0) / math.pi
+    cross, _, integral, tail_cross = _l0_model(order.alpha)
     half = 0.5 * cross * chebval(2.0 * min(y, cross) / cross - 1.0, integral)
     if y > cross:
         half += tail_cross - _mass_tail(order.alpha, y)

@@ -20,16 +20,17 @@ closed form and K(0) = -2^alpha / (sin(beta pi/2) Gamma((1-alpha)/2)).
 kappa is the |r|^-beta convolution of eta (the smoothed Riemann-Liouville
 potential of a unit particle); F is its derivative (the flux kernel) and G^d
 its second derivative (the Riesz derivative of the mollifier).  Scaled
-variants follow the mollifier pattern k_eps(r) = (1/eps) k(r/eps).
+variants follow the mollifier pattern k_eps(r) = (1/eps) k(r/eps); scaled
+names the kernel by its KernelKind.  ETA1 and F are odd, the rest even.
 
-Every kernel accepts scalar or ndarray arguments.
+Arrays in, arrays out: every kernel evaluates elementwise over r and returns
+an array of r's shape; a scalar r gives a numpy float64, which is a float.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import hyp1f1
@@ -40,7 +41,7 @@ from .specfun import _minus_z2, gamma_rec, s_combo, t_combo
 
 __all__ = [
     "KernelKind",
-    "KernelSpec",
+    "ODD_KINDS",
     "c_beta",
     "eta",
     "eta1",
@@ -67,48 +68,43 @@ class KernelKind(enum.Enum):
     E = "e"
 
 
+ODD_KINDS = frozenset({KernelKind.ETA1, KernelKind.F})
+
+
 def c_beta(beta: float) -> float:
     if not (0.0 < beta < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     return 1.0 / (2.0 * math.gamma(1.0 - beta) * math.sin(beta * math.pi / 2.0))
 
 
-def _maybe_scalar(x, out):
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def eta(r):
     """Unit-mass squared-exponential mollifier."""
     r = np.asarray(r, dtype=float)
-    return _maybe_scalar(r, np.exp(-r * r) / _SQRT_PI)
+    return np.exp(-r * r) / _SQRT_PI
 
 
 def eta1(r):
     """First-derivative (divergence) kernel, odd: eta1(r) = -2r exp(-r^2)/sqrt(pi)."""
-    ra = np.asarray(r, dtype=float)
-    return _maybe_scalar(r, -2.0 * ra * np.exp(-ra * ra) / _SQRT_PI)
+    r = np.asarray(r, dtype=float)
+    return -2.0 * r * np.exp(-r * r) / _SQRT_PI
 
 
 def phi(r):
     """Laplacian PSE kernel Phi(r) = -(1/r) d(eta)/dr = 2 exp(-r^2)/sqrt(pi)."""
-    ra = np.asarray(r, dtype=float)
-    return _maybe_scalar(r, 2.0 * np.exp(-ra * ra) / _SQRT_PI)
+    r = np.asarray(r, dtype=float)
+    return 2.0 * np.exp(-r * r) / _SQRT_PI
 
 
 def kernel_gd(alpha, r):
     """Direct-differentiation kernel G^d_alpha(r) (even)."""
-    order = _as_order(alpha)
-    a = order.alpha
+    a = _as_order(alpha).alpha
     pref = -(2.0 ** ((a - 2.0) / 2.0)) / (_SQRT_PI * math.cos(math.pi * a / 2.0))
     return pref * s_combo(a + 1.0, r)
 
 
 def kernel_kappa(beta: float, r):
     """Smoothed Riemann-Liouville kernel kappa^beta(r) (even, ~ c_beta r^-beta)."""
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
+    FractionalOrder.from_beta(beta)  # a DomainError unless 0 < beta < 1
     pref = 2.0 ** ((beta - 3.0) / 2.0) / (_SQRT_PI * math.sin(beta * math.pi / 2.0))
     return pref * s_combo(beta, r)
 
@@ -126,25 +122,12 @@ def kernel_k(alpha, r):
     order = _as_order(alpha)
     a = order.alpha
     k0 = -(2.0 ** a) * gamma_rec((1.0 - a) / 2.0) / math.sin(order.beta * math.pi / 2.0)
-    return _maybe_scalar(r, k0 * hyp1f1((a + 1.0) / 2.0, 1.5, _minus_z2(r)))
+    return k0 * hyp1f1((a + 1.0) / 2.0, 1.5, _minus_z2(r))
 
 
 def kernel_e(alpha, r):
     """Green's-function kernel E(r) = L0_alpha(r) (even, positive, decaying)."""
     return reduced_green(alpha, r)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """One radial kernel together with its order and smoothing length."""
-
-    kind: KernelKind
-    order: FractionalOrder
-    epsilon: float
-
-    def __post_init__(self):
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
 
 
 _DISPATCH = {
@@ -159,8 +142,8 @@ _DISPATCH = {
 }
 
 
-def scaled(spec: KernelSpec, r):
-    """Mollifier scaling: k_eps(r) = (1/eps) k(r/eps)."""
-    ra = np.asarray(r, dtype=float)
-    out = np.asarray(_DISPATCH[spec.kind](spec.order, ra / spec.epsilon)) / spec.epsilon
-    return _maybe_scalar(r, out)
+def scaled(kind: KernelKind, r, order: FractionalOrder, eps: float):
+    """Mollifier scaling of the kernel of this kind: k_eps(r) = (1/eps) k(r/eps)."""
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise DomainError(f"epsilon must be positive, got {eps}")
+    return _DISPATCH[kind](order, np.asarray(r, dtype=float) / eps) / eps

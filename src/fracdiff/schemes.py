@@ -38,7 +38,7 @@ from . import kernels
 from .errors import ConfigError, DomainError
 from .field import ParticleField
 from .greens import FractionalOrder
-from .kernels import KernelKind, KernelSpec
+from .kernels import ODD_KINDS, KernelKind
 
 __all__ = [
     "SchemeKind",
@@ -65,16 +65,14 @@ def _pairwise_matrix(field: ParticleField, kind: KernelKind, eps: float,
     """Dense kernel matrix M[i, j] = k_eps(x_i - x_j) (general positions)."""
     x = field.positions
     n = len(x)
-    spec = KernelSpec(kind, field.order, eps)
     out = np.empty((n, n))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        out[lo:hi] = kernels.scaled(spec, x[lo:hi, None] - x[None, :])
+        out[lo:hi] = kernels.scaled(kind, x[lo:hi, None] - x[None, :], field.order, eps)
     return out
 
 
-def _interaction(field: ParticleField, kind: KernelKind, eps: float,
-                 pref: float, odd: bool = False):
+def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float):
     """The interaction sum apply(w)_i = pref sum_j V_j k_eps(x_i - x_j) w_j and
     its fixed row sums row = apply(1).
 
@@ -88,8 +86,7 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float,
     if h is None:
         apply = (pref * _pairwise_matrix(field, kind, eps) * v).dot
     else:
-        spec = KernelSpec(kind, field.order, eps)
-        half = np.asarray(kernels.scaled(spec, np.arange(n) * h))
+        half = kernels.scaled(kind, np.arange(n) * h, field.order, eps)
         # a power of two costs about as much as the 5-smooth length, or less,
         # when 2N-1 fills more than 15/16 of it; below that it can cost 3x
         m = 1 << (2 * n - 2).bit_length()
@@ -97,7 +94,7 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float,
             m = scipy.fft.next_fast_len(2 * n - 1, real=True)
         circ = np.zeros(m)
         circ[:n] = half
-        circ[m - n + 1:] = (-1.0 if odd else 1.0) * half[:0:-1]
+        circ[m - n + 1:] = (-1.0 if kind in ODD_KINDS else 1.0) * half[:0:-1]
         spectrum = scipy.fft.rfft((pref * v[0]) * circ)
         weight = None if np.all(v == v[0]) else v / v[0]
         buf = np.zeros(m)
@@ -143,8 +140,8 @@ def make_rate_operator(field: ParticleField, kind: SchemeKind):
         k, row = _interaction(field, KernelKind.K, eps, pref[0])
         return lambda u: k(u) - u * row
     if kind is SchemeKind.FPSE:
-        f, _ = _interaction(field, KernelKind.F, eps, pref[0], odd=True)
-        e1, row = _interaction(field, KernelKind.ETA1, eps, pref[1], odd=True)
+        f, _ = _interaction(field, KernelKind.F, eps, pref[0])
+        e1, row = _interaction(field, KernelKind.ETA1, eps, pref[1])
 
         def rate(u: np.ndarray) -> np.ndarray:
             q = f(u)

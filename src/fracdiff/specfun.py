@@ -48,7 +48,7 @@ def _minus_z2(z) -> np.ndarray:
 
 
 def s_combo(nu: float, z):
-    """S^nu(z); scalar or array z."""
+    """S^nu(z), elementwise over the array z (a scalar z gives a numpy float64)."""
     x, a = _minus_z2(z), 0.5 - nu
     if nu < 0.5:
         # hyp1f1(a, 1/2, x) is off by up to 4e-12 for a < 0.06 and x near
@@ -56,13 +56,11 @@ def s_combo(nu: float, z):
         m = hyp1f1(nu / 2.0 + 1.0, 0.5, x) - 2.0 * x * hyp1f1(nu / 2.0 + 1.0, 1.5, x)
     else:
         m = hyp1f1(nu / 2.0, 0.5, x)
-    out = 2.0 * math.sqrt(math.pi) * gamma_rec(0.75 + 0.5 * a) / 2.0 ** (0.5 * a + 0.25) * m
-    return float(out) if np.ndim(out) == 0 else out
+    return 2.0 * math.sqrt(math.pi) * gamma_rec(0.75 + 0.5 * a) / 2.0 ** (0.5 * a + 0.25) * m
 
 
 def t_combo(nu: float, z):
-    """T^nu(z); scalar or array z."""
+    """T^nu(z), elementwise over the array z (a scalar z gives a numpy float64)."""
     x, a = _minus_z2(z), 0.5 - nu
     pref = 2.0 * math.sqrt(2.0 * math.pi) * gamma_rec(0.25 + 0.5 * a) / 2.0 ** (0.5 * a - 0.25)
-    out = pref * np.asarray(z, dtype=float) * hyp1f1((nu + 1.0) / 2.0, 1.5, x)
-    return float(out) if np.ndim(out) == 0 else out
+    return pref * np.asarray(z, dtype=float) * hyp1f1((nu + 1.0) / 2.0, 1.5, x)

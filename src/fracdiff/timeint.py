@@ -58,7 +58,7 @@ class IntegratorSpec:
         if not self.tf > self.t0:
             raise ConfigError(f"tf must exceed t0, got t0={self.t0}, tf={self.tf}")
         steps = (self.tf - self.t0) / self.dt
-        if abs(steps - round(steps)) > 1e-8 * max(1.0, steps):
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-8 * max(1.0, steps)):
             raise ConfigError(
                 f"(tf - t0)/dt = {steps} is not an integer; partial final steps "
                 "are not supported"

@@ -274,7 +274,7 @@ def r_alpha_split_series(alpha, split_point: float | None = None) -> float:
 _MP_GAMMA_CACHE: dict = {}
 
 
-def l0_series_mp(alpha: float, xs: np.ndarray, max_terms: int) -> np.ndarray:
+def l0_series_mp(alpha: float, xs: np.ndarray, term_cap: int) -> np.ndarray:
     """Extended-precision series for the ill-conditioned band below the crossover."""
     key = round(alpha, 12)
     cache = _MP_GAMMA_CACHE.setdefault(key, {})
@@ -287,7 +287,7 @@ def l0_series_mp(alpha: float, xs: np.ndarray, max_terms: int) -> np.ndarray:
             s = mp.mpf(0)
             xpow = mp.mpf(1)
             fact = mp.mpf(1)  # (2k+1)!
-            for k in range(4 * max_terms):
+            for k in range(4 * term_cap):
                 g = cache.get(k)
                 if g is None:
                     g = cache[k] = mp.gamma(1 + mp.mpf(2 * k + 1) / am)

@@ -5,7 +5,7 @@ from fracdiff.analysis import (conservation_drift, exact_mass, rel_l1_error,
                                self_convergence_order)
 from fracdiff.errors import DomainError
 from fracdiff.field import init_uniform
-from fracdiff.greens import (FractionalOrder, _auto_crossover,
+from fracdiff.greens import (FractionalOrder, _l0_model,
                              characteristic_width, green_function)
 from fracdiff.schemes import SchemeKind
 from fracdiff.timeint import IntegratorSpec, RKOrder, integrate
@@ -38,7 +38,7 @@ def test_denominator_holds_97_percent():
 def test_exact_mass_matches_quadrature(beta, t, y_over_cross):
     # d_eps on both sides of the L0 crossover, in reduced units y = d t^{-1/alpha}
     order = FractionalOrder.from_beta(beta)
-    d_eps = y_over_cross * _auto_crossover(order.alpha, 300) * t ** order.gamma
+    d_eps = y_over_cross * _l0_model(order.alpha)[0] * t ** order.gamma
     assert exact_mass(order, t, d_eps) == pytest.approx(
         exact_mass_quad(order, t, d_eps), rel=1e-9)
 
@@ -147,3 +147,18 @@ def test_error_ordering_fpse_above_dd():
     for kind in (SchemeKind.DD, SchemeKind.FPSE):
         err[kind] = rel_l1_error(integrate(f0, kind, spec), 0.7, d_eps)
     assert err[SchemeKind.FPSE] > err[SchemeKind.DD]
+
+
+def test_self_convergence_zero_numerator():
+    # two identical first levels: log2(0) raised a bare ValueError
+    zero = init_uniform(1.0, 5, ORDER, 2.0, np.zeros_like)
+    one = init_uniform(1.0, 5, ORDER, 2.0, np.ones_like)
+    with pytest.raises(DomainError, match="zero numerator"):
+        self_convergence_order([zero, zero, one], [1.0, 0.5, 0.25])
+
+
+def test_rel_l1_error_rejects_an_exact_mass_that_underflows():
+    # d_eps t^(-1/alpha) underflows to 0: num / 0 raised ZeroDivisionError
+    f = init_uniform(1.0, 5, ORDER, 2.0, np.ones_like)
+    with pytest.raises(DomainError, match="underflows"):
+        rel_l1_error(f, 1e10, 5e-324)

@@ -245,6 +245,20 @@ def test_cli_rejects_prefactor_out_of_range(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lines", [
+    "c = 1e307\nvalues = 1e307\n",
+    "n = 3\nc = 1e-300\ndt = 1e-24\nt0 = 1e-25\ntf = 1.1e-24\n",
+], ids=["overflow", "underflow"])
+def test_cli_rejects_domain_sweep_whose_half_width_is_out_of_range(tmp_path, capsys, lines):
+    # the half-width sets the sweep's spacing: at inf, inf / inf is NaN and
+    # round(NaN) raised ValueError; at 0, the division raised ZeroDivisionError
+    cfg_file = tmp_path / "domain.cfg"
+    cfg_file.write_text(TINY + "study = domain\nbeta = 0.01\n" + lines)
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: c: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_prefactor_check_covers_every_space_level():
     text = "scheme = kpse\nn = 51\nc = 1e-204\ndt = 1e-3\ntf = 0.51\n"
     parse_config(text)  # the n = 51 grid alone is in range
@@ -262,6 +276,55 @@ def test_cli_rejects_nonpositive_tf_for_every_study(tmp_path, capsys, study, tf)
     assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error: tf: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("levels", [60, 40000])
+def test_cli_rejects_space_levels_past_the_index_cap(tmp_path, capsys, levels):
+    # each level's n is an int of about `levels` bits: levels = 40000 took 1.8 s
+    # to reject by c, and levels = 1100 printed a 300-digit n
+    cfg_file = tmp_path / "space.cfg"
+    cfg_file.write_text(f"study = space\nn = 51\nc = 5\nlevels = {levels}\n")
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: levels: ") and len(err) < 200
+    assert not (tmp_path / "out").exists()
+
+
+def test_space_levels_under_the_index_cap_accepted():
+    # 50 * 2^39 + 1 = 2.7e13 particles at the finest level: under the cap
+    assert parse_config("study = space\nn = 51\nc = 5\nlevels = 40\n").levels == 40
+
+
+def test_cli_time_sweep_with_zero_first_difference_exit_2(tmp_path, capsys):
+    # the first two levels agree to the bit: log2(0) raised a bare ValueError
+    # after the whole sweep had run
+    cfg_file = tmp_path / "time.cfg"
+    cfg_file.write_text("study = time\nscheme = fpse\nn = 3\nbeta = 0.3\nc = 0.5\n"
+                        "overlap = 100\nt0 = 3\ndt = 0.1\ntf = 3.8\nintegrator = rk2\n")
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "domain error: degenerate level difference (zero numerator)")
+
+
+def test_stability_table_does_not_depend_on_scheme(tmp_path):
+    # the table builds its own DD, FPSE and KPSE operators: with scheme = gpse
+    # they were built at GPSE's eps = dt^(1/alpha) and power iteration hit a
+    # null vector
+    data = {}
+    for scheme in ("dd", "gpse"):
+        files = run(parse_config(f"study = stability\nn = 201\nscheme = {scheme}\n",
+                                 {"out_dir": str(tmp_path / scheme)}))
+        with open(files[0]) as fh:
+            data[scheme] = [line for line in fh if not line.startswith("#")]
+    assert len(data["dd"]) == 10 and data["gpse"] == data["dd"]
+
+
+def test_gpse_snapshot_echoes_its_own_epsilon(tmp_path):
+    cfg = parse_config("scheme = gpse\nn = 51\nc = 5\ndt = 1e-2\ntf = 0.52\n",
+                       {"out_dir": str(tmp_path)})
+    run(cfg)
+    header = (tmp_path / "solution.csv").read_text().splitlines()
+    assert f"# epsilon = {cfg.dt ** cfg.order.gamma:.17g}" in header
 
 
 def test_cli_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ from fracdiff.experiments import parse_config
 from fracdiff.field import (ParticleField, eval_flux, eval_u, eval_utilde,
                             init_uniform, total_strength)
 from fracdiff.greens import FractionalOrder, green_function
-from fracdiff.kernels import KernelKind, KernelSpec, scaled
+from fracdiff.kernels import KernelKind, scaled
 
 from oracles import central_first, utilde_quad
 
@@ -57,6 +57,15 @@ def test_overlap_below_one_rejected():
         init_uniform(1.0, 5, ORDER, 0.5, lambda x: np.zeros_like(x))
 
 
+@pytest.mark.parametrize("init", [lambda x: 1.0, lambda x: np.zeros(3),
+                                  lambda x: np.zeros((5, 1))],
+                         ids=["scalar", "short", "column"])
+def test_init_of_wrong_shape_rejected(init):
+    # init is called once on the centers; there is no per-point fallback
+    with pytest.raises(ConfigError, match="^init: "):
+        init_uniform(1.0, 5, ORDER, 2.0, init)
+
+
 def test_field_validation():
     with pytest.raises(DomainError):
         ParticleField(np.array([0.0, 0.0]), np.array([1.0, 1.0]),
@@ -68,9 +77,8 @@ def test_field_validation():
 
 def test_eval_u_single_particle():
     f = ParticleField(np.array([0.0]), np.array([1.0]), np.array([1.0]), 0.7, ORDER)
-    spec = KernelSpec(KernelKind.ETA, ORDER, 0.7)
     for x in (0.0, 0.3, -1.1):
-        assert eval_u(f, x) == pytest.approx(scaled(spec, x), rel=1e-14)
+        assert eval_u(f, x) == pytest.approx(scaled(KernelKind.ETA, x, ORDER, 0.7), rel=1e-14)
 
 
 def test_eval_u_zero_field():
@@ -99,9 +107,8 @@ def test_eval_utilde_even_and_single_particle():
     f = small_field()
     assert eval_utilde(f, 1.3) == pytest.approx(eval_utilde(f, -1.3), rel=1e-12)
     g = ParticleField(np.array([0.0]), np.array([1.0]), np.array([1.0]), 0.9, ORDER)
-    spec = KernelSpec(KernelKind.KAPPA_BETA, ORDER, 0.9)
     x = 0.55
-    expected = 0.9 ** (1.0 - ORDER.beta) * scaled(spec, x)
+    expected = 0.9 ** (1.0 - ORDER.beta) * scaled(KernelKind.KAPPA_BETA, x, ORDER, 0.9)
     assert eval_utilde(g, x) == pytest.approx(expected, rel=1e-13)
 
 
@@ -122,10 +129,10 @@ def test_eval_flux_single_particle_oracle():
     # Q(x) = -c_beta d/dx int eta_eps(xi) |x-xi|^-beta dxi for a unit particle
     eps = 0.8
     g = ParticleField(np.array([0.0]), np.array([1.0]), np.array([1.0]), eps, ORDER)
-    spec = KernelSpec(KernelKind.ETA, ORDER, eps)
     x0 = 0.9
-    ref = -central_first(lambda x: utilde_quad(lambda s: scaled(spec, s), x, ORDER.beta),
-                         x0, 1e-4)
+    ref = -central_first(
+        lambda x: utilde_quad(lambda s: scaled(KernelKind.ETA, s, ORDER, eps), x, ORDER.beta),
+        x0, 1e-4)
     assert eval_flux(g, x0) == pytest.approx(ref, rel=1e-6)
 
 

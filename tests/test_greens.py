@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,8 +8,8 @@ from scipy.stats import levy_stable
 
 from fracdiff.errors import DomainError
 from fracdiff.greens import (FractionalOrder, characteristic_width,
-                             green_function, reduced_green)
-from fracdiff.greens import _auto_crossover, _l0_asym
+                             green_function, reduced_green, reduced_green_mass)
+from fracdiff.greens import _l0_asym, _l0_model
 
 from oracles import l0_series_mp, r_alpha_quad, r_alpha_split_series
 
@@ -40,12 +41,30 @@ def test_reduced_green_mass():
     assert 2.0 * (core + tail) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
+def test_reduced_green_mass_near_zero_matches_series(alpha):
+    # the table's integral cancels near y = 0: it was 3e-4 off at y = 1e-12
+    # and exactly 0 from y = 1e-18, so a rel_l1 denominator divided by zero
+    def ref(y):
+        with mp.workdps(40):
+            a, y, s = mp.mpf(alpha), mp.mpf(y), mp.mpf(0)
+            for n in range(40):
+                s += (-1) ** n * mp.gamma(1 + (2 * n + 1) / a) * y ** (2 * n + 1) / (
+                    mp.factorial(2 * n + 1) * (2 * n + 1))
+            return float(2 * s / mp.pi)
+
+    for y in (1e-300, 1e-18, 1e-12, 1e-8, 9.9e-5):
+        assert reduced_green_mass(alpha, y) == pytest.approx(ref(y), rel=1e-14)
+    for y in (1e-4, 1e-3):  # the table's side of the switch
+        assert reduced_green_mass(alpha, y) == pytest.approx(ref(y), rel=1e-11)
+
+
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 1.95, 1.99])
 def test_branch_agreement_at_crossover(alpha):
-    cross = _auto_crossover(alpha, 300)
+    cross = _l0_model(alpha)[0]
     x = np.array([cross])
     series = l0_series_mp(alpha, x, 500)[0]
-    asym = _l0_asym(alpha, x, 300)[0]
+    asym = _l0_asym(alpha, x)[0]
     assert asym == pytest.approx(series, rel=1e-8)
 
 
@@ -53,14 +72,14 @@ def test_branch_agreement_at_crossover(alpha):
 def test_asymptotic_branch_pointwise(alpha):
     # each point stops at its own smallest term: its value must not depend on
     # which points share the array
-    cross = _auto_crossover(alpha, 300)
+    cross = _l0_model(alpha)[0]
     rng = np.random.default_rng(3)
     x = np.concatenate([cross * (1.0 + rng.random(40) ** 3),
                         cross * np.exp(rng.uniform(0.0, 12.0, 40)), [cross, 1e8]])
     rng.shuffle(x)
-    full = _l0_asym(alpha, x, 300)
+    full = _l0_asym(alpha, x)
     for i in range(x.size):
-        assert full[i] == _l0_asym(alpha, x[i:i + 1], 300)[0]
+        assert full[i] == _l0_asym(alpha, x[i:i + 1])[0]
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
@@ -139,7 +158,7 @@ def test_characteristic_width_small_and_large_beta(beta):
 @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 1.9, 1.99])
 def test_reduced_green_matches_series_oracle(alpha):
     # dense grid over the whole table interval [0, crossover)
-    x = np.linspace(0.0, _auto_crossover(alpha, 300), 160, endpoint=False)
+    x = np.linspace(0.0, _l0_model(alpha)[0], 160, endpoint=False)
     series = l0_series_mp(alpha, x, 500)
     np.testing.assert_allclose(reduced_green(alpha, x), series, rtol=1e-10, atol=0.0)
 

@@ -7,15 +7,13 @@ from scipy.integrate import quad
 
 from fracdiff.errors import DomainError
 from fracdiff.greens import FractionalOrder, reduced_green
-from fracdiff.kernels import (KernelKind, KernelSpec, c_beta, eta, eta1,
+from fracdiff.kernels import (ODD_KINDS, KernelKind, c_beta, eta, eta1,
                               kernel_e, kernel_f, kernel_gd, kernel_k,
                               kernel_kappa, phi, scaled)
 
 from oracles import central_first, central_second, riesz_quad, utilde_quad
 
-EVEN_KINDS = [KernelKind.ETA, KernelKind.PHI, KernelKind.GD,
-              KernelKind.KAPPA_BETA, KernelKind.K, KernelKind.E]
-ODD_KINDS = [KernelKind.ETA1, KernelKind.F]
+EVEN_KINDS = [kind for kind in KernelKind if kind not in ODD_KINDS]
 
 
 def test_c_beta_closed_form():
@@ -48,14 +46,29 @@ def test_mollifier_values():
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
 def test_kernel_parity(beta):
+    # the parity the FFT operators embed: ODD_KINDS odd, every other kind even
+    assert ODD_KINDS == {KernelKind.ETA1, KernelKind.F}
     order = FractionalOrder.from_beta(beta)
     r = np.array([0.2, 0.9, 2.7, 6.0, 15.0])
     for kind in EVEN_KINDS:
-        spec = KernelSpec(kind, order, 1.0)
-        assert np.allclose(scaled(spec, r), scaled(spec, -r), rtol=0, atol=0)
+        assert np.allclose(scaled(kind, r, order, 1.0), scaled(kind, -r, order, 1.0),
+                           rtol=0, atol=0)
     for kind in ODD_KINDS:
-        spec = KernelSpec(kind, order, 1.0)
-        assert np.allclose(scaled(spec, r), -np.asarray(scaled(spec, -r)), rtol=0, atol=0)
+        assert np.allclose(scaled(kind, r, order, 1.0), -scaled(kind, -r, order, 1.0),
+                           rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_scaled_arrays_in_arrays_out(kind):
+    # an array gives an array of its shape; a scalar a numpy float64 (a float)
+    # equal to the matching element
+    order = FractionalOrder(1.5)
+    r = np.array([[0.0, 0.4], [1.3, 7.0]])
+    out = scaled(kind, r, order, 0.8)
+    assert isinstance(out, np.ndarray) and out.shape == r.shape
+    one = scaled(kind, 1.3, order, 0.8)
+    assert type(one) is np.float64 and isinstance(one, float)
+    assert one == out[1, 0]
 
 
 def test_k_f_identity():
@@ -154,26 +167,24 @@ def test_kernel_e_discrete_mass():
     order = FractionalOrder(1.5)
     h, half = 0.05, 4000.0
     x = np.arange(-half, half + h / 2, h)
-    spec = KernelSpec(KernelKind.E, order, 2.0)
-    vals = np.asarray(scaled(spec, x))
+    vals = scaled(KernelKind.E, x, order, 2.0)
     assert h * vals.sum() == pytest.approx(1.0, abs=1e-4)
 
 
 def test_scaled_identity_and_mass():
     order = FractionalOrder(1.5)
-    spec1 = KernelSpec(KernelKind.ETA, order, 1.0)
-    assert scaled(spec1, 0.3) == eta(0.3)
+    assert scaled(KernelKind.ETA, 0.3, order, 1.0) == eta(0.3)
     for eps in (0.5, 2.0):
-        spec = KernelSpec(KernelKind.ETA, order, eps)
-        m, _ = quad(lambda r: scaled(spec, r), -math.inf, math.inf)
+        m, _ = quad(lambda r: scaled(KernelKind.ETA, r, order, eps), -math.inf, math.inf)
         assert m == pytest.approx(1.0, abs=1e-10)
-    spec = KernelSpec(KernelKind.ETA, order, 0.25)
-    assert scaled(spec, 0.0) == pytest.approx(eta(0.0) / 0.25, rel=1e-15)
+    assert scaled(KernelKind.ETA, 0.0, order, 0.25) == pytest.approx(eta(0.0) / 0.25,
+                                                                     rel=1e-15)
 
 
-def test_kernel_spec_validation():
-    with pytest.raises(DomainError):
-        KernelSpec(KernelKind.ETA, FractionalOrder(1.5), 0.0)
+def test_scaled_epsilon_validation():
+    for eps in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="epsilon"):
+            scaled(KernelKind.ETA, np.array([0.5]), FractionalOrder(1.5), eps)
 
 
 def test_kpse_constant_is_alpha():
@@ -187,10 +198,8 @@ def test_kpse_constant_is_alpha():
     ref = riesz_quad(f, x0, order.alpha)
 
     def exchange(eps):
-        spec = KernelSpec(KernelKind.K, order, eps)
-
         def integrand(y):
-            return (f(y) - f(x0)) * scaled(spec, x0 - y)
+            return (f(y) - f(x0)) * scaled(KernelKind.K, x0 - y, order, eps)
 
         val = 0.0
         for a, b in ((-math.inf, x0 - 1.0), (x0 - 1.0, x0 + 1.0), (x0 + 1.0, math.inf)):

@@ -12,7 +12,7 @@ import fracdiff
 from fracdiff.errors import ConfigError
 from fracdiff.field import ParticleField, init_uniform, total_strength
 from fracdiff.greens import FractionalOrder, green_function
-from fracdiff.kernels import KernelKind, KernelSpec, scaled
+from fracdiff.kernels import KernelKind, scaled
 from fracdiff.schemes import (SchemeKind, assemble_matrix, make_gpse_stepper,
                               make_rate_operator)
 
@@ -183,7 +183,7 @@ def test_gpse_stepper_matches_dense_exchange():
     dt = 1e-2
     eps = dt ** ORDER.gamma
     x, v, u = f.positions, f.volumes, f.strengths
-    E = scaled(KernelSpec(KernelKind.E, ORDER, eps), x[:, None] - x[None, :])
+    E = scaled(KernelKind.E, x[:, None] - x[None, :], ORDER, eps)
     expected = u + E @ (v * u) - u * (E @ v)
     got = make_gpse_stepper(f, dt)(u)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -208,8 +208,8 @@ def test_rlpse_matches_dense_form():
     eps, beta = f.epsilon, ORDER.beta
     x, v, u = f.positions, f.volumes, f.strengths
     sep = x[:, None] - x[None, :]
-    kappa_v = scaled(KernelSpec(KernelKind.KAPPA_BETA, ORDER, eps), sep) * v
-    phi_v = scaled(KernelSpec(KernelKind.PHI, ORDER, eps), sep) * v
+    kappa_v = scaled(KernelKind.KAPPA_BETA, sep, ORDER, eps) * v
+    phi_v = scaled(KernelKind.PHI, sep, ORDER, eps) * v
     ut = eps ** (1.0 - beta) * (kappa_v @ u)
     pref_d = 2.0 / eps ** 2
     exchange, self_term = pref_d * (phi_v @ ut), pref_d * ut * phi_v.sum(axis=1)

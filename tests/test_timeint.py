@@ -26,6 +26,12 @@ def test_integrator_spec_validation():
     assert IntegratorSpec(RKOrder.RK2, 1e-2, 0.5, 1.5).n_steps == 100
 
 
+def test_integrator_spec_rejects_overflowing_step_count():
+    # (tf - t0)/dt overflows to inf: round(inf) raised OverflowError
+    with pytest.raises(ConfigError, match="inf is not an integer"):
+        IntegratorSpec(RKOrder.RK1, 1e-47, 1.0, 1e262)
+
+
 def test_zero_field_stays_zero():
     f = gaussian_field().with_strengths(np.zeros(101))
     out = integrate(f, SchemeKind.KPSE, IntegratorSpec(RKOrder.RK1, 1e-3, 0.0, 1e-2))
@@ -126,8 +132,8 @@ def test_power_iteration_two_particle_closed_form():
     d, v, eps = 0.4, 0.3, 0.5
     f = ParticleField(np.array([-d / 2, d / 2]), np.array([v, v]),
                       np.array([1.0, -1.0]), eps, ORDER)
-    from fracdiff.kernels import KernelKind, KernelSpec, scaled
-    kval = scaled(KernelSpec(KernelKind.K, ORDER, eps), d)
+    from fracdiff.kernels import KernelKind, scaled
+    kval = scaled(KernelKind.K, d, ORDER, eps)
     lam_exact = -2.0 * (ORDER.alpha / eps ** ORDER.alpha) * v * kval
     rep = power_iteration_min_eig(f, SchemeKind.KPSE, tol=1e-14)
     assert rep.lambda_min == pytest.approx(lam_exact, rel=1e-10)
