@@ -33,7 +33,7 @@ for kind in (SchemeKind.DD, SchemeKind.KPSE, SchemeKind.FPSE):
         n = 2000 * 2 ** lvl + 1
         f0 = make_field(n)
         fields.append(integrate(f0, kind, IntegratorSpec(RKOrder.RK1, 1e-4, 0.5, 0.52)))
-        hs.append(f0.uniform_spacing())
+        hs.append(f0.h)
     p = self_convergence_order(fields, hs)
     note = ""
     if kind is SchemeKind.FPSE:

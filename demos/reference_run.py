@@ -23,7 +23,7 @@ C, n = 20.0, 4001
 D = C * 1.5 ** order.gamma * r_alpha
 field0 = init_uniform(D, n, order, overlap=2.0,
                       init=lambda x: green_function(order, x, 0.5))
-h = field0.uniform_spacing()
+h = field0.h
 print(f"domain half-width D = {D:.2f}, N = {n}, h = {h:.4f}, eps = {field0.epsilon:.4f}")
 print(f"initial total strength = {total_strength(field0):.6f}\n")
 

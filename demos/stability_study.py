@@ -39,7 +39,7 @@ for n in (501, 1001, 2001, 4001):
 print("\nprobing the boundary (beta = 0.5, KPSE, N = 501):")
 f = make_field(0.5, 501, C=10.0)
 rep = power_iteration_min_eig(f, SchemeKind.KPSE)
-h = f.uniform_spacing()
+h = f.h
 dt_lim = rep.a_constant * h ** 1.5
 for factor in (0.9, 1.1):
     dt = factor * dt_lim

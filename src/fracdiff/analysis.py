@@ -4,7 +4,7 @@ The accuracy measure is the relative L1 error over a centered subinterval
 |x| <= d_eps, with the particle-sum numerator and the exact-solution integral
 in the denominator:
 
-    err = sum_{|x_i|<=d_eps} V_i |u_i - G0(x_i, t)|  /  int_{-d_eps}^{d_eps} |G0(x, t)| dx.
+    err = sum_{|x_i|<=d_eps} h |u_i - G0(x_i, t)|  /  int_{-d_eps}^{d_eps} |G0(x, t)| dx.
 
 The denominator is the mass of L0 on |x| <= d_eps t^{-1/alpha}, in closed
 form from the L0 table and the tail integral of its asymptotic expansion
@@ -21,7 +21,7 @@ nodes are every second, resp. fourth, fine node; a time sweep's levels share
 one grid.
 
 The strength drift of a run is max_n |S_n - S_0| / |S_0| over its snapshots,
-S = sum_i V_i u_i (conservation_drift).
+S = sum_i h u_i (conservation_drift).
 """
 
 from __future__ import annotations
@@ -51,11 +51,12 @@ def exact_mass(field_order, t: float, d_eps: float) -> float:
 
 def rel_l1_error(field: ParticleField, t: float, d_eps: float) -> float:
     """Relative L1 error of the field against the fundamental solution at t."""
-    mask = np.abs(field.positions) <= d_eps
+    x = field.positions
+    mask = np.abs(x) <= d_eps
     if not mask.any():
         raise DomainError(f"no particles inside |x| <= {d_eps}")
-    exact = green_function(field.order, field.positions[mask], t)
-    num = math.fsum(field.volumes[mask] * np.abs(field.strengths[mask] - exact))
+    exact = green_function(field.order, x[mask], t)
+    num = math.fsum(field.h * np.abs(field.strengths[mask] - exact))
     den = exact_mass(field.order, t, d_eps)
     if not den > 0.0:
         raise DomainError(f"the exact mass on |x| <= {d_eps} underflows to 0 at t = {t}")

@@ -1,6 +1,6 @@
 """Command-line driver.
 
-    fracdiff run <config> [--preset NAME] [--out-dir DIR] [--experimental]
+    fracdiff run <config> [--preset NAME] [--out-dir DIR]
     fracdiff stability [--n N] [--overlap R] [--out-dir DIR]
     fracdiff kernels dump [--out-dir DIR]
 
@@ -28,8 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a key=value config file")
     p_run.add_argument("--preset", choices=sorted(PRESETS),
                        help="apply a named parameter preset")
-    p_run.add_argument("--experimental", action="store_true",
-                       help="allow the experimental RLPSE scheme")
     p_run.add_argument("--out-dir", help="output directory")
 
     p_st = sub.add_parser("stability", help="stability-constant table (9 rows)")
@@ -53,8 +51,6 @@ def main(argv: list[str] | None = None) -> int:
                 text = fh.read()
             if args.preset:
                 overrides = {**PRESETS[args.preset], **overrides}
-            if args.experimental:
-                overrides["experimental"] = True
             cfg = parse_config(text, overrides)
         elif args.command == "stability":
             cfg = parse_config("study = stability",

@@ -89,7 +89,6 @@ class ExperimentConfig:
     levels: int = 3
     d_eps_factor: float = 5.0
     out_dir: str = "."
-    experimental: bool = False
 
     @property
     def order(self) -> FractionalOrder:
@@ -130,7 +129,6 @@ _PARSERS = {
     "levels": int,
     "d_eps_factor": float,
     "out_dir": str,
-    "experimental": lambda s: s.lower() in ("1", "true", "yes", "on"),
 }
 
 
@@ -185,8 +183,6 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"n: even particle count {cfg.n}; an odd count >= 3 is required")
     if cfg.overlap < 1.0:
         raise ConfigError(f"overlap: must be >= 1, got {cfg.overlap}")
-    if cfg.scheme is SchemeKind.RLPSE and not cfg.experimental:
-        raise ConfigError("scheme: rlpse is experimental; set experimental=true to enable")
     for key in ("d", "c", "t0", "tf", "d_eps_factor"):
         value = getattr(cfg, key)
         if value is not None and value <= 0:
@@ -357,7 +353,7 @@ def run(cfg: ExperimentConfig) -> list[str]:
         rows, fields, params = [], [], []
         for param, sub, c, n in _runs(cfg):
             f0, f1, err, drift = _run_one(sub, c, n)
-            param = float(f0.volumes[0]) if param is None else param  # space: V_i = h
+            param = f0.h if param is None else param
             fields.append(f1)
             params.append(param)
             rows.append([cfg.scheme.value, cfg.beta, param_name, param, err, "", drift])

@@ -45,7 +45,6 @@ __all__ = [
     "c_beta",
     "eta",
     "eta1",
-    "phi",
     "kernel_gd",
     "kernel_kappa",
     "kernel_f",
@@ -60,7 +59,6 @@ _SQRT_PI = math.sqrt(math.pi)
 class KernelKind(enum.Enum):
     ETA = "eta"
     ETA1 = "eta1"
-    PHI = "phi"
     GD = "gd"
     KAPPA_BETA = "kappa"
     F = "f"
@@ -87,12 +85,6 @@ def eta1(r):
     """First-derivative (divergence) kernel, odd: eta1(r) = -2r exp(-r^2)/sqrt(pi)."""
     r = np.asarray(r, dtype=float)
     return -2.0 * r * np.exp(-r * r) / _SQRT_PI
-
-
-def phi(r):
-    """Laplacian PSE kernel Phi(r) = -(1/r) d(eta)/dr = 2 exp(-r^2)/sqrt(pi)."""
-    r = np.asarray(r, dtype=float)
-    return 2.0 * np.exp(-r * r) / _SQRT_PI
 
 
 def kernel_gd(alpha, r):
@@ -133,7 +125,6 @@ def kernel_e(alpha, r):
 _DISPATCH = {
     KernelKind.ETA: lambda order, r: eta(r),
     KernelKind.ETA1: lambda order, r: eta1(r),
-    KernelKind.PHI: lambda order, r: phi(r),
     KernelKind.GD: kernel_gd,
     KernelKind.KAPPA_BETA: lambda order, r: kernel_kappa(order.beta, r),
     KernelKind.F: kernel_f,

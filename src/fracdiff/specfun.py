@@ -1,4 +1,4 @@
-"""The parabolic-cylinder combinations S, T in closed form, and D_nu.
+"""The parabolic-cylinder combinations S, T in closed form.
 
     S^nu(z) = exp(-z^2/2) (D_{nu-1}(-sqrt2 z) + D_{nu-1}(sqrt2 z))
             =  2 U(a,0)          M(nu/2,     1/2, -z^2)
@@ -21,7 +21,7 @@ from scipy.special import hyp1f1
 
 from .errors import DomainError
 
-__all__ = ["pcf_d", "s_combo", "t_combo", "gamma_rec"]
+__all__ = ["s_combo", "t_combo", "gamma_rec"]
 
 
 def gamma_rec(x: float) -> float:
@@ -29,15 +29,6 @@ def gamma_rec(x: float) -> float:
     if x <= 0.0 and x == math.floor(x):
         return 0.0
     return 1.0 / math.gamma(x)
-
-
-def pcf_d(nu: float, z: float) -> float:
-    """Whittaker parabolic cylinder function D_nu(z), by mpmath.pcfd."""
-    if not (math.isfinite(nu) and math.isfinite(z)):
-        raise DomainError(f"non-finite argument: nu={nu!r}, z={z!r}")
-    import mpmath  # about 1 ms a point; only pcf_d needs mpmath
-
-    return float(mpmath.pcfd(nu, z))
 
 
 def _minus_z2(z) -> np.ndarray:

@@ -24,6 +24,12 @@ comes from its convergent power series
 
 summed in mpmath precision, which absorbs the alternating-series
 cancellation below the asymptotic crossover.
+
+The dense operator matrix (assemble_matrix) sums the kernels pair by pair
+instead of by the FFT Toeplitz product, and the field evaluations (eval_u,
+eval_utilde, eval_flux) sum them at an arbitrary point x on raw arrays of
+particle positions and weights, so a single particle is as easy to pose as a
+grid.
 """
 
 from __future__ import annotations
@@ -35,8 +41,16 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from fracdiff.errors import AccuracyError, DomainError
+from fracdiff import kernels
+from fracdiff.errors import AccuracyError, ConfigError, DomainError
 from fracdiff.greens import _as_order, green_function
+from fracdiff.kernels import KernelKind
+from fracdiff.schemes import SchemeKind
+
+
+def pcf_d(nu: float, z: float) -> float:
+    """Whittaker parabolic cylinder function D_nu(z), by mpmath.pcfd."""
+    return float(mp.pcfd(nu, z))
 
 
 def pcf_d_quad(nu: float, z: float) -> float:
@@ -312,3 +326,79 @@ def exact_mass_quad(field_order, t: float, d_eps: float) -> float:
     val, _ = quad(lambda x: green_function(field_order, x, t), 0.0, d_eps,
                   epsabs=1e-12, epsrel=1e-10, limit=200)
     return 2.0 * val
+
+
+# ---------------------------------------------------------------------------
+# the particle field summed pair by pair
+
+
+MATRIX_SIZE_GUARD = 20000
+
+
+def _pairwise_matrix(field, kind: KernelKind, eps: float, block: int = 512) -> np.ndarray:
+    """Dense kernel matrix M[i, j] = k_eps(x_i - x_j)."""
+    x = field.positions
+    n = len(x)
+    out = np.empty((n, n))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        out[lo:hi] = kernels.scaled(kind, x[lo:hi, None] - x[None, :], field.order, eps)
+    return out
+
+
+def assemble_matrix(field, kind: SchemeKind, size_guard: int = MATRIX_SIZE_GUARD) -> np.ndarray:
+    """Dense A with du/dt = A u, for the rate schemes DD, FPSE, KPSE.
+
+    A is symmetric for DD and KPSE (even kernels, uniform volumes).  FPSE's A
+    composes two odd-kernel sums truncated at the grid edge and is not
+    symmetric: ||A - A^T||_F / ||A||_F = 0.136 at n = 201, D = 10, beta = 0.5,
+    overlap 2.  For the conservative schemes FPSE and KPSE the column sums of
+    A vanish.
+    """
+    n = len(field)
+    if n > size_guard:
+        raise ConfigError(f"n={n} exceeds the matrix size guard {size_guard}")
+    v = np.full(n, field.h)
+    eps = field.epsilon
+    alpha = field.order.alpha
+    beta = field.order.beta
+    if kind is SchemeKind.DD:
+        ker = _pairwise_matrix(field, KernelKind.GD, eps)
+        return eps ** (-alpha) * ker * v[None, :]
+    if kind is SchemeKind.KPSE:
+        ker = _pairwise_matrix(field, KernelKind.K, eps)
+        b = (alpha / eps ** alpha) * ker * v[None, :]
+        return b - np.diag(b.sum(axis=1))
+    if kind is SchemeKind.FPSE:
+        e1 = _pairwise_matrix(field, KernelKind.ETA1, eps)
+        f = _pairwise_matrix(field, KernelKind.F, eps)
+        left = e1 * v[None, :] + np.diag(e1 @ v)
+        return eps ** (-1.0 - beta) * left @ (f * v[None, :])
+    raise ConfigError(f"assemble_matrix supports rate schemes only, got {kind}")
+
+
+def field_arrays(field) -> tuple:
+    """(positions, weights h u_i, order, epsilon) of a field, as the eval_*
+    oracles take them."""
+    return field.positions, field.h * field.strengths, field.order, field.epsilon
+
+
+def eval_u(x: float, positions, weights, order, eps: float) -> float:
+    """Field value sum_i w_i eta_eps(x - x_i), with weights w_i = V_i u_i."""
+    w = kernels.scaled(KernelKind.ETA, x - np.asarray(positions), order, eps)
+    return float(np.dot(weights, w))
+
+
+def eval_utilde(x: float, positions, weights, order, eps: float) -> float:
+    """Smoothed Riemann-Liouville potential
+
+    utilde(x) = eps^{1-beta} sum_i w_i kappa^beta_eps(x - x_i).
+    """
+    w = kernels.scaled(KernelKind.KAPPA_BETA, x - np.asarray(positions), order, eps)
+    return eps ** (1.0 - order.beta) * float(np.dot(weights, w))
+
+
+def eval_flux(x: float, positions, weights, order, eps: float) -> float:
+    """Fractional diffusion flux Q^beta(x) = -eps^{-beta} sum_i w_i F_eps(x - x_i)."""
+    w = kernels.scaled(KernelKind.F, x - np.asarray(positions), order, eps)
+    return -(eps ** (-order.beta)) * float(np.dot(weights, w))

@@ -9,6 +9,7 @@ expected failures, with the measured numbers printed.  Everything else must
 pass at its stated tolerance.  See the decisions ledger for the analysis.
 """
 
+import math
 import time
 
 import numpy as np
@@ -21,7 +22,7 @@ from fracdiff.greens import (FractionalOrder, characteristic_width,
                              green_function)
 from fracdiff.kernels import kernel_f, kernel_k
 from fracdiff.schemes import SchemeKind
-from fracdiff.specfun import pcf_d
+from fracdiff.specfun import s_combo, t_combo
 from fracdiff.timeint import (IntegratorSpec, RKOrder, integrate,
                               power_iteration_min_eig)
 
@@ -83,7 +84,7 @@ def _space_orders(schemes, tf=0.52, dt=1e-4):
             f0 = build_reference(0.5, C=20.0, n=n)
             f1 = integrate(f0, kind, IntegratorSpec(RKOrder.RK1, dt, 0.5, tf))
             fields.append(f1)
-            hs.append(f0.uniform_spacing())
+            hs.append(f0.h)
         out[kind] = self_convergence_order(fields, hs)
     return out
 
@@ -213,30 +214,34 @@ def test_criterion_7_domain_truncation():
 
 
 def test_criterion_8_special_function_oracle():
-    # 200-point grid: nu values keep the quadrature oracle's recurrence
-    # well-conditioned (near-integer nu at z << 0 makes the *oracle*
-    # recessive-unstable, not the implementation)
+    # the combinations the kernels evaluate, S^nu and T^nu, against their
+    # definition exp(-z^2/2) (D_{nu-1}(-sqrt2 z) +- D_{nu-1}(sqrt2 z)) with D
+    # by quadrature.  200-point grid: nu values keep the quadrature oracle's
+    # recurrence well-conditioned (near-integer orders at z << 0 make the
+    # *oracle* recessive-unstable, not the implementation)
     nus = [-0.9, -0.65, -0.4, -0.15, 0.35, 0.6, 1.35, 1.6, 1.75, 1.85]
     zs = np.linspace(-8.0, 8.0, 20)
     worst = 0.0
     for nu in nus:
-        for z in zs:
-            ref = pcf_d_quad(nu, float(z))
-            got = pcf_d(nu, float(z))
-            worst = max(worst, abs(got / ref - 1.0))
+        for z in map(float, zs):
+            w = math.sqrt(2.0) * z
+            d_minus, d_plus = pcf_d_quad(nu - 1.0, -w), pcf_d_quad(nu - 1.0, w)
+            gauss = math.exp(-0.5 * z * z)
+            worst = max(worst, abs(s_combo(nu, z) / (gauss * (d_minus + d_plus)) - 1.0),
+                        abs(t_combo(nu, z) / (gauss * (d_minus - d_plus)) - 1.0))
     r = np.geomspace(1e-3, 20.0, 60)
     fk = np.asarray(kernel_f(ORDER, r))
     kk = np.asarray(kernel_k(ORDER, r))
     ident = np.abs(kk * r + fk).max()
     ok = worst <= 1e-8 and ident <= 1e-12
-    report(8, ok, f"pcf_d vs quadrature worst rel = {worst:.2e} (tol 1e-8) on 200 pts; "
+    report(8, ok, f"S, T vs quadrature worst rel = {worst:.2e} (tol 1e-8) on 200 pts; "
                   f"max |K r + F| = {ident:.2e} (tol 1e-12)")
     assert ok, (worst, ident)
 
 
 def test_criterion_9_stability_boundary():
     f0 = build_reference(0.5, C=10.0, n=501)
-    h = f0.uniform_spacing()
+    h = f0.h
     outcome = {}
     for kind in (SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE):
         rep = power_iteration_min_eig(f0, kind)

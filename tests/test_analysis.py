@@ -65,11 +65,10 @@ def test_rel_l1_scale_awareness():
 
 
 def test_rel_l1_requires_particles_inside():
-    from fracdiff.field import ParticleField
-    f = ParticleField(np.array([1.0, 2.0]), np.array([1.0, 1.0]),
-                      np.array([0.1, 0.1]), 0.5, ORDER)
-    with pytest.raises(DomainError):
-        rel_l1_error(f, 1.5, 0.5)
+    # the grid always holds x = 0, so only a negative d_eps leaves |x| <= d_eps empty
+    f = reference_field(n=101)
+    with pytest.raises(DomainError, match="no particles inside"):
+        rel_l1_error(f, 1.5, -0.5)
 
 
 def nested_fields(coarse_strengths, fine_only=0.0):

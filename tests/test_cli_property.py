@@ -1,9 +1,9 @@
 """Property test of the command line: every config either runs or names its fault.
 
-Configs are drawn over every study and scheme (RLPSE under
-``experimental = true``), with extreme ``c``, ``d``, ``overlap``, ``dt``,
-``t0`` and ``d_eps_factor``.  ``beta`` comes from a fixed set spanning (0, 1),
-because each new alpha pays for a cold fit of its L0 model.
+Configs are drawn over every study and scheme, with extreme ``c``, ``d``,
+``overlap``, ``dt``, ``t0`` and ``d_eps_factor``.  ``beta`` comes from a
+fixed set spanning (0, 1), because each new alpha pays for a cold fit of its
+L0 model.
 """
 
 import tempfile
@@ -46,8 +46,7 @@ def configs(draw) -> dict:
            # mostly a whole number of steps; tf may round back onto t0
            "tf": draw(st.one_of(steps.map(lambda k: t0 + k * dt),
                                 _log_uniform(-300.0, 300.0))),
-           "d_eps_factor": draw(_log_uniform(-3.0, 3.0)),
-           "experimental": draw(st.booleans()) or scheme is SchemeKind.RLPSE}
+           "d_eps_factor": draw(_log_uniform(-3.0, 3.0))}
     if draw(st.booleans()):
         cfg["d"] = draw(_log_uniform(-300.0, 300.0))
     if scheme is not SchemeKind.GPSE and draw(st.booleans()):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -87,12 +88,18 @@ def test_malformed_line_rejected():
         parse_config("scheme kpse")
 
 
-def test_rlpse_needs_experimental_flag():
-    with pytest.raises(ConfigError, match="experimental"):
-        parse_config("scheme = rlpse\nn = 201\nc = 5\ndt = 1e-3\ntf = 0.51")
-    cfg = parse_config("scheme = rlpse\nn = 201\nc = 5\ndt = 1e-3\ntf = 0.51\n"
-                       "experimental = true")
-    assert cfg.scheme is SchemeKind.RLPSE
+def test_rlpse_and_experimental_rejected(tmp_path, capsys):
+    # the experimental fifth scheme is gone, and with it the key that enabled it
+    cfg_file = tmp_path / "gone.cfg"
+    for line, err in (("scheme = rlpse", "config error: invalid value for scheme: 'rlpse'"),
+                      ("experimental = true", "config error: unknown key: experimental")):
+        cfg_file.write_text(TINY + line + "\n")
+        assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(err)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg_file), "--experimental"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_value_names_key():
@@ -319,6 +326,23 @@ def test_stability_table_does_not_depend_on_scheme(tmp_path):
     assert len(data["dd"]) == 10 and data["gpse"] == data["dd"]
 
 
+def test_stability_table_at_tiny_scale(tmp_path):
+    # at c = 1e-100 the operator's entries pass 1e154, where the plain sum of
+    # squares of the iterate overflowed to inf and zeroed it ("null vector");
+    # a scales out, so the table equals the one at c = 1e-60
+    a = {}
+    for c in ("1e-100", "1e-60"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            files = run(parse_config(f"study = stability\nn = 51\nc = {c}\n",
+                                     {"out_dir": str(tmp_path / c)}))
+        with open(files[0], newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert len(rows) == 9
+        a[c] = np.array([float(r["a"]) for r in rows])
+    assert np.allclose(a["1e-100"], a["1e-60"], rtol=1e-12, atol=0)
+
+
 def test_gpse_snapshot_echoes_its_own_epsilon(tmp_path):
     cfg = parse_config("scheme = gpse\nn = 51\nc = 5\ndt = 1e-2\ntf = 0.52\n",
                        {"out_dir": str(tmp_path)})
@@ -434,14 +458,37 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert out.strip() == "False"
 
 
-def test_import_leaves_mpmath_unloaded():
-    # mpmath serves pcf_d alone, and is imported by its first call
+WITHOUT_MPMATH = """
+import sys
+
+
+class NoMpmath:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "mpmath":
+            raise ImportError("mpmath is not installed")
+
+
+sys.meta_path.insert(0, NoMpmath())
+import fracdiff, fracdiff.cli
+assert "mpmath" not in sys.modules
+sys.exit(fracdiff.cli.main(sys.argv[1:]) if sys.argv[1:] else 0)
+"""
+
+
+def test_import_leaves_mpmath_unloaded(tmp_path):
+    # mpmath is a test dependency only: the package imports, runs a config and
+    # dumps its kernels where importing mpmath fails
     src = os.path.dirname(os.path.dirname(fracdiff.__file__))
-    code = "import sys, fracdiff, fracdiff.cli; print('mpmath' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "False"
+    cfg_file = tmp_path / "tiny.cfg"
+    cfg_file.write_text(TINY)
+    for args in ([], ["run", str(cfg_file), "--out-dir", str(tmp_path / "run")],
+                 ["kernels", "dump", "--out-dir", str(tmp_path / "kernels")]):
+        done = subprocess.run([sys.executable, "-c", WITHOUT_MPMATH, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, (args, done.stderr)
+    assert (tmp_path / "run" / "report.csv").exists()
+    assert (tmp_path / "kernels" / "kernels.csv").exists()
 
 
 # --- table layout of the integrating studies --------------------------------

@@ -5,12 +5,11 @@ import pytest
 
 from fracdiff.errors import ConfigError, DomainError
 from fracdiff.experiments import parse_config
-from fracdiff.field import (ParticleField, eval_flux, eval_u, eval_utilde,
-                            init_uniform, total_strength)
+from fracdiff.field import ParticleField, init_uniform, total_strength
 from fracdiff.greens import FractionalOrder, green_function
 from fracdiff.kernels import KernelKind, scaled
 
-from oracles import central_first, utilde_quad
+from oracles import central_first, eval_flux, eval_u, eval_utilde, field_arrays, utilde_quad
 
 ORDER = FractionalOrder.from_beta(0.5)
 
@@ -21,7 +20,8 @@ def small_field(n=41, D=4.0, overlap=2.0, init=None):
 
 def test_reference_grid_geometry():
     f = init_uniform(357.5, 32001, ORDER, 2.0, lambda x: np.zeros_like(x))
-    h = f.uniform_spacing()
+    h = f.h
+    assert h == 2.0 * 357.5 / 32000
     assert h == pytest.approx(2.234e-2, rel=1e-3)
     assert f.epsilon == pytest.approx(2 * h, rel=1e-12)
     assert f.positions[len(f) // 2] == 0.0
@@ -32,7 +32,7 @@ def test_reference_grid_geometry():
 def test_three_particle_grid():
     f = init_uniform(1.0, 3, ORDER, 2.0, lambda x: np.ones_like(x))
     assert np.allclose(f.positions, [-1.0, 0.0, 1.0], atol=0)
-    assert np.all(f.volumes == 1.0)
+    assert f.h == 1.0
 
 
 def test_width_rule():
@@ -67,28 +67,31 @@ def test_init_of_wrong_shape_rejected(init):
 
 
 def test_field_validation():
-    with pytest.raises(DomainError):
-        ParticleField(np.array([0.0, 0.0]), np.array([1.0, 1.0]),
-                      np.array([0.0, 0.0]), 1.0, ORDER)
-    with pytest.raises(DomainError):
-        ParticleField(np.array([0.0, 1.0]), np.array([1.0, -1.0]),
-                      np.array([0.0, 0.0]), 1.0, ORDER)
+    # h positive and finite, an odd count >= 3 of 1D strengths, eps positive
+    for h, strengths, eps in [
+            (0.0, np.zeros(3), 1.0), (-1.0, np.zeros(3), 1.0), (math.inf, np.zeros(3), 1.0),
+            (math.nan, np.zeros(3), 1.0), (1.0, np.zeros(4), 1.0), (1.0, np.zeros(1), 1.0),
+            (1.0, np.zeros((3, 1)), 1.0), (1.0, np.zeros(3), 0.0),
+            (1.0, np.zeros(3), math.inf)]:
+        with pytest.raises(DomainError):
+            ParticleField(h, strengths, eps, ORDER)
 
 
 def test_eval_u_single_particle():
-    f = ParticleField(np.array([0.0]), np.array([1.0]), np.array([1.0]), 0.7, ORDER)
     for x in (0.0, 0.3, -1.1):
-        assert eval_u(f, x) == pytest.approx(scaled(KernelKind.ETA, x, ORDER, 0.7), rel=1e-14)
+        assert eval_u(x, [0.0], [1.0], ORDER, 0.7) == pytest.approx(
+            scaled(KernelKind.ETA, x, ORDER, 0.7), rel=1e-14)
 
 
 def test_eval_u_zero_field():
     f = small_field(init=lambda x: np.zeros_like(x))
-    assert eval_u(f, 0.37) == 0.0
+    assert eval_u(0.37, *field_arrays(f)) == 0.0
 
 
 def test_eval_u_reference_peak():
     f = init_uniform(22.4, 2001, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
-    assert eval_u(f, 0.0) == pytest.approx(green_function(ORDER, 0.0, 0.5), rel=1e-3)
+    assert eval_u(0.0, *field_arrays(f)) == pytest.approx(green_function(ORDER, 0.0, 0.5),
+                                                          rel=1e-3)
 
 
 def test_eval_u_collocation_second_order():
@@ -97,49 +100,47 @@ def test_eval_u_collocation_second_order():
     defects = []
     for n in (41, 81):
         f = small_field(n=n)
-        h = f.uniform_spacing()
-        i = len(f) // 2 + int(round(0.6 / h))
-        defects.append(abs(eval_u(f, f.positions[i]) - f.strengths[i]))
+        i = len(f) // 2 + int(round(0.6 / f.h))
+        defects.append(abs(eval_u(f.positions[i], *field_arrays(f)) - f.strengths[i]))
     assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.25)
 
 
 def test_eval_utilde_even_and_single_particle():
-    f = small_field()
-    assert eval_utilde(f, 1.3) == pytest.approx(eval_utilde(f, -1.3), rel=1e-12)
-    g = ParticleField(np.array([0.0]), np.array([1.0]), np.array([1.0]), 0.9, ORDER)
+    f = field_arrays(small_field())
+    assert eval_utilde(1.3, *f) == pytest.approx(eval_utilde(-1.3, *f), rel=1e-12)
     x = 0.55
     expected = 0.9 ** (1.0 - ORDER.beta) * scaled(KernelKind.KAPPA_BETA, x, ORDER, 0.9)
-    assert eval_utilde(g, x) == pytest.approx(expected, rel=1e-13)
+    assert eval_utilde(x, [0.0], [1.0], ORDER, 0.9) == pytest.approx(expected, rel=1e-13)
 
 
 def test_eval_utilde_quadrature_oracle():
-    f = small_field(n=21, D=2.0)
+    f = field_arrays(small_field(n=21, D=2.0))
     x0 = 0.4
-    ref = utilde_quad(lambda xi: eval_u(f, xi), x0, ORDER.beta)
-    assert eval_utilde(f, x0) == pytest.approx(ref, rel=1e-6)
+    ref = utilde_quad(lambda xi: eval_u(xi, *f), x0, ORDER.beta)
+    assert eval_utilde(x0, *f) == pytest.approx(ref, rel=1e-6)
 
 
 def test_eval_flux_symmetry():
-    f = small_field()
-    assert eval_flux(f, 0.0) == pytest.approx(0.0, abs=1e-14)
-    assert eval_flux(f, 0.8) == pytest.approx(-eval_flux(f, -0.8), rel=1e-12)
+    f = field_arrays(small_field())
+    assert eval_flux(0.0, *f) == pytest.approx(0.0, abs=1e-14)
+    assert eval_flux(0.8, *f) == pytest.approx(-eval_flux(-0.8, *f), rel=1e-12)
 
 
 def test_eval_flux_single_particle_oracle():
     # Q(x) = -c_beta d/dx int eta_eps(xi) |x-xi|^-beta dxi for a unit particle
     eps = 0.8
-    g = ParticleField(np.array([0.0]), np.array([1.0]), np.array([1.0]), eps, ORDER)
     x0 = 0.9
     ref = -central_first(
         lambda x: utilde_quad(lambda s: scaled(KernelKind.ETA, s, ORDER, eps), x, ORDER.beta),
         x0, 1e-4)
-    assert eval_flux(g, x0) == pytest.approx(ref, rel=1e-6)
+    assert eval_flux(x0, [0.0], [1.0], ORDER, eps) == pytest.approx(ref, rel=1e-6)
 
 
 def test_eval_flux_decays_at_domain_edge():
-    f = init_uniform(22.4, 1001, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
-    inner = abs(eval_flux(f, 2.0))
-    outer = abs(eval_flux(f, 21.5))
+    f = field_arrays(init_uniform(22.4, 1001, ORDER, 2.0,
+                                  lambda x: green_function(ORDER, x, 0.5)))
+    inner = abs(eval_flux(2.0, *f))
+    outer = abs(eval_flux(21.5, *f))
     assert outer < 0.05 * inner
 
 
@@ -150,7 +151,7 @@ def test_total_strength():
     g = init_uniform(357.5, 8001, ORDER, 2.0, lambda x: green_function(ORDER, x, 0.5))
     assert total_strength(g) == pytest.approx(1.0, abs=1e-3)
     # exact summation: any ordering of the addends gives the same float
-    terms = g.volumes * g.strengths
+    terms = g.h * g.strengths
     rng = np.random.default_rng(0)
     for _ in range(3):
         perm = rng.permutation(len(terms))

@@ -9,7 +9,7 @@ from fracdiff.errors import DomainError
 from fracdiff.greens import FractionalOrder, reduced_green
 from fracdiff.kernels import (ODD_KINDS, KernelKind, c_beta, eta, eta1,
                               kernel_e, kernel_f, kernel_gd, kernel_k,
-                              kernel_kappa, phi, scaled)
+                              kernel_kappa, scaled)
 
 from oracles import central_first, central_second, riesz_quad, utilde_quad
 
@@ -39,9 +39,8 @@ def test_mollifier_values():
     assert eta(0.0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
     assert eta1(0.0) == 0.0
     assert eta1(0.7) == -eta1(-0.7)
-    # phi(r) = -eta'(r)/r
-    fd = central_first(eta, 0.7, 1e-6)
-    assert phi(0.7) == pytest.approx(-fd / 0.7, rel=1e-6)
+    # eta1 = eta'
+    assert eta1(0.7) == pytest.approx(central_first(eta, 0.7, 1e-6), rel=1e-6)
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])

@@ -10,17 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 import fracdiff
 from fracdiff.errors import ConfigError
-from fracdiff.field import ParticleField, init_uniform, total_strength
+from fracdiff.field import init_uniform, total_strength
 from fracdiff.greens import FractionalOrder, green_function
 from fracdiff.kernels import KernelKind, scaled
-from fracdiff.schemes import (SchemeKind, assemble_matrix, make_gpse_stepper,
-                              make_rate_operator)
+from fracdiff.schemes import SchemeKind, make_gpse_stepper, make_rate_operator
 
-from oracles import riesz_quad
+from oracles import assemble_matrix, eval_u, field_arrays, riesz_quad
 
 ORDER = FractionalOrder.from_beta(0.5)
-RATE_SCHEMES = [SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE, SchemeKind.RLPSE]
-CONSERVATIVE = [SchemeKind.FPSE, SchemeKind.KPSE, SchemeKind.RLPSE]
+RATE_SCHEMES = [SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE]
+CONSERVATIVE = [SchemeKind.FPSE, SchemeKind.KPSE]
 
 
 def gaussian_field(n=101, D=8.0, overlap=2.0):
@@ -66,15 +65,15 @@ def test_uniform_strengths_fixed_points():
 def test_conservation_on_random_strengths(seed):
     rng = np.random.default_rng(seed)
     f = gaussian_field(n=51).with_strengths(rng.standard_normal(51))
-    scale = math.fsum(f.volumes * np.abs(f.strengths))
+    scale = math.fsum(f.h * np.abs(f.strengths))
     for kind in CONSERVATIVE:
-        tot = math.fsum(f.volumes * rates(f, kind))
+        tot = math.fsum(f.h * rates(f, kind))
         assert abs(tot) <= 1e-12 * scale
 
 
 def test_dd_not_conservative():
     f = reference_field(n=401)
-    tot = math.fsum(f.volumes * rates(f, SchemeKind.DD))
+    tot = math.fsum(f.h * rates(f, SchemeKind.DD))
     assert abs(tot) > 1e-6  # physical outflow through the truncated boundary
 
 
@@ -100,27 +99,9 @@ def test_dd_center_rate_against_riesz_oracle():
     mid = len(f) // 2 + 5
     x0 = float(f.positions[mid])
 
-    def u_eps(y):
-        # mollified particle field evaluated by direct summation
-        from fracdiff.field import eval_u
-        return eval_u(f, y)
-
-    ref = riesz_quad(u_eps, x0, ORDER.alpha)
+    # the mollified particle field, evaluated by direct summation
+    ref = riesz_quad(lambda y: eval_u(y, *field_arrays(f)), x0, ORDER.alpha)
     assert rates(f, SchemeKind.DD)[mid] == pytest.approx(ref, rel=1e-5)
-
-
-def test_rlpse_edge_errors_larger_than_center():
-    # documented caveat: the smoothed potential decays slowly, so the
-    # experimental scheme degrades toward the grid edges
-    f = reference_field(n=1001)
-    r_rl = rates(f, SchemeKind.RLPSE)
-    r_dd = rates(f, SchemeKind.DD)
-    n = len(f)
-    center = slice(n // 2 - 50, n // 2 + 51)
-    edge = slice(n - 101, n)
-    err_center = np.abs(r_rl[center] - r_dd[center]).max()
-    err_edge = np.abs(r_rl[edge] - r_dd[edge]).max()
-    assert err_edge > 5.0 * err_center
 
 
 # --- matrix form -----------------------------------------------------------
@@ -154,7 +135,7 @@ def test_matrix_conservation_column_sums():
     f = gaussian_field(n=101)
     for kind in (SchemeKind.FPSE, SchemeKind.KPSE):
         A = assemble_matrix(f, kind)
-        cols = f.volumes @ A
+        cols = f.h * A.sum(axis=0)
         assert np.abs(cols).max() <= 1e-12 * np.abs(A).max()
 
 
@@ -178,44 +159,15 @@ def test_matrix_toy_grid_bitwise_tolerant():
 
 
 def test_gpse_stepper_matches_dense_exchange():
-    # u + E(v u) - u (E v), with E[i, j] = E_eps(x_i - x_j) built directly
+    # u + E(h u) - u (E h), with E[i, j] = E_eps(x_i - x_j) built directly
     f = reference_field(n=401)
     dt = 1e-2
     eps = dt ** ORDER.gamma
-    x, v, u = f.positions, f.volumes, f.strengths
+    x, h, u = f.positions, f.h, f.strengths
     E = scaled(KernelKind.E, x[:, None] - x[None, :], ORDER, eps)
-    expected = u + E @ (v * u) - u * (E @ v)
+    expected = u + E @ (h * u) - u * (E @ np.full(len(f), h))
     got = make_gpse_stepper(f, dt)(u)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-
-
-@pytest.mark.parametrize("n", [201, 251])
-def test_uniform_grid_unequal_volumes_match_dense(n):
-    # uniform positions keep the FFT path; the volumes are applied per call
-    f = gaussian_field(n=n)
-    rng = np.random.default_rng(7)
-    f = ParticleField(f.positions, rng.uniform(0.5, 1.5, n) * f.volumes,
-                      rng.standard_normal(n), f.epsilon, ORDER)
-    for kind in (SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE):
-        expected = assemble_matrix(f, kind) @ f.strengths
-        got = rates(f, kind)
-        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-
-
-def test_rlpse_matches_dense_form():
-    # pref_d ((Phi V) ut - ut * row), ut = pref_u (kappa V) u, row = (Phi V) 1
-    f = reference_field(n=401)
-    eps, beta = f.epsilon, ORDER.beta
-    x, v, u = f.positions, f.volumes, f.strengths
-    sep = x[:, None] - x[None, :]
-    kappa_v = scaled(KernelKind.KAPPA_BETA, sep, ORDER, eps) * v
-    phi_v = scaled(KernelKind.PHI, sep, ORDER, eps) * v
-    ut = eps ** (1.0 - beta) * (kappa_v @ u)
-    pref_d = 2.0 / eps ** 2
-    exchange, self_term = pref_d * (phi_v @ ut), pref_d * ut * phi_v.sum(axis=1)
-    got = rates(f, SchemeKind.RLPSE)
-    scale = max(np.abs(exchange).max(), np.abs(self_term).max())
-    assert np.abs(got - (exchange - self_term)).max() <= 1e-13 * scale
 
 
 def test_matrix_guards():
@@ -224,19 +176,6 @@ def test_matrix_guards():
         assemble_matrix(f, SchemeKind.GPSE)
     with pytest.raises(ConfigError):
         assemble_matrix(f, SchemeKind.DD, size_guard=50)
-
-
-def test_nonuniform_field_dense_path():
-    # irregular positions use the pairwise path and match the dense matrix
-    rng = np.random.default_rng(5)
-    x = np.sort(rng.uniform(-3.0, 3.0, 41))
-    v = rng.uniform(0.1, 0.2, 41)
-    u = rng.standard_normal(41)
-    f = ParticleField(x, v, u, 0.35, ORDER)
-    for kind in (SchemeKind.DD, SchemeKind.KPSE):
-        A = assemble_matrix(f, kind)
-        r = make_rate_operator(f, kind)(u)
-        assert np.abs(A @ u - r).max() <= 1e-12 * max(1.0, np.abs(r).max())
 
 
 FRESH_STEPS = """

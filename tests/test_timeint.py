@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from fracdiff.errors import AccuracyError, ConfigError, InstabilityError
-from fracdiff.field import ParticleField, init_uniform
+from fracdiff.field import init_uniform
 from fracdiff.greens import FractionalOrder
-from fracdiff.schemes import SchemeKind, assemble_matrix
+from fracdiff.schemes import SchemeKind
 from fracdiff.timeint import (IntegratorSpec, RKOrder, integrate,
-                              power_iteration_min_eig, stability_limit_check)
+                              power_iteration_min_eig)
+
+from oracles import assemble_matrix
 
 ORDER = FractionalOrder.from_beta(0.5)
 
@@ -128,23 +130,20 @@ def test_divergence_guard_huge_finite_start(kind):
 
 
 def test_power_iteration_two_particle_closed_form():
-    # N = 2 exchange system: A = c K [[-V, V], [V, -V]], eigenvalues 0, -2cKV
-    d, v, eps = 0.4, 0.3, 0.5
-    f = ParticleField(np.array([-d / 2, d / 2]), np.array([v, v]),
-                      np.array([1.0, -1.0]), eps, ORDER)
-    from fracdiff.kernels import KernelKind, scaled
-    kval = scaled(KernelKind.K, d, ORDER, eps)
-    lam_exact = -2.0 * (ORDER.alpha / eps ** ORDER.alpha) * v * kval
-    rep = power_iteration_min_eig(f, SchemeKind.KPSE, tol=1e-14)
-    assert rep.lambda_min == pytest.approx(lam_exact, rel=1e-10)
+    # the smallest grid, N = 3, against the eigenvalues of the dense oracle
+    f = init_uniform(0.4, 3, ORDER, 1.25, lambda x: np.array([1.0, -0.5, 0.2]))
+    for kind in (SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE):
+        lam_exact = np.linalg.eigvals(assemble_matrix(f, kind)).real.min()
+        rep = power_iteration_min_eig(f, kind, tol=1e-14)
+        assert rep.lambda_min == pytest.approx(lam_exact, rel=1e-10)
 
 
 def test_power_iteration_report_fields():
     f = gaussian_field(n=201)
     rep = power_iteration_min_eig(f, SchemeKind.DD)
     assert rep.lambda_min < 0.0
-    h = f.uniform_spacing()
-    assert rep.a_constant == pytest.approx(2.0 / (abs(rep.lambda_min) * h ** ORDER.alpha), rel=1e-12)
+    assert rep.a_constant == pytest.approx(2.0 / (abs(rep.lambda_min) * f.h ** ORDER.alpha),
+                                           rel=1e-12)
     assert rep.iterations > 1
     assert rep.residual >= 0.0
 
@@ -165,13 +164,13 @@ def test_conservative_schemes_have_null_eigenvalue():
 
 
 def test_stability_limit_check():
+    # forward Euler is stable iff dt / h^alpha <= a
     f = gaussian_field(n=101)
     rep = power_iteration_min_eig(f, SchemeKind.KPSE)
-    assert stability_limit_check(SchemeKind.KPSE, f, 0.0, report=rep)
-    h = f.uniform_spacing()
-    dt_edge = rep.a_constant * h ** ORDER.alpha
-    assert stability_limit_check(SchemeKind.KPSE, f, 0.99 * dt_edge, report=rep)
-    assert not stability_limit_check(SchemeKind.KPSE, f, 1.01 * dt_edge, report=rep)
+    dt_edge = rep.a_constant * f.h ** ORDER.alpha
+    assert dt_edge == pytest.approx(2.0 / abs(rep.lambda_min), rel=1e-12)
+    for dt, stable in ((0.0, True), (0.99 * dt_edge, True), (1.01 * dt_edge, False)):
+        assert (dt / f.h ** ORDER.alpha <= rep.a_constant) is stable
 
 
 def test_power_iteration_rejects_steppers():
