@@ -41,6 +41,7 @@ __all__ = [
     "rate_prefactors",
     "make_rate_operator",
     "make_gpse_stepper",
+    "spectral_interval",
 ]
 
 
@@ -51,12 +52,13 @@ class SchemeKind(enum.Enum):
     GPSE = "gpse"
 
 
-def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float):
-    """The interaction sum apply(w)_i = pref sum_j h k_eps(x_i - x_j) w_j and
-    its fixed row sums row = apply(1).
+def _spectrum(field: ParticleField, kind: KernelKind, eps: float,
+              pref: float) -> tuple[np.ndarray, int]:
+    """(spectrum, m): the rFFT of the length-m circulant embedding of the
+    interaction sum pref sum_j h k_eps(x_i - x_j), with pref and h folded in.
 
-    pref and h are folded once into the spectrum of the circulant embedding.
-    apply reuses its own padded buffer: not reentrant.
+    It is the sum's finite-section symbol sampled at theta = 2 pi k/m: real
+    for an even kernel, imaginary for an odd one.
     """
     n = len(field)
     half = kernels.scaled(kind, np.arange(n) * field.h, field.order, eps)
@@ -68,7 +70,18 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
     circ = np.zeros(m)
     circ[:n] = half
     circ[m - n + 1:] = (-1.0 if kind in ODD_KINDS else 1.0) * half[:0:-1]
-    spectrum = scipy.fft.rfft((pref * field.h) * circ)
+    return scipy.fft.rfft((pref * field.h) * circ), m
+
+
+def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float):
+    """The interaction sum apply(w)_i = pref sum_j h k_eps(x_i - x_j) w_j and
+    its fixed row sums row = apply(1).
+
+    apply is one FFT product against _spectrum.  It reuses its own padded
+    buffer: not reentrant.
+    """
+    n = len(field)
+    spectrum, m = _spectrum(field, kind, eps, pref)
     buf = np.zeros(m)
     # each call allocates and frees the rfft and irfft outputs and
     # pocketfft's scratch, about 8m bytes each.  Freeing a mapped block
@@ -134,3 +147,43 @@ def make_gpse_stepper(field: ParticleField, dt: float):
         return out
 
     return step
+
+
+def spectral_interval(field: ParticleField, kind: SchemeKind,
+                      dt: float) -> tuple[float, float]:
+    """(lo, hi): an interval holding the spectrum of the rate operator A, or,
+    for GPSE, of P - I with P the exchange step at time step dt (the rate
+    schemes do not use dt).
+
+    The eigenvalues of a Toeplitz section lie in the range of its symbol
+    (Grenander & Szego 1958), here the circulant spectrum of _spectrum:
+
+        DD     [min sigma_Gd, max(max sigma_Gd, 0)]
+        KPSE   [min sigma_K - sigma_K(0), 0]: A = T_K - diag(row) is a
+               negative semidefinite graph Laplacian (K >= 0), and each row
+               sum is at most sigma_K(0), the sum of the whole kernel table
+        GPSE   the same for P - I = T_E - diag(row_E)
+        FPSE   [min sigma_F sigma_eta1, 0]: the product of two imaginary
+               spectra is real.  FPSE's A is not symmetric, so this is an
+               estimate of its spectrum, not a bound.
+
+    lo is widened by 1%, which covers both the sampling of the symbol on the
+    circulant's grid and FPSE's estimate.
+    """
+    eps = field.epsilon
+    if kind is SchemeKind.GPSE:
+        sigma = _spectrum(field, KernelKind.E, dt ** field.order.gamma, 1.0)[0].real
+        lo, hi = sigma.min() - sigma[0], 0.0
+    else:
+        pref = rate_prefactors(kind, field.order, eps)
+        if kind is SchemeKind.DD:
+            sigma = _spectrum(field, KernelKind.GD, eps, pref[0])[0].real
+            lo, hi = sigma.min(), max(sigma.max(), 0.0)
+        elif kind is SchemeKind.KPSE:
+            sigma = _spectrum(field, KernelKind.K, eps, pref[0])[0].real
+            lo, hi = sigma.min() - sigma[0], 0.0
+        else:
+            sigma = (_spectrum(field, KernelKind.F, eps, pref[0])[0]
+                     * _spectrum(field, KernelKind.ETA1, eps, pref[1])[0]).real
+            lo, hi = sigma.min(), 0.0
+    return 1.01 * float(lo), float(hi)

@@ -8,13 +8,34 @@ For the rate schemes the strength evolution is du/dt = A u with A
 time-invariant and its spectrum real and nonpositive.  A is symmetric for DD
 and KPSE (even kernels); FPSE's A composes two odd-kernel sums truncated at
 the grid edge and is not, though its column sums vanish as KPSE's do, so the
-conservative schemes have lambda_max = 0.  The stability bound of forward
-Euler is dt <= 2/|lambda_min|, reported as the nondimensional constant
-a = 2 D / (|lambda_min| h^alpha) with D = 1.  lambda_min is the dominant
-eigenvalue of A, so plain power iteration applies, run matrix-free with the
-convolution operators.  The eigenvalues cluster at the spectral edge, so
-convergence is declared on the relative Rayleigh-quotient increment; the
-final residual ||Av - lambda v|| is reported alongside.
+conservative schemes have lambda_max = 0.
+
+A run of n steps with step map s (RK1: s(z) = 1 + z, RK2: 1 + z + z^2/2;
+GPSE: 1 + lambda on the spectrum of P - I, P the exchange step) computes
+p(A) u0 with p(lambda) = s(dt lambda)^n.  integrate evaluates it by one
+Chebyshev recurrence, the Chebyshev propagator of Tal-Ezer & Kosloff (1984),
+whenever all of these hold:
+
+- u0 is finite;
+- |s(dt lambda)| <= 1 on schemes.spectral_interval, so the run lies inside
+  the region where stepping stays bounded;
+- the expansion's degree + 1 is fewer matvecs than stepping spends (n, or
+  2n for RK2).
+
+Otherwise it steps, under the divergence guard.  The expansion is of
+q(lambda) = (p(lambda) - 1)/lambda, its coefficients cut at CHEBYSHEV_TOL of
+the largest, and the result is u0 + A q(A) u0, so u0 alone carries the
+conserved sum.  The interval is a bound for DD, KPSE and GPSE; FPSE's A is
+not symmetric, and its interval, from the product of its two symbols, is an
+estimate that the interval's 1% widening covers.
+
+The stability bound of forward Euler is dt <= 2/|lambda_min|, reported as
+the nondimensional constant a = 2 D / (|lambda_min| h^alpha) with D = 1.
+lambda_min is the dominant eigenvalue of A, so plain power iteration
+applies, run matrix-free with the convolution operators.  The eigenvalues
+cluster at the spectral edge, so convergence is declared on the relative
+Rayleigh-quotient increment; the final residual ||Av - lambda v|| is
+reported alongside.
 """
 
 from __future__ import annotations
@@ -24,10 +45,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import AccuracyError, ConfigError, InstabilityError
 from .field import ParticleField
-from .schemes import SchemeKind, make_gpse_stepper, make_rate_operator
+from .schemes import (SchemeKind, make_gpse_stepper, make_rate_operator,
+                      spectral_interval)
 
 __all__ = [
     "RKOrder",
@@ -39,6 +62,8 @@ __all__ = [
 ]
 
 DIVERGENCE_FACTOR = 1e6
+# Chebyshev coefficients below this share of the largest are dropped
+CHEBYSHEV_TOL = 1e-13
 
 
 class RKOrder(enum.Enum):
@@ -85,15 +110,92 @@ def _norm(u: np.ndarray) -> float:
     return float(np.hypot.reduce(u)) if norm == math.inf else norm
 
 
+def _chebyshev_coefficients(q, lo: float, hi: float, max_degree: int):
+    """Chebyshev coefficients of q on [lo, hi], cut where they fall below
+    CHEBYSHEV_TOL of the largest, or None if that needs degree max_degree or
+    more.
+
+    They come from one DCT-I of q at K + 1 Chebyshev points, K doubling
+    until the upper half of the coefficients is below the cut.
+    """
+    k = 16
+    while True:
+        lam = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(k + 1) / k)
+        c = scipy.fft.dct(q(lam), type=1) / k
+        c[[0, k]] *= 0.5
+        big = np.flatnonzero(np.abs(c) > CHEBYSHEV_TOL * np.abs(c).max())
+        degree = int(big[-1]) if big.size else 0
+        if degree >= max_degree:
+            return None
+        if 2 * degree < k:
+            return c[:degree + 1]
+        k *= 2
+
+
+def _chebyshev_run(op, u0: np.ndarray, interval: tuple[float, float], scale: float,
+                   n: int, rk2: bool):
+    """p(A) u0 for p(lambda) = s(scale lambda)^n, or None where stepping is
+    as cheap or the run lies outside the stability region.
+
+    q(lambda) = (p(lambda) - 1)/lambda is expanded in Chebyshev polynomials
+    T_k(B), B = (2A - (hi + lo)) / (hi - lo), and u0 + A sum_k c_k T_k(B) u0
+    is summed by the three-term recurrence: degree + 1 matvecs of op = A.
+    u0 alone carries the conserved sum.
+    """
+    lo, hi = interval
+
+    def s_minus_1(lam):
+        z = scale * lam
+        return z * (1.0 + 0.5 * z) if rk2 else z
+
+    # |s| is convex, so its maximum on the interval is at an end
+    if not np.abs(1.0 + s_minus_1(np.array([lo, hi]))).max() <= 1.0:
+        return None
+
+    def q(lam):
+        # p - 1 by expm1/log1p where s > 0, so it does not cancel near 0
+        d = s_minus_1(lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pm1 = np.where(d > -1.0, np.expm1(n * np.log1p(d)), (1.0 + d) ** n - 1.0)
+            return np.where(lam == 0.0, n * scale, pm1 / lam)
+
+    c = _chebyshev_coefficients(q, lo, hi, (2 if rk2 else 1) * n - 1)
+    if c is None:
+        return None
+
+    def b(v):
+        # a fresh length-N product: op's result can be a view that holds
+        # the whole padded FFT output, and the recurrence keeps three
+        out = (2.0 / (hi - lo)) * op(v)
+        out -= ((hi + lo) / (hi - lo)) * v
+        return out
+
+    acc = c[0] * u0
+    prev, cur = None, u0
+    for k in range(1, len(c)):
+        nxt = b(cur)
+        if k > 1:
+            nxt *= 2.0
+            nxt -= prev
+        prev, cur = cur, nxt
+        acc += c[k] * cur
+    return u0 + op(acc)
+
+
 def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> ParticleField:
-    """Advance the field from t0 to tf; raises InstabilityError on divergence."""
+    """Advance the field from t0 to tf, by one Chebyshev recurrence where the
+    module docstring says so and by stepping otherwise; raises
+    InstabilityError on divergence."""
     u = field.strengths.copy()
-    dt = spec.dt
+    dt, n = spec.dt, spec.n_steps
     if kind is SchemeKind.GPSE:
         advance = make_gpse_stepper(field, dt)
+        # p(lambda) = (1 + lambda)^n on the spectrum of P - I
+        op, scale, rk2 = (lambda v: advance(v) - v), 1.0, False
     else:
         rate = make_rate_operator(field, kind)
-        if spec.order is RKOrder.RK1:
+        op, scale, rk2 = rate, dt, spec.order is RKOrder.RK2
+        if not rk2:
             def advance(u):
                 # u + dt * rate(u), in place: u is owned here, rate(u) is fresh
                 r = rate(u)
@@ -104,16 +206,22 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
             def advance(u):
                 k1 = rate(u)
                 return u + dt * rate(u + 0.5 * dt * k1)
+    if np.isfinite(u).all():
+        # an overflow in the recurrence falls back to stepping, which reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _chebyshev_run(op, u, spectral_interval(field, kind, dt), scale, n, rk2)
+        if out is not None and np.isfinite(out).all():
+            return field.with_strengths(out)
     # an overflow leaves an inf (in u, or in _norm's sum of squares), and the
     # guard reports that, so numpy need not warn of it
     with np.errstate(over="ignore"):
         guard = DIVERGENCE_FACTOR * max(_norm(u), 1e-300)
-        for step in range(spec.n_steps):
+        for step in range(n):
             u = advance(u)
             # a NaN or inf entry fails this test, even against an inf guard
             if not _norm(u) < guard:
                 raise InstabilityError(
-                    f"{kind.value} diverged at step {step + 1} of {spec.n_steps} "
+                    f"{kind.value} diverged at step {step + 1} of {n} "
                     f"(dt={dt})",
                     step=step + 1,
                 )

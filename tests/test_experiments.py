@@ -129,6 +129,29 @@ def test_rerun_bit_identical(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+# rel_l1 of the paper's reference case (N = 32001, 20000 RK1 steps), by
+# stepping, before runs were advanced by their Chebyshev expansion
+_STEPPED_REFERENCE_REL_L1 = {"dd": 1.7744265545647589e-4, "fpse": 3.6299308562665831e-4,
+                             "kpse": 8.4267484584853389e-5}
+
+
+@pytest.mark.parametrize("scheme", ["dd", "fpse", "kpse"])
+def test_full_reference_case(tmp_path, scheme):
+    (row,) = _rows(run(parse_config("", {"scheme": scheme, "out_dir": str(tmp_path)})),
+                   "report.csv")
+    rel_l1, drift = float(row["rel_l1"]), float(row["drift"])
+    assert rel_l1 <= 1e-2
+    assert rel_l1 == pytest.approx(_STEPPED_REFERENCE_REL_L1[scheme], rel=1e-7)
+    if scheme != "dd":
+        assert drift <= 1e-12
+
+
+def _rows(files, name):
+    (path,) = [f for f in files if f.endswith(name)]
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
 def test_domain_sweep(tmp_path):
     text = TINY + "study = domain\nvalues = 3,5\n"
     files = run(parse_config(text, {"out_dir": str(tmp_path)}))
@@ -304,10 +327,12 @@ def test_space_levels_under_the_index_cap_accepted():
 
 def test_cli_time_sweep_with_zero_first_difference_exit_2(tmp_path, capsys):
     # the first two levels agree to the bit: log2(0) raised a bare ValueError
-    # after the whole sweep had run
+    # after the whole sweep had run.  On three particles at overlap 100 DD's
+    # spectral interval reaches above 0, so every level steps, and one RK2
+    # step of 0.2 rounds to the same strengths as two of 0.1
     cfg_file = tmp_path / "time.cfg"
-    cfg_file.write_text("study = time\nscheme = fpse\nn = 3\nbeta = 0.3\nc = 0.5\n"
-                        "overlap = 100\nt0 = 3\ndt = 0.1\ntf = 3.8\nintegrator = rk2\n")
+    cfg_file.write_text("study = time\nscheme = dd\nn = 3\nbeta = 0.5\nc = 0.5\n"
+                        "overlap = 100\nt0 = 3\ndt = 0.2\ntf = 3.2\nintegrator = rk2\n")
     assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(
         "domain error: degenerate level difference (zero numerator)")

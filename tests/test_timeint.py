@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from fracdiff.analysis import conservation_drift
 from fracdiff.errors import AccuracyError, ConfigError, InstabilityError
 from fracdiff.field import init_uniform
 from fracdiff.greens import FractionalOrder
-from fracdiff.schemes import SchemeKind
+from fracdiff.schemes import SchemeKind, spectral_interval
 from fracdiff.timeint import (IntegratorSpec, RKOrder, integrate,
                               power_iteration_min_eig)
 
@@ -90,8 +91,8 @@ def test_divergence_guard_nonfinite_start(bad):
         assert exc.value.step == 1
 
 
-def _naive_integrate(f, kind, dt, n_steps):
-    """The RK1 (or GPSE) stepping loop written out, every update a fresh array."""
+def _naive_integrate(f, kind, dt, n_steps, order=RKOrder.RK1):
+    """The stepping loop written out, every update a fresh array."""
     from fracdiff.kernels import KernelKind
     from fracdiff.schemes import _interaction, make_rate_operator
     u = f.strengths.copy()
@@ -102,18 +103,72 @@ def _naive_integrate(f, kind, dt, n_steps):
         return u
     rate = make_rate_operator(f, kind)
     for _ in range(n_steps):
-        u = u + dt * rate(u)
+        if order is RKOrder.RK1:
+            u = u + dt * rate(u)
+        else:
+            u = u + dt * rate(u + 0.5 * dt * rate(u))
     return u
+
+
+def _count_matvecs(monkeypatch) -> list:
+    """Count the matvecs of the operators timeint builds from here on: one
+    entry per integrate call."""
+    import fracdiff.timeint as ti
+    counts = []
+
+    def counted(build):
+        def build_counted(*args):
+            op = build(*args)
+            counts.append(0)
+
+            def op_counted(u):
+                counts[-1] += 1
+                return op(u)
+            return op_counted
+        return build_counted
+    for name in ("make_rate_operator", "make_gpse_stepper"):
+        monkeypatch.setattr(ti, name, counted(getattr(ti, name)))
+    return counts
+
+
+def _stepping_dt(f, kind):
+    """A time step at which 20 steps still step, because no Chebyshev
+    coefficient of the step polynomial drops below the cut: dt |lo| = 1.5 for
+    the rate schemes, and for GPSE dt = 0.5, where eps is about 6 h and the
+    spectrum of P - I reaches down to -1."""
+    if kind is SchemeKind.GPSE:
+        return 0.5
+    return 1.5 / abs(spectral_interval(f, kind, 0.0)[0])
 
 
 @pytest.mark.parametrize("kind", [SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE,
                                   SchemeKind.GPSE])
-def test_in_place_steps_equal_naive_loop(kind):
+def test_in_place_steps_equal_naive_loop(kind, monkeypatch):
     # integrate updates in place; the arithmetic, and so every bit, is the same
     f = gaussian_field(n=401, D=20.0)
-    dt = 1e-3
+    dt = _stepping_dt(f, kind)
+    matvecs = _count_matvecs(monkeypatch)
     out = integrate(f, kind, IntegratorSpec(RKOrder.RK1, dt, 0.0, 20 * dt))
+    assert matvecs == [20]
     assert np.array_equal(out.strengths, _naive_integrate(f, kind, dt, 20))
+
+
+@pytest.mark.parametrize("order", [RKOrder.RK1, RKOrder.RK2])
+@pytest.mark.parametrize("kind", [SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE,
+                                  SchemeKind.GPSE])
+def test_chebyshev_run_matches_naive_stepping(kind, order, monkeypatch):
+    # 100 steps through one Chebyshev recurrence, against the stepping loop
+    # (GPSE has its own step and ignores the RK order)
+    f = gaussian_field(n=401, D=20.0)
+    dt = 1e-2 if kind is SchemeKind.GPSE else 1e-3
+    matvecs = _count_matvecs(monkeypatch)
+    out = integrate(f, kind, IntegratorSpec(order, dt, 0.0, 100 * dt))
+    stepping = 100 * (2 if order is RKOrder.RK2 and kind is not SchemeKind.GPSE else 1)
+    assert matvecs[0] < stepping / 2
+    ref = _naive_integrate(f, kind, dt, 100, order)
+    assert np.abs(out.strengths - ref).max() <= 1e-12 * np.abs(ref).max()
+    if kind is not SchemeKind.DD:
+        assert conservation_drift([f, out]) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", [SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE,
