@@ -62,6 +62,10 @@ def _spectrum(field: ParticleField, kind: KernelKind, eps: float,
     """
     n = len(field)
     half = kernels.scaled(kind, np.arange(n) * field.h, field.order, eps)
+    if kind in (KernelKind.K, KernelKind.E):
+        # the exchange schemes' self term h k(0) (u_i - u_i) is exactly 0;
+        # carried, it cancels in u + e(u) - u row once eps << h
+        half[0] = 0.0
     # a power of two costs about as much as the 5-smooth length, or less,
     # when 2N-1 fills more than 15/16 of it; below that it can cost 3x
     m = 1 << (2 * n - 2).bit_length()

@@ -251,6 +251,9 @@ def power_iteration_min_eig(field: ParticleField, kind: SchemeKind,
             nav = _norm(av)
             if nav == 0.0:
                 raise AccuracyError("power iteration hit a null vector", partial=0.0)
+            if not math.isfinite(nav):
+                raise AccuracyError(f"power iteration iterate {it} is not finite",
+                                    partial=lam)
             if it > 1 and abs(lam_new - lam) <= tol * abs(lam_new):
                 a_const = 2.0 / (abs(lam_new) * field.h ** field.order.alpha)
                 return StabilityReport(lambda_min=lam_new, a_constant=a_const,

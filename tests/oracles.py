@@ -23,7 +23,9 @@ comes from its convergent power series
     L0(x) = (1/pi) sum_k (-1)^k Gamma(1+(2k+1)/alpha) x^{2k} / (2k+1)!,
 
 summed in mpmath precision, which absorbs the alternating-series
-cancellation below the asymptotic crossover.
+cancellation below the asymptotic crossover, and from its Fourier integral
+by adaptive quadrature (l0_fourier_quad), independent of the library's
+tanh-sinh rule.
 
 The dense operator matrix (assemble_matrix) sums the kernels pair by pair
 instead of by the FFT Toeplitz product, and the field evaluations (eval_u,
@@ -315,6 +317,17 @@ def l0_series_mp(alpha: float, xs: np.ndarray, term_cap: int) -> np.ndarray:
                 raise AccuracyError(f"L0 extended series did not converge (alpha={alpha}, x={xv})")
             out[i] = float(s / mp.pi)
     return out
+
+
+def l0_fourier_quad(alpha: float, x: float) -> float:
+    """L0(x) = (1/pi) int_0^inf cos(kx) exp(-k^alpha) dk by adaptive
+    quadrature, cut where exp(-k^alpha) underflows."""
+    val, err = quad(lambda k: math.cos(k * x) * math.exp(-k ** alpha),
+                    0.0, 745.0 ** (1.0 / alpha), epsabs=1e-14, epsrel=1e-12, limit=200)
+    if err > 1e-14 + 1e-12 * abs(val):
+        raise AccuracyError(f"L0 Fourier quadrature error estimate {err:.1e} too large "
+                            f"(alpha={alpha}, x={x})")
+    return val / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,38 @@ def test_cli_numerical_failure_exit_3(tmp_path):
     assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 3
 
 
+def test_cli_power_iteration_stops_at_first_nonfinite_iterate(tmp_path, capsys):
+    # this operator's first product is not finite; iterating on from there
+    # divided by a NaN norm and ended in "did not converge" 50000 steps later
+    cfg_file = tmp_path / "nan.cfg"
+    cfg_file.write_text("study = stability\nbeta = 0.01\nn = 7\nc = 1e-214\ntf = 1e100\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: power iteration iterate 1 is not finite\n")
+
+
+def test_gpse_without_self_term_keeps_a_symmetric_start_symmetric(tmp_path):
+    # eps = dt^(1/alpha) = 1 is far below h = 1e13, so h E(0) dwarfs every
+    # other exchange; a self term carried in u + e(u) - u row cancelled the
+    # right end to -4.99e290 and drifted 1.5e-4.  Three particles cannot
+    # resolve G0, so rel_l1 stays huge
+    text = ("scheme = gpse\nbeta = 0.01\nn = 3\nd = 1e13\ndt = 1\nt0 = 1e-298\n"
+            "tf = 1\nd_eps_factor = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        files = run(parse_config(text, {"out_dir": str(tmp_path)}))
+    tables = {}
+    for f in files:
+        with open(f) as fh:
+            tables[os.path.basename(f)] = list(
+                csv.DictReader(line for line in fh if not line.startswith("#")))
+    u = [float(r["u"]) for r in tables["solution.csv"]]
+    assert u[0] == u[2] and min(u) >= 0.0
+    assert abs(float(tables["report.csv"][0]["drift"])) <= 1e-12
+
+
 def test_cli_preset(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("dt = 1e-3\ntf = 0.51\n")
@@ -473,27 +505,17 @@ def test_write_csv_matches_csv_writer(tmp_path):
             assert fh.read() == _csv_writer_bytes(echo, columns, rows)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # quadrature is only needed to fit an L0 table, not to import the package
-    src = os.path.dirname(os.path.dirname(fracdiff.__file__))
-    code = "import sys, fracdiff, fracdiff.cli; print('scipy.integrate' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "False"
-
-
-WITHOUT_MPMATH = """
+WITH_BLOCKED_IMPORTS = """
 import sys
 
 
-class NoMpmath:
+class Blocked:
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "mpmath":
-            raise ImportError("mpmath is not installed")
+        if name.partition(".")[0] == "mpmath" or (name + ".").startswith("scipy.integrate."):
+            raise ImportError(f"{name} is not installed")
 
 
-sys.meta_path.insert(0, NoMpmath())
+sys.meta_path.insert(0, Blocked())
 import fracdiff, fracdiff.cli
 assert "mpmath" not in sys.modules
 sys.exit(fracdiff.cli.main(sys.argv[1:]) if sys.argv[1:] else 0)
@@ -501,18 +523,21 @@ sys.exit(fracdiff.cli.main(sys.argv[1:]) if sys.argv[1:] else 0)
 
 
 def test_import_leaves_mpmath_unloaded(tmp_path):
-    # mpmath is a test dependency only: the package imports, runs a config and
-    # dumps its kernels where importing mpmath fails
+    # mpmath is a test dependency only, and scipy.integrate is not needed at
+    # all: the package imports, runs a config (fitting an L0 table), builds a
+    # stability table and dumps its kernels where importing either fails
     src = os.path.dirname(os.path.dirname(fracdiff.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     cfg_file = tmp_path / "tiny.cfg"
     cfg_file.write_text(TINY)
     for args in ([], ["run", str(cfg_file), "--out-dir", str(tmp_path / "run")],
+                 ["stability", "--n", "21", "--out-dir", str(tmp_path / "stab")],
                  ["kernels", "dump", "--out-dir", str(tmp_path / "kernels")]):
-        done = subprocess.run([sys.executable, "-c", WITHOUT_MPMATH, *args], env=env,
+        done = subprocess.run([sys.executable, "-c", WITH_BLOCKED_IMPORTS, *args], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, (args, done.stderr)
     assert (tmp_path / "run" / "report.csv").exists()
+    assert (tmp_path / "stab" / "stability.csv").exists()
     assert (tmp_path / "kernels" / "kernels.csv").exists()
 
 

@@ -6,12 +6,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import levy_stable
 
-from fracdiff.errors import DomainError
+from fracdiff.errors import AccuracyError, DomainError
 from fracdiff.greens import (FractionalOrder, characteristic_width,
                              green_function, reduced_green, reduced_green_mass)
-from fracdiff.greens import _l0_asym, _l0_model
+from fracdiff.greens import _l0_asym, _l0_fourier, _l0_model
 
-from oracles import l0_series_mp, r_alpha_quad, r_alpha_split_series
+from oracles import l0_fourier_quad, l0_series_mp, r_alpha_quad, r_alpha_split_series
 
 R_ALPHA_TABLE = {1.1: 6.688, 1.2: 3.544, 1.3: 2.512, 1.4: 2.005, 1.5: 1.705,
                  1.6: 1.509, 1.7: 1.371, 1.8: 1.269, 1.9: 1.190}
@@ -66,6 +66,28 @@ def test_branch_agreement_at_crossover(alpha):
     series = l0_series_mp(alpha, x, 500)[0]
     asym = _l0_asym(alpha, x)[0]
     assert asym == pytest.approx(series, rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [1.005, 1.1, 1.5, 1.9, 1.995])
+def test_fourier_rule_matches_quadrature(alpha):
+    x = np.linspace(0.0, 12.0, 97)
+    ref = np.array([l0_fourier_quad(alpha, v) for v in x])
+    np.testing.assert_allclose(_l0_fourier(alpha, x), ref, rtol=0.0, atol=1e-14)
+
+
+def test_fourier_rule_reports_unresolved_oscillation():
+    # far beyond the crossover cap the step no longer resolves cos(kx)
+    with pytest.raises(AccuracyError, match="x=100.0"):
+        _l0_fourier(1.5, np.array([1.0, 100.0]))
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 1.99, 1.995])
+def test_table_matches_series(alpha):
+    # the table is within 6e-15 absolute, and about 1e-16 where L0 is small:
+    # a growing share of L0 as the crossover moves out towards x ~ 11
+    x = np.linspace(0.0, _l0_model(alpha)[0], 81)[:-1]
+    ref = l0_series_mp(alpha, x, 500)
+    assert np.all(np.abs(reduced_green(alpha, x) - ref) <= 3e-14 * ref + 2e-16)
 
 
 @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
