@@ -227,14 +227,14 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"levels: {cfg.levels} levels refine the n = {cfg.n} grid past "
                           f"what a float64 array can index")
     # every scheme prefactor must be finite and non-zero at the smoothing
-    # length of every field the study builds (GPSE's prefactor is 1)
+    # length of every field the study builds
     schemes = _STABILITY_SCHEMES if cfg.study is StudyKind.STABILITY else (cfg.scheme,)
     for _, sub, c, n in _runs(cfg):
         eps = sub.overlap * (2.0 * sub.half_width(c) / (n - 1))
         for scheme in schemes:
             try:
-                ok = scheme is SchemeKind.GPSE or all(
-                    0.0 < abs(p) < math.inf for p in rate_prefactors(scheme, sub.order, eps))
+                ok = all(0.0 < abs(p) < math.inf
+                         for p in rate_prefactors(scheme, sub.order, eps))
             except (OverflowError, ZeroDivisionError):
                 ok = False
             if not ok:
@@ -358,10 +358,8 @@ def run(cfg: ExperimentConfig) -> list[str]:
             params.append(param)
             rows.append([cfg.scheme.value, cfg.beta, param_name, param, err, "", drift])
         if cfg.study is StudyKind.SINGLE:
-            # GPSE smooths with eps = dt^{1/alpha}, not with the field's epsilon
-            eps = cfg.dt ** cfg.order.gamma if cfg.scheme is SchemeKind.GPSE else f1.epsilon
             snap_echo = {"beta": cfg.beta, "t": cfg.tf, "n": len(f1),
-                         "d": cfg.half_width(), "epsilon": eps, **echo}
+                         "d": cfg.half_width(), "epsilon": f1.epsilon, **echo}
             exact = green_function(cfg.order, f1.positions, cfg.tf)
             # Python floats: iterating the arrays would build slower numpy scalars
             out.append(_write_csv(path("solution.csv"), snap_echo, ["x", "u", "u_exact"],

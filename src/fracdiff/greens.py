@@ -199,7 +199,9 @@ def _asym_sum(alpha: float, ax: np.ndarray, shift: float) -> np.ndarray:
 
 def _l0_asym(alpha: float, ax: np.ndarray) -> np.ndarray:
     """Asymptotic branch of L0 at ax > 0."""
-    return -_asym_sum(alpha, ax, 1.0) / (ax * math.pi)
+    # ax pi overflows past ax of about 5.7e307, where L0 is 0 to float range
+    with np.errstate(over="ignore"):
+        return -_asym_sum(alpha, ax, 1.0) / (ax * math.pi)
 
 
 def reduced_green(alpha, x):

@@ -7,31 +7,36 @@ Rate operators (du_i/dt), on the uniform grid x_i = i h of volumes h:
            du_i/dt = -(1/eps)     sum_j h (Q_j + Q_i) eta1_eps(x_i - x_j)
     KPSE   du_i/dt = alpha/eps^alpha sum_j h (u_j - u_i) K_eps(x_j - x_i)
 
-Stepper:
+GPSE's step is KPSE's exchange sum with kernel E and prefactor 1, taken once
+on the field whose eps is tied to the step (gpse_field):
 
     GPSE   u_i^{n+1} = u_i^n + sum_j h (u_j^n - u_i^n) E_eps(x_j - x_i),
-           eps = dt^{1/alpha}  (tied to the step; field.epsilon is ignored)
+           eps = dt^{1/alpha}
+
+so its operator A = P - I is the exchange sum itself.
 
 Every scheme is built from one interaction sum, pref sum_j h k_eps(x_i - x_j) w_j,
 with a scheme-specific kernel and prefactor, applied once (DD, KPSE, GPSE) or
-twice (FPSE), together with its fixed row sums.  On the uniform grid that sum
-is a Toeplitz matrix-vector product: one real FFT product against the
-spectrum of the per-separation kernel table's circulant embedding, built once
-per operator (positions never move) with pref and h folded in.  The
-circulant length is the smallest power of two >= 2N-1, or the 5-smooth length
-when 2N-1 fills at most 15/16 of that power.
+twice (FPSE), together with its fixed row sums.  _operator is the one place
+that composes them, and it reads each operator's symbol off the same spectra.
+On the uniform grid that sum is a Toeplitz matrix-vector product: one real
+FFT product against the spectrum of the per-separation kernel table's
+circulant embedding, built once per operator (positions never move) with pref
+and h folded in.  The circulant length is the smallest power of two >= 2N-1,
+or the 5-smooth length when 2N-1 fills at most 15/16 of that power.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.fft
 
 from . import kernels
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .field import ParticleField
 from .greens import FractionalOrder
 from .kernels import ODD_KINDS, KernelKind
@@ -40,6 +45,7 @@ __all__ = [
     "SchemeKind",
     "rate_prefactors",
     "make_rate_operator",
+    "gpse_field",
     "make_gpse_stepper",
     "spectral_interval",
 ]
@@ -64,7 +70,7 @@ def _spectrum(field: ParticleField, kind: KernelKind, eps: float,
     half = kernels.scaled(kind, np.arange(n) * field.h, field.order, eps)
     if kind in (KernelKind.K, KernelKind.E):
         # the exchange schemes' self term h k(0) (u_i - u_i) is exactly 0;
-        # carried, it cancels in u + e(u) - u row once eps << h
+        # carried, it cancels in e(u) - u row once eps << h
         half[0] = 0.0
     # a power of two costs about as much as the 5-smooth length, or less,
     # when 2N-1 fills more than 15/16 of it; below that it can cost 3x
@@ -78,10 +84,11 @@ def _spectrum(field: ParticleField, kind: KernelKind, eps: float,
 
 
 def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float):
-    """The interaction sum apply(w)_i = pref sum_j h k_eps(x_i - x_j) w_j and
-    its fixed row sums row = apply(1).
+    """(apply, row, spectrum): the interaction sum
+    apply(w)_i = pref sum_j h k_eps(x_i - x_j) w_j, its fixed row sums
+    row = apply(1), and the spectrum of _spectrum that apply multiplies by.
 
-    apply is one FFT product against _spectrum.  It reuses its own padded
+    apply is one FFT product against that spectrum.  It reuses its own padded
     buffer: not reentrant.
     """
     n = len(field)
@@ -99,14 +106,14 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
         x = scipy.fft.rfft(buf)
         x *= spectrum
         return scipy.fft.irfft(x, m, overwrite_x=True)[:n]
-    return apply, apply(np.ones(n))
+    return apply, apply(np.ones(n)), spectrum
 
 
 def rate_prefactors(kind: SchemeKind, order: FractionalOrder,
                     eps: float) -> tuple[float, ...]:
-    """The prefactors of a rate scheme's interaction sums at smoothing length eps, in
-    make_rate_operator's order.  A power out of float range raises OverflowError
-    or ZeroDivisionError."""
+    """The prefactors of a scheme's interaction sums at smoothing length eps, in
+    _operator's order.  A power out of float range raises OverflowError or
+    ZeroDivisionError."""
     alpha, beta = order.alpha, order.beta
     if kind is SchemeKind.DD:
         return (eps ** (-alpha),)
@@ -114,80 +121,68 @@ def rate_prefactors(kind: SchemeKind, order: FractionalOrder,
         return (alpha / eps ** alpha,)
     if kind is SchemeKind.FPSE:
         return (-(eps ** (-beta)), -1.0 / eps)
-    raise ConfigError(f"{kind} is not a rate scheme")
+    return (1.0,)  # GPSE: one exchange at eps = dt^{1/alpha} is a whole step
 
 
-def make_rate_operator(field: ParticleField, kind: SchemeKind):
-    """Build du/dt = L(u) as a reusable closure over fixed positions."""
+def _operator(field: ParticleField, kind: SchemeKind):
+    """(A, sigma): the scheme's operator A at field.epsilon, a closure over
+    fixed positions, and its real symbol sigma, read off the spectra A applies:
+
+        DD     A = T_Gd                           sigma = sigma_Gd
+        FPSE   A = (T_eta1 + diag(row_eta1)) T_F  sigma = sigma_F sigma_eta1
+        KPSE   A = T_K - diag(row_K)              sigma = sigma_K - sigma_K(0)
+        GPSE   A = T_E - diag(row_E) = P - I      sigma = sigma_E - sigma_E(0)
+    """
     eps = field.epsilon
     pref = rate_prefactors(kind, field.order, eps)
     if kind is SchemeKind.DD:
-        return _interaction(field, KernelKind.GD, eps, pref[0])[0]
-    if kind is SchemeKind.KPSE:
-        k, row = _interaction(field, KernelKind.K, eps, pref[0])
-        return lambda u: k(u) - u * row
-    # FPSE: rate_prefactors has rejected every other kind
-    f, _ = _interaction(field, KernelKind.F, eps, pref[0])
-    e1, row = _interaction(field, KernelKind.ETA1, eps, pref[1])
+        a, _, spectrum = _interaction(field, KernelKind.GD, eps, pref[0])
+        return a, spectrum.real
+    if kind is SchemeKind.FPSE:
+        f, _, spectrum_f = _interaction(field, KernelKind.F, eps, pref[0])
+        e1, row, spectrum_e1 = _interaction(field, KernelKind.ETA1, eps, pref[1])
 
-    def rate(u: np.ndarray) -> np.ndarray:
-        q = f(u)
-        return e1(q) + q * row
+        def rate(u: np.ndarray) -> np.ndarray:
+            q = f(u)
+            return e1(q) + q * row
 
-    return rate
+        return rate, (spectrum_f * spectrum_e1).real
+    kernel = KernelKind.E if kind is SchemeKind.GPSE else KernelKind.K
+    k, row, spectrum = _interaction(field, kernel, eps, pref[0])
+    return (lambda u: k(u) - u * row), spectrum.real - spectrum[0].real
+
+
+def make_rate_operator(field: ParticleField, kind: SchemeKind):
+    """Build du/dt = A u as a reusable closure over fixed positions; for GPSE,
+    A = P - I with P the exchange step at the field's epsilon."""
+    return _operator(field, kind)[0]
+
+
+def gpse_field(field: ParticleField, dt: float) -> ParticleField:
+    """The field that GPSE exchanges on at time step dt: eps = dt^{1/alpha}."""
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise DomainError(f"dt must be positive, got {dt}")
+    return replace(field, epsilon=dt ** field.order.gamma)
 
 
 def make_gpse_stepper(field: ParticleField, dt: float):
-    """Build the GPSE map u^n -> u^{n+1} for a fixed time step."""
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise DomainError(f"dt must be positive, got {dt}")
-    e, row = _interaction(field, KernelKind.E, dt ** field.order.gamma, 1.0)
-
-    def step(u: np.ndarray) -> np.ndarray:
-        # (u + e(u)) - u row; the sum is a fresh length-N array, so the
-        # padded FFT output that e(u) is a view of is freed at once
-        out = u + e(u)
-        out -= u * row
-        return out
-
-    return step
+    """Build the GPSE map u^n -> u^{n+1} = u^n + A u^n for a fixed time step."""
+    a = _operator(gpse_field(field, dt), SchemeKind.GPSE)[0]
+    return lambda u: u + a(u)
 
 
-def spectral_interval(field: ParticleField, kind: SchemeKind,
-                      dt: float) -> tuple[float, float]:
-    """(lo, hi): an interval holding the spectrum of the rate operator A, or,
-    for GPSE, of P - I with P the exchange step at time step dt (the rate
-    schemes do not use dt).
+def spectral_interval(field: ParticleField, kind: SchemeKind) -> tuple[float, float]:
+    """(lo, hi): an interval holding the spectrum of A, from _operator's sigma.
 
     The eigenvalues of a Toeplitz section lie in the range of its symbol
-    (Grenander & Szego 1958), here the circulant spectrum of _spectrum:
-
-        DD     [min sigma_Gd, max(max sigma_Gd, 0)]
-        KPSE   [min sigma_K - sigma_K(0), 0]: A = T_K - diag(row) is a
-               negative semidefinite graph Laplacian (K >= 0), and each row
-               sum is at most sigma_K(0), the sum of the whole kernel table
-        GPSE   the same for P - I = T_E - diag(row_E)
-        FPSE   [min sigma_F sigma_eta1, 0]: the product of two imaginary
-               spectra is real.  FPSE's A is not symmetric, so this is an
-               estimate of its spectrum, not a bound.
-
-    lo is widened by 1%, which covers both the sampling of the symbol on the
-    circulant's grid and FPSE's estimate.
+    (Grenander & Szego 1958).  KPSE's and GPSE's A = T_k - diag(row) is a
+    negative semidefinite graph Laplacian (k >= 0) whose row sums are at most
+    sigma_k(0), the sum of the whole kernel table; FPSE's A is not symmetric,
+    so its sigma is an estimate, not a bound.  hi is max(max sigma, 0) for DD
+    and 0 for the others, where FFT rounding must not lift it.  lo is min sigma
+    widened by 1%, which covers the sampling of the symbol on the circulant's
+    grid and FPSE's estimate.
     """
-    eps = field.epsilon
-    if kind is SchemeKind.GPSE:
-        sigma = _spectrum(field, KernelKind.E, dt ** field.order.gamma, 1.0)[0].real
-        lo, hi = sigma.min() - sigma[0], 0.0
-    else:
-        pref = rate_prefactors(kind, field.order, eps)
-        if kind is SchemeKind.DD:
-            sigma = _spectrum(field, KernelKind.GD, eps, pref[0])[0].real
-            lo, hi = sigma.min(), max(sigma.max(), 0.0)
-        elif kind is SchemeKind.KPSE:
-            sigma = _spectrum(field, KernelKind.K, eps, pref[0])[0].real
-            lo, hi = sigma.min() - sigma[0], 0.0
-        else:
-            sigma = (_spectrum(field, KernelKind.F, eps, pref[0])[0]
-                     * _spectrum(field, KernelKind.ETA1, eps, pref[1])[0]).real
-            lo, hi = sigma.min(), 0.0
-    return 1.01 * float(lo), float(hi)
+    sigma = _operator(field, kind)[1]
+    hi = max(sigma.max(), 0.0) if kind is SchemeKind.DD else 0.0
+    return 1.01 * float(sigma.min()), float(hi)

@@ -35,7 +35,10 @@ def _minus_z2(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise DomainError("non-finite argument in combo evaluation")
-    return -z * z
+    # M(a, b, x) rounds to 1 for |x| < 1e-20 at every a, b used here, but
+    # hyp1f1 errs there for a near 0 (NaN at a = 1/8, b = 3/2, |x| < 1e-164)
+    x = -z * z
+    return np.where(x > -1e-20, 0.0, x)
 
 
 def s_combo(nu: float, z):

@@ -1,20 +1,18 @@
 """Explicit time integration and spectral stability analysis.
 
-RK1 is forward Euler; RK2 is the explicit midpoint rule.  GPSE carries its
-own exact-in-time propagator and is advanced by repeated exchange steps with
-eps = dt^{1/alpha}.
+RK1 is forward Euler; RK2 is the explicit midpoint rule.  The strength
+evolution is du/dt = A u with A time-invariant and its spectrum real and
+nonpositive.  GPSE's exchange step is P u = u + A u on schemes.gpse_field,
+whose eps = dt^{1/alpha}: a GPSE run is an RK1 run of unit step there, whatever
+the configured order.  A is symmetric for DD, KPSE and GPSE (even kernels);
+FPSE's A composes two odd-kernel sums truncated at the grid edge and is not,
+though its column sums vanish as KPSE's and GPSE's do, so the conservative
+schemes have lambda_max = 0.
 
-For the rate schemes the strength evolution is du/dt = A u with A
-time-invariant and its spectrum real and nonpositive.  A is symmetric for DD
-and KPSE (even kernels); FPSE's A composes two odd-kernel sums truncated at
-the grid edge and is not, though its column sums vanish as KPSE's do, so the
-conservative schemes have lambda_max = 0.
-
-A run of n steps with step map s (RK1: s(z) = 1 + z, RK2: 1 + z + z^2/2;
-GPSE: 1 + lambda on the spectrum of P - I, P the exchange step) computes
-p(A) u0 with p(lambda) = s(dt lambda)^n.  integrate evaluates it by one
-Chebyshev recurrence, the Chebyshev propagator of Tal-Ezer & Kosloff (1984),
-whenever all of these hold:
+A run of n steps with step map s (RK1: s(z) = 1 + z, RK2: 1 + z + z^2/2)
+computes p(A) u0 with p(lambda) = s(dt lambda)^n, dt = 1 for GPSE.
+integrate evaluates it by one Chebyshev recurrence, the Chebyshev propagator
+of Tal-Ezer & Kosloff (1984), whenever all of these hold:
 
 - u0 is finite;
 - |s(dt lambda)| <= 1 on schemes.spectral_interval, so the run lies inside
@@ -49,8 +47,10 @@ import scipy.fft
 
 from .errors import AccuracyError, ConfigError, InstabilityError
 from .field import ParticleField
-from .schemes import (SchemeKind, make_gpse_stepper, make_rate_operator,
+from .schemes import (SchemeKind, gpse_field, make_rate_operator,
                       spectral_interval)
+# not called here: perfbench/layertrace.py traces GPSE steppers through it
+from .schemes import make_gpse_stepper  # noqa: F401
 
 __all__ = [
     "RKOrder",
@@ -188,28 +188,26 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
     InstabilityError on divergence."""
     u = field.strengths.copy()
     dt, n = spec.dt, spec.n_steps
+    scale, rk2 = dt, spec.order is RKOrder.RK2
     if kind is SchemeKind.GPSE:
-        advance = make_gpse_stepper(field, dt)
-        # p(lambda) = (1 + lambda)^n on the spectrum of P - I
-        op, scale, rk2 = (lambda v: advance(v) - v), 1.0, False
+        # one exchange step is one RK1 step of unit length on GPSE's field
+        field, scale, rk2 = gpse_field(field, dt), 1.0, False
+    rate = make_rate_operator(field, kind)
+    if not rk2:
+        def advance(u):
+            # u + scale * rate(u), in place: u is owned here, rate(u) is fresh
+            r = rate(u)
+            r *= scale
+            u += r
+            return u
     else:
-        rate = make_rate_operator(field, kind)
-        op, scale, rk2 = rate, dt, spec.order is RKOrder.RK2
-        if not rk2:
-            def advance(u):
-                # u + dt * rate(u), in place: u is owned here, rate(u) is fresh
-                r = rate(u)
-                r *= dt
-                u += r
-                return u
-        else:
-            def advance(u):
-                k1 = rate(u)
-                return u + dt * rate(u + 0.5 * dt * k1)
+        def advance(u):
+            k1 = rate(u)
+            return u + scale * rate(u + 0.5 * scale * k1)
     if np.isfinite(u).all():
         # an overflow in the recurrence falls back to stepping, which reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _chebyshev_run(op, u, spectral_interval(field, kind, dt), scale, n, rk2)
+            out = _chebyshev_run(rate, u, spectral_interval(field, kind), scale, n, rk2)
         if out is not None and np.isfinite(out).all():
             return field.with_strengths(out)
     # an overflow leaves an inf (in u, or in _norm's sum of squares), and the

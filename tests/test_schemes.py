@@ -13,8 +13,8 @@ from fracdiff.errors import ConfigError
 from fracdiff.field import init_uniform, total_strength
 from fracdiff.greens import FractionalOrder, green_function
 from fracdiff.kernels import KernelKind, scaled
-from fracdiff.schemes import (SchemeKind, make_gpse_stepper, make_rate_operator,
-                              spectral_interval)
+from fracdiff.schemes import (SchemeKind, gpse_field, make_gpse_stepper,
+                              make_rate_operator, spectral_interval)
 
 from oracles import assemble_matrix, eval_u, field_arrays, riesz_quad
 
@@ -171,18 +171,21 @@ def test_gpse_stepper_matches_dense_exchange():
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize("n", [151, 251])
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
-def test_spectral_interval_holds_dense_spectrum(beta):
+def test_spectral_interval_holds_dense_spectrum(beta, n):
+    # n = 151 pads to the 5-smooth length 320, n = 251 to the power of two 512
     order = FractionalOrder.from_beta(beta)
-    f = init_uniform(10.0, 151, order, 2.0, lambda x: np.exp(-x * x))
+    f = init_uniform(10.0, n, order, 2.0, lambda x: np.exp(-x * x))
     for kind in RATE_SCHEMES + [SchemeKind.GPSE]:
         if kind is SchemeKind.GPSE:
             step = make_gpse_stepper(f, 1e-2)
             a = np.column_stack([step(e) for e in np.eye(len(f))]) - np.eye(len(f))
+            lo, hi = spectral_interval(gpse_field(f, 1e-2), kind)
         else:
             a = assemble_matrix(f, kind)
+            lo, hi = spectral_interval(f, kind)
         ev = np.linalg.eigvals(a)
-        lo, hi = spectral_interval(f, kind, 1e-2)
         assert hi >= 0.0
         # DD, KPSE and GPSE are bounded by the symbol itself; FPSE's symbol is an
         # estimate, covered by the 1% widening

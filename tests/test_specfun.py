@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracdiff.errors import DomainError
 from fracdiff.specfun import gamma_rec, s_combo, t_combo
@@ -105,6 +105,7 @@ def test_combos_match_parabolic_cylinder_definition(nu):
 
 
 @given(nu=st.floats(-1.5, 2.5), z=st.floats(-12.0, 12.0))
+@example(nu=-0.75, z=1.2762726675576203e-89)  # hyp1f1 gave NaN at z^2 = 1.6e-178
 @settings(max_examples=60, deadline=None)
 def test_combo_parity(nu, z):
     assert s_combo(nu, z) == s_combo(nu, -z)
