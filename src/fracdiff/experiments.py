@@ -24,6 +24,7 @@ import functools
 import itertools
 import math
 import os
+import resource
 import sys
 from dataclasses import dataclass, replace
 
@@ -70,6 +71,9 @@ _TABLES = {
 _COLUMNS = ["scheme", "beta", "param_name", "param", "rel_l1", "p", "drift"]
 # numpy indexes an array's bytes with a signed machine word
 _MAX_PARTICLES = sys.maxsize // 8
+# a lower bound on a run's bytes per particle: four length-N arrays, and one
+# interaction's spectrum, buffer and freed block of 4m floats, m >= 2N - 1
+_BYTES_PER_PARTICLE = 128
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,9 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
                 "overlap: GPSE derives epsilon from dt (eps = dt^{1/alpha}); "
                 "an independent smoothing length cannot be set"
             )
+        if raw.get("integrator") is RKOrder.RK2:
+            raise ConfigError("integrator: a GPSE step is one exchange (RK1 of unit "
+                              "length); rk2 would not be used")
         raw.setdefault("dt", 1e-2)
     cfg = ExperimentConfig(**raw)
     _validate(cfg)
@@ -189,47 +196,30 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"{key}: must be positive, got {value}")
     if cfg.levels < 3:
         raise ConfigError(f"levels: need at least 3, got {cfg.levels}")
-    if cfg.study in _TABLES:
-        # validates the step count
-        IntegratorSpec(cfg.integrator, cfg.dt, cfg.t0, cfg.tf)
-    if cfg.study is StudyKind.TIME_SWEEP:
-        values = _sweep_values(cfg)
-        for dt in values:
-            try:
-                IntegratorSpec(cfg.integrator, dt, cfg.t0, cfg.tf)
-            except ConfigError as exc:
-                raise ConfigError(f"values: {exc}") from None
-        # the order estimate needs three levels whose dt halves
-        if len(values) < 3 or any(abs(values[i] / values[i + 1] - 2.0) > 1e-9
-                                  for i in (0, 1)):
-            raise ConfigError(f"values: a time sweep needs at least 3 time steps, "
-                              f"the first three halving, got {values}")
-    if cfg.study is StudyKind.DOMAIN_SWEEP:
-        if not 0.0 < cfg.half_width() < math.inf:  # it sets the sweep's fixed spacing
-            raise ConfigError(f"c: the half-width C tf^(1/alpha) R_alpha is {cfg.half_width()}")
-        for c in _sweep_values(cfg):
-            if not c > 0:
-                raise ConfigError(f"values: every C must be positive, got {c}")
-            try:
-                n = _domain_sweep_n(cfg, c)
-            except OverflowError:  # the half-width itself overflows
-                n = math.inf
-            if n < 3:
-                raise ConfigError(f"values: C = {c} leaves fewer than 3 particles "
-                                  f"at the sweep's fixed spacing")
-            if n > _MAX_PARTICLES:
-                raise ConfigError(f"values: C = {c} asks for {n:.3g} particles at the "
-                                  f"sweep's fixed spacing, more than a float64 array "
-                                  f"can index")
-    # the finest space level has (n-1) 2^(levels-1) + 1 particles (shift capped)
-    if cfg.study is StudyKind.SPACE_SWEEP and (
-            (cfg.n - 1) << (min(cfg.levels, 64) - 1) >= _MAX_PARTICLES):
-        raise ConfigError(f"levels: {cfg.levels} levels refine the n = {cfg.n} grid past "
-                          f"what a float64 array can index")
-    # every scheme prefactor must be finite and non-zero at the smoothing
-    # length of every field the study builds
+    if cfg.study is StudyKind.DOMAIN_SWEEP and not 0.0 < cfg.half_width() < math.inf:
+        raise ConfigError(f"c: the half-width C tf^(1/alpha) R_alpha is {cfg.half_width()}, "
+                          f"which sets the domain sweep's spacing")
+    # every field the study plans, checked as run will build it: its step
+    # count, its particle count and memory (under the key that sizes the grid)
+    # and every scheme prefactor at its smoothing length
+    key = {StudyKind.DOMAIN_SWEEP: "values", StudyKind.SPACE_SWEEP: "levels"}.get(cfg.study, "n")
+    steps_prefix = "values: " if cfg.study is StudyKind.TIME_SWEEP else ""
     schemes = _STABILITY_SCHEMES if cfg.study is StudyKind.STABILITY else (cfg.scheme,)
-    for _, sub, c, n in _runs(cfg):
+    memory, params = _memory_bytes(), []
+    for param, sub, c, n in _runs(cfg):
+        if cfg.study in _TABLES:
+            try:
+                IntegratorSpec(sub.integrator, sub.dt, sub.t0, sub.tf)
+            except ConfigError as exc:
+                raise ConfigError(f"{steps_prefix}{exc}") from None
+        params.append(param)
+        grid = "the grid" if c is None else f"the grid of C = {c}"
+        if not 3 <= n <= _MAX_PARTICLES:
+            raise ConfigError(f"{key}: {grid} has {n:.3g} particles; it needs 3 or more, "
+                              f"and a float64 array can index {_MAX_PARTICLES:.3g}")
+        if _BYTES_PER_PARTICLE * n > memory:
+            raise ConfigError(f"{key}: {grid} has {n:.3g} particles, which need over "
+                              f"{_BYTES_PER_PARTICLE * n:.3g} bytes; {memory:.3g} are available")
         eps = sub.overlap * (2.0 * sub.half_width(c) / (n - 1))
         for scheme in schemes:
             try:
@@ -241,23 +231,18 @@ def _validate(cfg: ExperimentConfig):
                 raise ConfigError(f"{'c' if cfg.d is None else 'd'}: the smoothing length "
                                   f"{eps:.3g} of the n = {n} grid puts a {scheme.value} "
                                   f"prefactor outside float range")
+    # the order estimate needs three levels whose dt halves
+    if cfg.study is StudyKind.TIME_SWEEP and (
+            len(params) < 3 or any(abs(params[i] / params[i + 1] - 2.0) > 1e-9 for i in (0, 1))):
+        raise ConfigError(f"values: a time sweep needs at least 3 time steps, "
+                          f"the first three halving, got {tuple(params)}")
 
 
-def _sweep_values(cfg: ExperimentConfig) -> tuple[float, ...]:
-    """The swept C (domain) or dt (time) values, with their defaults."""
-    if cfg.values:
-        return cfg.values
-    if cfg.study is StudyKind.DOMAIN_SWEEP:
-        return (10.0, 20.0, 40.0, 80.0, 160.0)
-    return (cfg.dt, cfg.dt / 2.0, cfg.dt / 4.0)
-
-
-def _domain_sweep_n(cfg: ExperimentConfig, c: float) -> int:
-    """Odd particle count of domain-sweep point C, at the spacing of cfg's own grid
-    (N grows with the domain)."""
-    h = 2.0 * cfg.half_width() / (cfg.n - 1)
-    n = int(round(2.0 * cfg.half_width(c) / h)) + 1
-    return n + 1 if n % 2 == 0 else n
+def _memory_bytes() -> int:
+    """Physical memory, or the soft address-space limit if that is smaller."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return memory if soft == resource.RLIM_INFINITY else min(memory, soft)
 
 
 def _fmt(value) -> str:
@@ -312,20 +297,29 @@ def _write_csv(path: str, echo: dict, columns: list[str], rows) -> str:
     return path
 
 
-def _runs(cfg: ExperimentConfig) -> list[tuple]:
-    """(param, config, C, n) of each field the study builds, in table order.
-    A space level's param is None: it is the h of the field it builds."""
-    if cfg.study is StudyKind.KERNELS:
-        return []
+def _runs(cfg: ExperimentConfig):
+    """(param, config, C, n) of each field the study builds, in table order,
+    planned lazily.  A space level's param is None: it is the h of the field
+    it builds.  A domain-sweep point keeps the spacing of cfg's own grid (N
+    grows with the domain); one whose half-width overflows plans inf
+    particles.  Without values, C (domain) or dt (time) takes its defaults."""
     if cfg.study is StudyKind.STABILITY:
-        return [(beta, replace(cfg, beta=beta), None, cfg.n) for beta in _STABILITY_BETAS]
-    if cfg.study is StudyKind.DOMAIN_SWEEP:
-        return [(c, cfg, c, _domain_sweep_n(cfg, c)) for c in _sweep_values(cfg)]
-    if cfg.study is StudyKind.SPACE_SWEEP:
-        return [(None, cfg, None, (cfg.n - 1) * 2 ** lvl + 1) for lvl in range(cfg.levels)]
-    if cfg.study is StudyKind.TIME_SWEEP:
-        return [(dt, replace(cfg, dt=dt), None, cfg.n) for dt in _sweep_values(cfg)]
-    return [(cfg.dt, cfg, None, cfg.n)]
+        for beta in _STABILITY_BETAS:
+            yield beta, replace(cfg, beta=beta), None, cfg.n
+    elif cfg.study is StudyKind.DOMAIN_SWEEP:
+        h = 2.0 * cfg.half_width() / (cfg.n - 1)
+        for c in cfg.values or (10.0, 20.0, 40.0, 80.0, 160.0):
+            x = 2.0 * cfg.half_width(c) / h
+            n = int(round(x)) + 1 if math.isfinite(x) else x
+            yield c, cfg, c, n + 1 if n % 2 == 0 else n
+    elif cfg.study is StudyKind.SPACE_SWEEP:
+        for lvl in range(cfg.levels):
+            yield None, cfg, None, (cfg.n - 1) * 2 ** lvl + 1
+    elif cfg.study is StudyKind.TIME_SWEEP:
+        for dt in cfg.values or (cfg.dt, cfg.dt / 2.0, cfg.dt / 4.0):
+            yield dt, replace(cfg, dt=dt), None, cfg.n
+    elif cfg.study is StudyKind.SINGLE:
+        yield cfg.dt, cfg, None, cfg.n
 
 
 def _build_field(cfg: ExperimentConfig, c: float | None, n: int) -> ParticleField:
@@ -351,11 +345,13 @@ def run(cfg: ExperimentConfig) -> list[str]:
     if cfg.study in _TABLES:
         table, param_name = _TABLES[cfg.study]
         rows, fields, params = [], [], []
+        converges = cfg.study in (StudyKind.SPACE_SWEEP, StudyKind.TIME_SWEEP)
         for param, sub, c, n in _runs(cfg):
             f0, f1, err, drift = _run_one(sub, c, n)
             param = f0.h if param is None else param
-            fields.append(f1)
-            params.append(param)
+            if converges and len(fields) < 3:  # the runs the order is estimated from
+                fields.append(f1)
+                params.append(param)
             rows.append([cfg.scheme.value, cfg.beta, param_name, param, err, "", drift])
         if cfg.study is StudyKind.SINGLE:
             snap_echo = {"beta": cfg.beta, "t": cfg.tf, "n": len(f1),
@@ -365,8 +361,8 @@ def run(cfg: ExperimentConfig) -> list[str]:
             out.append(_write_csv(path("solution.csv"), snap_echo, ["x", "u", "u_exact"],
                                   zip(f1.positions.tolist(), f1.strengths.tolist(),
                                       exact.tolist())))
-        elif cfg.study is not StudyKind.DOMAIN_SWEEP:
-            p = self_convergence_order(fields[:3], params[:3])
+        elif converges:
+            p = self_convergence_order(fields, params)
             rows.append([cfg.scheme.value, cfg.beta, param_name, params[0], "", p, ""])
         out.append(_write_csv(path(table), echo, _COLUMNS, rows))
     elif cfg.study is StudyKind.STABILITY:

@@ -39,7 +39,9 @@ def configs(draw) -> dict:
     c = draw(_log_uniform(-300.0, 300.0))
     cfg = {"study": study.value, "scheme": scheme.value,
            "beta": draw(st.sampled_from(BETAS)),
-           "n": 2 * draw(st.integers(1, 100)) + 1,
+           # or one odd count past the index cap
+           "n": draw(st.one_of(st.integers(1, 100).map(lambda k: 2 * k + 1),
+                               st.just(10000000000000000001))),
            "c": c,
            "integrator": draw(st.sampled_from(["rk1", "rk2"])),
            "dt": dt, "t0": t0,

@@ -63,6 +63,13 @@ def test_gpse_rejects_explicit_overlap():
         parse_config("scheme = gpse\noverlap = 2\n")
 
 
+def test_gpse_rejects_rk2():
+    # a GPSE step is one exchange: rk2 ran RK1 but was echoed into the CSVs
+    parse_config("scheme = gpse\nintegrator = rk1\n")
+    with pytest.raises(ConfigError, match="^integrator: "):
+        parse_config("scheme = gpse\nintegrator = rk2\n")
+
+
 def test_even_count_rejected():
     with pytest.raises(ConfigError, match="n"):
         parse_config("n = 32002")
@@ -320,9 +327,55 @@ def test_cli_rejects_space_levels_past_the_index_cap(tmp_path, capsys, levels):
     assert not (tmp_path / "out").exists()
 
 
-def test_space_levels_under_the_index_cap_accepted():
-    # 50 * 2^39 + 1 = 2.7e13 particles at the finest level: under the cap
-    assert parse_config("study = space\nn = 51\nc = 5\nlevels = 40\n").levels == 40
+def test_space_levels_past_memory_rejected_and_levels_that_fit_accepted():
+    # 50 * 2^39 + 1 = 2.7e13 particles at the finest level: under the index
+    # cap, but at 128 bytes a particle far more memory than any machine has
+    assert parse_config("study = space\nn = 51\nc = 5\nlevels = 5\n").levels == 5
+    with pytest.raises(ConfigError, match="^levels: "):
+        parse_config("study = space\nn = 51\nc = 5\nlevels = 40\n")
+
+
+@pytest.mark.parametrize("study", ["single", "time", "stability"])
+def test_cli_rejects_n_past_the_index_cap(tmp_path, capsys, study):
+    # accepted, then np.arange raised "Maximum allowed size exceeded" in
+    # field._centers: a ValueError traceback and exit 1
+    cfg_file = tmp_path / "huge.cfg"
+    cfg_file.write_text(f"study = {study}\nn = 10000000000000000001\nc = 1e16\n")
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: n: ")
+    assert not (tmp_path / "out").exists()
+
+
+UNDER_2_GIB = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
+import fracdiff.cli
+sys.exit(fracdiff.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("lines,key", [
+    ("study = domain\nscheme = kpse\nn = 21\nd = 0.001\nt0 = 1000\ntf = 1000.8\n"
+     "dt = 0.1\n", "values"),  # 34M to 546M particles
+    ("study = space\nn = 51\nc = 5\nlevels = 40\n", "levels"),  # up to 2.7e13
+], ids=["domain", "space"])
+def test_cli_rejects_grids_past_memory(tmp_path, lines, key):
+    # each was accepted, and ended in MemoryError at best or the OOM killer at
+    # worst: under this limit the domain sweep ran for seconds, then printed
+    # "error: out of memory" and left an empty out dir.  Never run these
+    # configs without a limit
+    src = os.path.dirname(os.path.dirname(fracdiff.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    cfg_file = tmp_path / "big.cfg"
+    cfg_file.write_text(lines)
+    done = subprocess.run([sys.executable, "-c", UNDER_2_GIB, "run", str(cfg_file),
+                           "--out-dir", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"config error: {key}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_time_sweep_with_zero_first_difference_exit_2(tmp_path, capsys):
