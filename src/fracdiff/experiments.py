@@ -196,14 +196,18 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"{key}: must be positive, got {value}")
     if cfg.levels < 3:
         raise ConfigError(f"levels: need at least 3, got {cfg.levels}")
-    if cfg.study is StudyKind.DOMAIN_SWEEP and not 0.0 < cfg.half_width() < math.inf:
-        raise ConfigError(f"c: the half-width C tf^(1/alpha) R_alpha is {cfg.half_width()}, "
-                          f"which sets the domain sweep's spacing")
+    if cfg.study is StudyKind.DOMAIN_SWEEP:
+        # the sweep keeps the spacing of cfg's own grid, and _runs divides by it
+        spacing = 2.0 * cfg.half_width() / (cfg.n - 1)
+        if not 0.0 < spacing < math.inf:
+            raise ConfigError(f"{'c' if cfg.d is None else 'd'}: the half-width "
+                              f"{cfg.half_width():.3g} over n = {cfg.n} particles gives "
+                              f"the domain sweep the spacing {spacing:.3g}")
     # every field the study plans, checked as run will build it: its step
     # count, its particle count and memory (under the key that sizes the grid)
     # and every scheme prefactor at its smoothing length
     key = {StudyKind.DOMAIN_SWEEP: "values", StudyKind.SPACE_SWEEP: "levels"}.get(cfg.study, "n")
-    steps_prefix = "values: " if cfg.study is StudyKind.TIME_SWEEP else ""
+    steps_key = "values" if cfg.study is StudyKind.TIME_SWEEP else "dt"
     schemes = _STABILITY_SCHEMES if cfg.study is StudyKind.STABILITY else (cfg.scheme,)
     memory, params = _memory_bytes(), []
     for param, sub, c, n in _runs(cfg):
@@ -211,7 +215,8 @@ def _validate(cfg: ExperimentConfig):
             try:
                 IntegratorSpec(sub.integrator, sub.dt, sub.t0, sub.tf)
             except ConfigError as exc:
-                raise ConfigError(f"{steps_prefix}{exc}") from None
+                raise ConfigError(f"{'tf' if not sub.tf > sub.t0 else steps_key}: "
+                                  f"{exc}") from None
         params.append(param)
         grid = "the grid" if c is None else f"the grid of C = {c}"
         if not 3 <= n <= _MAX_PARTICLES:

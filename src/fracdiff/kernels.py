@@ -4,8 +4,8 @@ All kernels are built from the squared-exponential mollifier
 
     eta(r) = exp(-r^2)/sqrt(pi)
 
-and the parabolic-cylinder combinations S^nu, T^nu (closed Kummer-function
-forms in specfun):
+and the parabolic-cylinder combinations S^nu, T^nu (closed forms in the
+Kummer function M, which specfun computes in numpy):
 
     kappa^beta(r) = 2^{(beta-3)/2}/(sqrt(pi) sin(beta pi/2)) S^beta(r)
     F(r)          = 2^{(beta-2)/2}/(sqrt(pi) sin(beta pi/2)) T^alpha(r)
@@ -33,11 +33,10 @@ import enum
 import math
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from .errors import DomainError
 from .greens import FractionalOrder, _as_order, reduced_green
-from .specfun import _minus_z2, gamma_rec, s_combo, t_combo
+from .specfun import gamma_rec, kummer_m, s_combo, t_combo
 
 __all__ = [
     "KernelKind",
@@ -114,7 +113,7 @@ def kernel_k(alpha, r):
     order = _as_order(alpha)
     a = order.alpha
     k0 = -(2.0 ** a) * gamma_rec((1.0 - a) / 2.0) / math.sin(order.beta * math.pi / 2.0)
-    return k0 * hyp1f1((a + 1.0) / 2.0, 1.5, _minus_z2(r))
+    return k0 * kummer_m((a + 1.0) / 2.0, 1.5, r)
 
 
 def kernel_e(alpha, r):

@@ -20,10 +20,11 @@ with a scheme-specific kernel and prefactor, applied once (DD, KPSE, GPSE) or
 twice (FPSE), together with its fixed row sums.  _operator is the one place
 that composes them, and it reads each operator's symbol off the same spectra.
 On the uniform grid that sum is a Toeplitz matrix-vector product: one real
-FFT product against the spectrum of the per-separation kernel table's
-circulant embedding, built once per operator (positions never move) with pref
-and h folded in.  The circulant length is the smallest power of two >= 2N-1,
-or the 5-smooth length when 2N-1 fills at most 15/16 of that power.
+FFT product (numpy.fft) against the spectrum of the per-separation kernel
+table's circulant embedding, built once per operator (positions never move)
+with pref and h folded in.  The circulant length is the smallest power of two
+>= 2N-1, or the smallest 5-smooth length >= 2N-1 when 2N-1 fills at most
+15/16 of that power.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import scipy.fft
 
 from . import kernels
 from .errors import DomainError
@@ -76,11 +76,25 @@ def _spectrum(field: ParticleField, kind: KernelKind, eps: float,
     # when 2N-1 fills more than 15/16 of it; below that it can cost 3x
     m = 1 << (2 * n - 2).bit_length()
     if 16 * (2 * n - 1) <= 15 * m:
-        m = scipy.fft.next_fast_len(2 * n - 1, real=True)
+        m = _five_smooth(2 * n - 1)
     circ = np.zeros(m)
     circ[:n] = half
     circ[m - n + 1:] = (-1.0 if kind in ODD_KINDS else 1.0) * half[:0:-1]
-    return scipy.fft.rfft((pref * field.h) * circ), m
+    return np.fft.rfft((pref * field.h) * circ), m
+
+
+def _five_smooth(target: int) -> int:
+    """The smallest 2^i 3^j 5^k >= target: the fastest real FFT length there."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 2^i >= target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float):
@@ -92,21 +106,28 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
     buffer: not reentrant.
     """
     n = len(field)
-    spectrum, m = _spectrum(field, kind, eps, pref)
-    buf = np.zeros(m)
-    # each call allocates and frees the rfft and irfft outputs and
-    # pocketfft's scratch, about 8m bytes each.  Freeing a mapped block
-    # raises glibc's mmap and trim thresholds above it (mallopt(3)), so
-    # after this untouched 32m-byte block those come from the heap
-    # instead of being mapped and faulted in afresh on every call
-    np.empty(4 * m)
+    # a table near the float limit overflows in the transforms; the inf it
+    # leaves is reported where the operator is applied (by the divergence
+    # guard or power iteration), so numpy need not warn of it here
+    with np.errstate(over="ignore"):
+        spectrum, m = _spectrum(field, kind, eps, pref)
+        buf = np.zeros(m)
+        # each call allocates and frees the rfft and irfft outputs and
+        # pocketfft's scratch, about 8m bytes each.  Freeing a mapped block
+        # raises glibc's mmap threshold to its size and the trim threshold
+        # to twice that (mallopt(3)), so after this untouched 64m-byte block
+        # those come from the heap instead of being mapped and faulted in
+        # afresh on every call, and freeing a whole operator build does not
+        # trim the heap that the next matvecs would fault back in (at 32m
+        # bytes it did, for 100 faults a matvec in a fresh production run)
+        np.empty(8 * m)
 
-    def apply(w: np.ndarray) -> np.ndarray:
-        buf[:n] = w
-        x = scipy.fft.rfft(buf)
-        x *= spectrum
-        return scipy.fft.irfft(x, m, overwrite_x=True)[:n]
-    return apply, apply(np.ones(n)), spectrum
+        def apply(w: np.ndarray) -> np.ndarray:
+            buf[:n] = w
+            x = np.fft.rfft(buf)
+            x *= spectrum
+            return np.fft.irfft(x, m)[:n]
+        return apply, apply(np.ones(n)), spectrum
 
 
 def rate_prefactors(kind: SchemeKind, order: FractionalOrder,

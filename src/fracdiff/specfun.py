@@ -8,8 +8,22 @@
 D_{nu-1} = U(a, .) = U(a,0) u1 + U'(a,0) u2 in the even and odd Weber
 solutions, exp(-w^2/4) times Kummer functions M(., ., w^2/2) (DLMF
 12.7.12-13), so S keeps u1 alone and T u2 alone; Kummer's transformation
-(DLMF 13.2.39) absorbs the Gaussian.  U(a,0), U'(a,0) are DLMF 12.2.6-7 and
-M is scipy.special.hyp1f1, finite for every real z.  S is even, T is odd.
+(DLMF 13.2.39) absorbs the Gaussian.  U(a,0), U'(a,0) are DLMF 12.2.6-7.
+S is even, T is odd.
+
+kummer_m evaluates M(a, b, -z^2) in numpy, for b - a > -1 (every order the
+kernels use):
+
+- for x = z^2 <= 64, as exp(-x) M(b-a, b, x) (DLMF 13.2.39), whose series
+  terms after the first share one sign, so the sum cancels only near a zero
+  of M;
+- above, by the algebraic asymptotic series (DLMF 13.7.2)
+  Gamma(b)/Gamma(b-a) x^-a sum_s (a)_s (a-b+1)_s / s! x^-s, Horner-summed in
+  1/x.  The exponential part it drops, Gamma(b)/Gamma(a) exp(-x) x^(a-b), is
+  below 1e-25 of M(0) = 1 there, and below 1e-17 of the algebraic part for
+  beta <= 0.99999 (it grows as 1/(1 - beta), as 1/Gamma(b-a) falls).
+
+Both are cut where their terms fall below 1e-17 of the sum at x = 64.
 """
 
 from __future__ import annotations
@@ -17,11 +31,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from .errors import DomainError
 
-__all__ = ["s_combo", "t_combo", "gamma_rec"]
+__all__ = ["s_combo", "t_combo", "gamma_rec", "kummer_m"]
+
+_SWITCH = 64.0
+_SERIES_TERMS = 160
+_ASYMPTOTIC_TERMS = 24
+_ROWS = 1024  # series rows summed per block: 1.3 MB of terms
 
 
 def gamma_rec(x: float) -> float:
@@ -31,30 +49,47 @@ def gamma_rec(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _minus_z2(z) -> np.ndarray:
+def kummer_m(a: float, b: float, z):
+    """M(a, b, -z^2), elementwise over the finite array z (a scalar z gives a
+    numpy float64)."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise DomainError("non-finite argument in combo evaluation")
-    # M(a, b, x) rounds to 1 for |x| < 1e-20 at every a, b used here, but
-    # hyp1f1 errs there for a near 0 (NaN at a = 1/8, b = 3/2, |x| < 1e-164)
-    x = -z * z
-    return np.where(x > -1e-20, 0.0, x)
+    # x is inf past |z| = 1.3e154: 1/x = 0 is still right there, and the
+    # asymptotic sum takes x^-a as |z|^-2a, which does not overflow
+    with np.errstate(over="ignore"):
+        x = z * z
+    out = np.empty_like(x)
+    near = x <= _SWITCH
+    xs = x[near]
+    if xs.size:
+        j = np.arange(_SERIES_TERMS - 1)
+        ratio = (b - a + j) / ((b + j) * (j + 1.0))
+        for i in range(0, xs.size, _ROWS):
+            blk = xs[i:i + _ROWS]
+            terms = ratio * blk[:, None]
+            np.cumprod(terms, axis=1, out=terms)
+            xs[i:i + _ROWS] = np.exp(-blk) * (1.0 + terms.sum(axis=1))
+        out[near] = xs
+    zl = np.abs(z[~near])
+    if zl.size:
+        inv, acc = 1.0 / x[~near], np.ones_like(zl)
+        for s in range(_ASYMPTOTIC_TERMS - 1, 0, -1):
+            acc *= ((a + s - 1.0) * (a - b + s) / s) * inv
+            acc += 1.0
+        out[~near] = math.gamma(b) * gamma_rec(b - a) * zl ** (-2.0 * a) * acc
+    return out[()]
 
 
 def s_combo(nu: float, z):
     """S^nu(z), elementwise over the array z (a scalar z gives a numpy float64)."""
-    x, a = _minus_z2(z), 0.5 - nu
-    if nu < 0.5:
-        # hyp1f1(a, 1/2, x) is off by up to 4e-12 for a < 0.06 and x near
-        # -2.4; DLMF 13.3.4, M(a,b,x) = M(a+1,b,x) - (x/b) M(a+1,b+1,x), is not
-        m = hyp1f1(nu / 2.0 + 1.0, 0.5, x) - 2.0 * x * hyp1f1(nu / 2.0 + 1.0, 1.5, x)
-    else:
-        m = hyp1f1(nu / 2.0, 0.5, x)
-    return 2.0 * math.sqrt(math.pi) * gamma_rec(0.75 + 0.5 * a) / 2.0 ** (0.5 * a + 0.25) * m
+    a = 0.5 - nu
+    return (2.0 * math.sqrt(math.pi) * gamma_rec(0.75 + 0.5 * a) / 2.0 ** (0.5 * a + 0.25)
+            * kummer_m(nu / 2.0, 0.5, z))
 
 
 def t_combo(nu: float, z):
     """T^nu(z), elementwise over the array z (a scalar z gives a numpy float64)."""
-    x, a = _minus_z2(z), 0.5 - nu
+    a = 0.5 - nu
     pref = 2.0 * math.sqrt(2.0 * math.pi) * gamma_rec(0.25 + 0.5 * a) / 2.0 ** (0.5 * a - 0.25)
-    return pref * np.asarray(z, dtype=float) * hyp1f1((nu + 1.0) / 2.0, 1.5, x)
+    return pref * np.asarray(z, dtype=float) * kummer_m((nu + 1.0) / 2.0, 1.5, z)

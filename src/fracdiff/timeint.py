@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import AccuracyError, ConfigError, InstabilityError
 from .field import ParticleField
@@ -110,6 +109,12 @@ def _norm(u: np.ndarray) -> float:
     return float(np.hypot.reduce(u)) if norm == math.inf else norm
 
 
+def _dct1(v: np.ndarray) -> np.ndarray:
+    """The type-1 DCT of v, v_0 + (-1)^i v_K + 2 sum_{0<j<K} v_j cos(pi i j/K):
+    the real part of the rFFT of v's even extension."""
+    return np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real
+
+
 def _chebyshev_coefficients(q, lo: float, hi: float, max_degree: int):
     """Chebyshev coefficients of q on [lo, hi], cut where they fall below
     CHEBYSHEV_TOL of the largest, or None if that needs degree max_degree or
@@ -121,7 +126,7 @@ def _chebyshev_coefficients(q, lo: float, hi: float, max_degree: int):
     k = 16
     while True:
         lam = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(k + 1) / k)
-        c = scipy.fft.dct(q(lam), type=1) / k
+        c = _dct1(q(lam)) / k
         c[[0, k]] *= 0.5
         big = np.flatnonzero(np.abs(c) > CHEBYSHEV_TOL * np.abs(c).max())
         degree = int(big[-1]) if big.size else 0

@@ -9,7 +9,7 @@ L0 model.
 import tempfile
 from pathlib import Path
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fracdiff.cli import main
 from fracdiff.errors import ConfigError
@@ -86,6 +86,9 @@ def _small(text: str) -> bool:
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cfg=configs())
+# h = 2 (half-width)/(n - 1) underflowed to 0 and the sweep plan divided by it
+@example(cfg={"study": "domain", "beta": 0.3, "n": 10000000000000000001, "c": 1e-189,
+              "dt": 1.0, "t0": 1.0, "tf": 1e-152, "d_eps_factor": 1.0})
 def test_cli_run_exits_0_2_or_3(cfg):
     """cli.main(["run", ...]) returns 0, 2 or 3 and never raises.
 

@@ -296,6 +296,38 @@ def test_cli_rejects_domain_sweep_whose_half_width_is_out_of_range(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", ["c = 1e-189", "d = 1e-305"])
+def test_cli_rejects_domain_sweep_whose_spacing_underflows(tmp_path, capsys, line):
+    # the half-width is positive, but over 1e19 particles the spacing
+    # 2 (half-width)/(n - 1) underflowed to 0, and planning the sweep divided
+    # by it (ZeroDivisionError, a traceback)
+    cfg_file = tmp_path / "domain.cfg"
+    cfg_file.write_text(f"study = domain\nbeta = 0.3\nn = 10000000000000000001\n{line}\n"
+                        "dt = 1\nt0 = 1\ntf = 1e-152\nd_eps_factor = 1\n")
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: " + line.split(" =")[0] + ": ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lines,key", [
+    ("dt = 0.03\nt0 = 0.5\ntf = 0.6\n", "dt"),    # 3.33... steps
+    ("dt = -0.01\nt0 = 0.5\ntf = 0.6\n", "dt"),
+    ("dt = 0.01\nt0 = 0.5\ntf = 0.4\n", "tf"),    # tf before t0
+    ("study = time\nt0 = 0.5\ntf = 0.4\n", "tf"),
+    ("study = time\nvalues = 0.03, 0.015, 0.0075\nt0 = 0.5\ntf = 0.6\n", "values"),
+], ids=["dt-not-dividing", "dt-negative", "tf-before-t0", "time-tf-before-t0",
+        "time-not-dividing"])
+def test_cli_step_errors_name_their_key(tmp_path, capsys, lines, key):
+    cfg_file = tmp_path / "steps.cfg"
+    cfg_file.write_text("scheme = kpse\nc = 5\nn = 21\n" + lines)
+    assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ")
+    # one key, not a sweep's key in front of the step's own
+    assert err.count(": ") == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_prefactor_check_covers_every_space_level():
     text = "scheme = kpse\nn = 51\nc = 1e-204\ndt = 1e-3\ntf = 0.51\n"
     parse_config(text)  # the n = 51 grid alone is in range
@@ -566,7 +598,7 @@ import sys
 
 class Blocked:
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "mpmath" or (name + ".").startswith("scipy.integrate."):
+        if name.partition(".")[0] in ("mpmath", "scipy"):
             raise ImportError(f"{name} is not installed")
 
 
@@ -578,9 +610,9 @@ sys.exit(fracdiff.cli.main(sys.argv[1:]) if sys.argv[1:] else 0)
 
 
 def test_import_leaves_mpmath_unloaded(tmp_path):
-    # mpmath is a test dependency only, and scipy.integrate is not needed at
-    # all: the package imports, runs a config (fitting an L0 table), builds a
-    # stability table and dumps its kernels where importing either fails
+    # mpmath and scipy are test dependencies only: the package imports, runs
+    # a config (fitting an L0 table), builds a stability table and dumps its
+    # kernels where importing any of their modules fails
     src = os.path.dirname(os.path.dirname(fracdiff.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     cfg_file = tmp_path / "tiny.cfg"

@@ -84,7 +84,7 @@ def test_k_limit_matches_kappa_second_derivative():
     assert kernel_k(order, 0.0) == pytest.approx(fd, rel=1e-6)
 
 
-@pytest.mark.parametrize("beta", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("beta", [0.01, 0.5, 0.99, 0.999, 0.99999])
 def test_k_matches_mpmath_flux_over_r(beta):
     # K = -F/r, with F from its parabolic-cylinder definition at 40 digits,
     # down to r = 1e-8 (inside the old limit switch at 1e-6); K(0) is the limit
@@ -102,7 +102,8 @@ def test_k_matches_mpmath_flux_over_r(beta):
         r = np.array([1e-8, 1e-6, 1e-3, 0.3, 1.0, 2.5, 4.0, 6.4, 9.0])
         ref = np.array([k_ref(ri) for ri in r])
     assert kernel_k(order, 0.0) == pytest.approx(k0, rel=1e-15)
-    assert np.asarray(kernel_k(order, r)) == pytest.approx(ref, rel=2e-13)
+    # abs=0: approx's default absolute 1e-12 would pass any error in the tail
+    assert np.asarray(kernel_k(order, r)) == pytest.approx(ref, rel=5e-14, abs=0)
 
 
 def test_k_rejects_nonfinite():

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 import fracdiff
@@ -13,7 +14,7 @@ from fracdiff.errors import ConfigError
 from fracdiff.field import init_uniform, total_strength
 from fracdiff.greens import FractionalOrder, green_function
 from fracdiff.kernels import KernelKind, scaled
-from fracdiff.schemes import (SchemeKind, gpse_field, make_gpse_stepper,
+from fracdiff.schemes import (SchemeKind, _five_smooth, gpse_field, make_gpse_stepper,
                               make_rate_operator, spectral_interval)
 
 from oracles import assemble_matrix, eval_u, field_arrays, riesz_quad
@@ -243,3 +244,11 @@ def test_fresh_process_steps_take_no_page_faults():
     out = subprocess.run([sys.executable, "-c", FRESH_STEPS], env=env, check=True,
                          capture_output=True, text=True, timeout=300).stdout
     assert float(out) < 10.0
+
+
+def test_five_smooth_matches_scipy_next_fast_len():
+    # the circulant length search is scipy's real-transform length, 5-smooth
+    sizes = np.geomspace(1e4, 1e9, 400).astype(int).tolist()
+    targets = [*range(1, 20001), *(2 * n - 1 for n in sizes)]
+    assert [_five_smooth(t) for t in targets] == [
+        scipy.fft.next_fast_len(t, real=True) for t in targets]

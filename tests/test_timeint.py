@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from fracdiff.analysis import conservation_drift
 from fracdiff.errors import AccuracyError, ConfigError, InstabilityError
 from fracdiff.field import init_uniform
 from fracdiff.greens import FractionalOrder, characteristic_width, green_function
 from fracdiff.schemes import SchemeKind, spectral_interval
-from fracdiff.timeint import (IntegratorSpec, RKOrder, integrate,
+from fracdiff.timeint import (IntegratorSpec, RKOrder, _dct1, integrate,
                               power_iteration_min_eig)
 
 from oracles import assemble_matrix
@@ -251,3 +252,13 @@ def test_power_iteration_max_iter():
     with pytest.raises(AccuracyError) as exc:
         power_iteration_min_eig(f, SchemeKind.DD, tol=0.0, max_iter=10)
     assert exc.value.partial is not None
+
+
+@pytest.mark.parametrize("k", [16 << j for j in range(10)])
+def test_dct1_matches_scipy_bit_for_bit(k):
+    # _chebyshev_coefficients' DCT-I, at the sizes its doubling visits, is
+    # scipy's type-1 DCT to the bit, on smooth samples and on noise
+    rng = np.random.default_rng(k)
+    smooth = np.expm1(-3.0 * (1.0 + np.cos(np.pi * np.arange(k + 1) / k)))
+    for v in (smooth, rng.standard_normal(k + 1), 1e200 * rng.standard_normal(k + 1)):
+        assert np.array_equal(_dct1(v), scipy.fft.dct(v, type=1))
