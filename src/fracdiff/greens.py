@@ -16,15 +16,15 @@ the Fourier integral to 1e-8 relative.  For alpha close to 1 that crossover
 sits near x ~ 1.1; near alpha = 2 it moves out to x ~ 10.6 (alpha = 1.99),
 because L0 then carries a factor sin(alpha pi/2) -> 0 that the size of the
 terms does not show.  Below it, L0 is smooth on a fixed interval, so one
-degree-40 Chebyshev interpolant per alpha reproduces it to within 6e-15
-absolute (Trefethen 2013, Approximation Theory and Approximation Practice).
-Against the power series in 50 digits that is 2e-14 relative at the peak,
-and more where L0 falls off towards a crossover further out: up to 5e-13 at
-alpha = 1.9 and 2e-11 at alpha = 1.995.  The interpolant is fitted once, at
-Chebyshev nodes whose values come from the Fourier integral by one tanh-sinh
-rule (Takahasi & Mori 1974), and cached; the crossover scan uses the same
-rule.  The mass of L0 on |x| <= y integrates the same two branches term by
-term: the Chebyshev interpolant exactly, and the asymptotic sum through
+Chebyshev fit per alpha (Trefethen 2013, Approximation Theory and
+Approximation Practice), cut at 1e-15 of its largest coefficient, gives it
+to within 4e-16 absolute at degree 23 to 41: 4e-16 relative at the peak
+against the power series in 50 digits, and up to 8e-13 at alpha = 1.9 and
+9e-12 at alpha = 1.995 where L0 falls off towards a crossover further out.
+The fit (specfun.chebyshev_coefficients) is cached; its nodes and the
+crossover scan take the Fourier integral by one tanh-sinh rule (Takahasi &
+Mori 1974).  The mass of L0 on |x| <= y integrates the same two branches
+term by term: the Chebyshev fit exactly, and the asymptotic sum through
 
     int_x^inf L0 = -(1/pi) sum_{n>=1} (-1)^n Gamma(alpha n)/n! sin(alpha n pi/2) x^-(alpha n).
 
@@ -45,9 +45,10 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebinterpolate, chebval
+from numpy.polynomial.chebyshev import chebint, chebval
 
 from .errors import AccuracyError, DomainError
+from .specfun import chebyshev_coefficients
 
 __all__ = [
     "FractionalOrder",
@@ -93,8 +94,9 @@ _CROSSOVER_CAP = 12.0
 _CROSSOVER_TOL = 1e-8
 _ASYM_TERMS = 300
 # below the crossover: one Chebyshev table per alpha, fitted at nodes of the
-# Fourier integral, whose error estimate must meet these tolerances
-_TABLE_DEGREE = 40
+# Fourier integral, whose error estimate must meet the _NODE tolerances
+_TABLE_TOL = 1e-15
+_TABLE_MAX_DEGREE = 256
 _NODE_EPSABS = 1e-14
 _NODE_EPSREL = 1e-12
 # the tanh-sinh rule for the Fourier integral: t = j/256 for |j| <= 820,
@@ -152,8 +154,10 @@ def _l0_model(alpha: float) -> tuple[float, np.ndarray, np.ndarray, float]:
     # walking down from the cap, the last x before the first disagreement
     agreed = int(np.argmax(bad)) if bad.any() else len(grid)
     cross = float(grid[agreed - 1]) if agreed else _CROSSOVER_CAP
-    coef = chebinterpolate(lambda t: _l0_fourier(alpha, 0.5 * cross * (t + 1.0)),
-                           _TABLE_DEGREE)
+    coef = chebyshev_coefficients(lambda x: _l0_fourier(alpha, x), 0.0, cross,
+                                  _TABLE_TOL, _TABLE_MAX_DEGREE)
+    if coef is None:
+        raise AccuracyError(f"L0 table needs degree {_TABLE_MAX_DEGREE} or more (alpha={alpha})")
     integral = chebint(coef, lbnd=-1.0)
     coef.setflags(write=False)
     integral.setflags(write=False)

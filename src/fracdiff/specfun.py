@@ -24,6 +24,9 @@ kernels use):
   beta <= 0.99999 (it grows as 1/(1 - beta), as 1/Gamma(b-a) falls).
 
 Both are cut where their terms fall below 1e-17 of the sum at x = 64.
+
+chebyshev_coefficients is the one Chebyshev fit, with two callers: the L0
+table of greens and the propagator of timeint.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["s_combo", "t_combo", "gamma_rec", "kummer_m"]
+__all__ = ["s_combo", "t_combo", "gamma_rec", "kummer_m", "chebyshev_coefficients"]
 
 _SWITCH = 64.0
 _SERIES_TERMS = 160
@@ -93,3 +96,28 @@ def t_combo(nu: float, z):
     a = 0.5 - nu
     pref = 2.0 * math.sqrt(2.0 * math.pi) * gamma_rec(0.25 + 0.5 * a) / 2.0 ** (0.5 * a - 0.25)
     return pref * np.asarray(z, dtype=float) * kummer_m((nu + 1.0) / 2.0, 1.5, z)
+
+
+def _dct1(v: np.ndarray) -> np.ndarray:
+    """The type-1 DCT of v, v_0 + (-1)^i v_K + 2 sum_{0<j<K} v_j cos(pi i j/K):
+    the real part of the rFFT of v's even extension."""
+    return np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real
+
+
+def chebyshev_coefficients(f, lo: float, hi: float, tol: float, max_degree: int):
+    """Chebyshev coefficients of f on [lo, hi], cut where they fall below
+    tol of the largest, or None if that needs degree max_degree or more:
+    one DCT-I of f at K + 1 Chebyshev points, K doubling until the upper
+    half of the coefficients is below the cut."""
+    k = 16
+    while True:
+        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(k + 1) / k)
+        c = _dct1(f(x)) / k
+        c[[0, k]] *= 0.5
+        big = np.flatnonzero(np.abs(c) > tol * np.abs(c).max())
+        degree = int(big[-1]) if big.size else 0
+        if degree >= max_degree:
+            return None
+        if 2 * degree < k:
+            return c[:degree + 1]
+        k *= 2

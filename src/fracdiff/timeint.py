@@ -21,11 +21,11 @@ of Tal-Ezer & Kosloff (1984), whenever all of these hold:
   2n for RK2).
 
 Otherwise it steps, under the divergence guard.  The expansion is of
-q(lambda) = (p(lambda) - 1)/lambda, its coefficients cut at CHEBYSHEV_TOL of
-the largest, and the result is u0 + A q(A) u0, so u0 alone carries the
-conserved sum.  The interval is a bound for DD, KPSE and GPSE; FPSE's A is
-not symmetric, and its interval, from the product of its two symbols, is an
-estimate that the interval's 1% widening covers.
+q(lambda) = (p(lambda) - 1)/lambda, fitted by specfun.chebyshev_coefficients
+(as greens' L0 table is) with a cut at CHEBYSHEV_TOL, and the result is
+u0 + A q(A) u0, so u0 alone carries the conserved sum.  The interval bounds
+the spectrum for DD, KPSE and GPSE; FPSE's A is not symmetric, and its
+interval, from its two symbols' product, is an estimate the 1% widening covers.
 
 The stability bound of forward Euler is dt <= 2/|lambda_min|, reported as
 the nondimensional constant a = 2 D / (|lambda_min| h^alpha) with D = 1.
@@ -50,6 +50,7 @@ from .schemes import (SchemeKind, gpse_field, make_rate_operator,
                       spectral_interval)
 # not called here: perfbench/layertrace.py traces GPSE steppers through it
 from .schemes import make_gpse_stepper  # noqa: F401
+from .specfun import chebyshev_coefficients
 
 __all__ = [
     "RKOrder",
@@ -109,34 +110,6 @@ def _norm(u: np.ndarray) -> float:
     return float(np.hypot.reduce(u)) if norm == math.inf else norm
 
 
-def _dct1(v: np.ndarray) -> np.ndarray:
-    """The type-1 DCT of v, v_0 + (-1)^i v_K + 2 sum_{0<j<K} v_j cos(pi i j/K):
-    the real part of the rFFT of v's even extension."""
-    return np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real
-
-
-def _chebyshev_coefficients(q, lo: float, hi: float, max_degree: int):
-    """Chebyshev coefficients of q on [lo, hi], cut where they fall below
-    CHEBYSHEV_TOL of the largest, or None if that needs degree max_degree or
-    more.
-
-    They come from one DCT-I of q at K + 1 Chebyshev points, K doubling
-    until the upper half of the coefficients is below the cut.
-    """
-    k = 16
-    while True:
-        lam = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(k + 1) / k)
-        c = _dct1(q(lam)) / k
-        c[[0, k]] *= 0.5
-        big = np.flatnonzero(np.abs(c) > CHEBYSHEV_TOL * np.abs(c).max())
-        degree = int(big[-1]) if big.size else 0
-        if degree >= max_degree:
-            return None
-        if 2 * degree < k:
-            return c[:degree + 1]
-        k *= 2
-
-
 def _chebyshev_run(op, u0: np.ndarray, interval: tuple[float, float], scale: float,
                    n: int, rk2: bool):
     """p(A) u0 for p(lambda) = s(scale lambda)^n, or None where stepping is
@@ -164,7 +137,7 @@ def _chebyshev_run(op, u0: np.ndarray, interval: tuple[float, float], scale: flo
             pm1 = np.where(d > -1.0, np.expm1(n * np.log1p(d)), (1.0 + d) ** n - 1.0)
             return np.where(lam == 0.0, n * scale, pm1 / lam)
 
-    c = _chebyshev_coefficients(q, lo, hi, (2 if rk2 else 1) * n - 1)
+    c = chebyshev_coefficients(q, lo, hi, CHEBYSHEV_TOL, (2 if rk2 else 1) * n - 1)
     if c is None:
         return None
 

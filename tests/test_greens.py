@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import levy_stable
 
+from fracdiff import greens
 from fracdiff.errors import AccuracyError, DomainError
 from fracdiff.greens import (FractionalOrder, characteristic_width,
                              green_function, reduced_green, reduced_green_mass)
@@ -53,10 +54,11 @@ def test_reduced_green_mass_near_zero_matches_series(alpha):
                     mp.factorial(2 * n + 1) * (2 * n + 1))
             return float(2 * s / mp.pi)
 
+    # abs=0: approx's default absolute 1e-12 would pass any mass below it, 0 too
     for y in (1e-300, 1e-18, 1e-12, 1e-8, 9.9e-5):
-        assert reduced_green_mass(alpha, y) == pytest.approx(ref(y), rel=1e-14)
+        assert reduced_green_mass(alpha, y) == pytest.approx(ref(y), rel=1e-14, abs=0)
     for y in (1e-4, 1e-3):  # the table's side of the switch
-        assert reduced_green_mass(alpha, y) == pytest.approx(ref(y), rel=1e-11)
+        assert reduced_green_mass(alpha, y) == pytest.approx(ref(y), rel=1e-11, abs=0)
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 1.95, 1.99])
@@ -81,13 +83,31 @@ def test_fourier_rule_reports_unresolved_oscillation():
         _l0_fourier(1.5, np.array([1.0, 100.0]))
 
 
-@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 1.99, 1.995])
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 1.9, 1.99, 1.995])
 def test_table_matches_series(alpha):
-    # the table is within 6e-15 absolute, and about 1e-16 where L0 is small:
-    # a growing share of L0 as the crossover moves out towards x ~ 11
+    # the table is within 4e-16 absolute: a growing share of L0 as the
+    # crossover moves out towards x ~ 11
     x = np.linspace(0.0, _l0_model(alpha)[0], 81)[:-1]
     ref = l0_series_mp(alpha, x, 500)
-    assert np.all(np.abs(reduced_green(alpha, x) - ref) <= 3e-14 * ref + 2e-16)
+    assert np.all(np.abs(reduced_green(alpha, x) - ref) <= 2e-15 * ref + 2e-16)
+
+
+@pytest.mark.parametrize("alpha",
+                         [1.0001, *(round(1.005 + 0.09 * i, 3) for i in range(12)), 1.99999])
+def test_table_peak_matches_closed_form(alpha):
+    # L0(0) = (1/pi) int_0^inf exp(-k^alpha) dk = Gamma(1 + 1/alpha)/pi
+    ref = math.gamma(1.0 + 1.0 / alpha) / math.pi
+    assert reduced_green(alpha, 0.0) == pytest.approx(ref, rel=2e-15, abs=0)
+
+
+def test_table_reports_degree_cap(monkeypatch):
+    monkeypatch.setattr(greens, "_TABLE_MAX_DEGREE", 16)
+    _l0_model.cache_clear()
+    try:
+        with pytest.raises(AccuracyError, match=r"alpha=1\.5\b"):
+            reduced_green(1.5, 0.3)
+    finally:
+        _l0_model.cache_clear()
 
 
 @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
@@ -189,4 +209,5 @@ def test_reduced_green_matches_series_oracle(alpha):
 def test_reduced_green_small_beta_matches_levy_stable(alpha):
     # levy_stable itself is ~1e-5 off near x = 0.004 at these alpha
     for x in (0.0, 0.5, 1.0, 1.1):
-        assert reduced_green(alpha, x) == pytest.approx(levy_stable.pdf(x, alpha, 0.0), rel=1e-12)
+        assert reduced_green(alpha, x) == pytest.approx(levy_stable.pdf(x, alpha, 0.0),
+                                                        rel=1e-12, abs=0)

@@ -7,8 +7,8 @@ from fracdiff.errors import AccuracyError, ConfigError, InstabilityError
 from fracdiff.field import init_uniform
 from fracdiff.greens import FractionalOrder, characteristic_width, green_function
 from fracdiff.schemes import SchemeKind, spectral_interval
-from fracdiff.timeint import (IntegratorSpec, RKOrder, _dct1, integrate,
-                              power_iteration_min_eig)
+from fracdiff.specfun import _dct1
+from fracdiff.timeint import IntegratorSpec, RKOrder, integrate, power_iteration_min_eig
 
 from oracles import assemble_matrix
 
@@ -256,7 +256,7 @@ def test_power_iteration_max_iter():
 
 @pytest.mark.parametrize("k", [16 << j for j in range(10)])
 def test_dct1_matches_scipy_bit_for_bit(k):
-    # _chebyshev_coefficients' DCT-I, at the sizes its doubling visits, is
+    # chebyshev_coefficients' DCT-I, at the sizes its doubling visits, is
     # scipy's type-1 DCT to the bit, on smooth samples and on noise
     rng = np.random.default_rng(k)
     smooth = np.expm1(-3.0 * (1.0 + np.cos(np.pi * np.arange(k + 1) / k)))
