@@ -10,20 +10,18 @@ functions) and, for large |x|, the asymptotic expansion
 
     L0(x) ~ -(1/(x pi)) sum_{n>=1} (-x^-alpha)^n Gamma(1+alpha n)/n! sin(alpha n pi/2).
 
-Evaluation switches to the asymptotic sum at a crossover: the smallest x on a
-0.025 grid from which, up to x = 12, the optimally truncated sum agrees with
-the Fourier integral to 1e-8 relative.  For alpha close to 1 that crossover
-sits near x ~ 1.1; near alpha = 2 it moves out to x ~ 10.6 (alpha = 1.99),
-because L0 then carries a factor sin(alpha pi/2) -> 0 that the size of the
-terms does not show.  Below it, L0 is smooth on a fixed interval, so one
-Chebyshev fit per alpha (Trefethen 2013, Approximation Theory and
-Approximation Practice), cut at 1e-15 of its largest coefficient, gives it
-to within 4e-16 absolute at degree 23 to 41: 4e-16 relative at the peak
-against the power series in 50 digits, and up to 8e-13 at alpha = 1.9 and
-9e-12 at alpha = 1.995 where L0 falls off towards a crossover further out.
-The fit (specfun.chebyshev_coefficients) is cached; its nodes and the
-crossover scan take the Fourier integral by one tanh-sinh rule (Takahasi &
-Mori 1974).  The mass of L0 on |x| <= y integrates the same two branches
+Below x = 12, L0 is smooth on a fixed interval, so one Chebyshev fit per
+alpha on [0, 12] (Trefethen 2013, Approximation Theory and Approximation
+Practice), cut at 1e-15 of its largest coefficient, gives it to within 3e-16
+absolute: degree 82 near alpha = 1, 74 at 1.1, 52 at 1.5, 43 at 1.9 and 41
+near 2, from 257 nodes up to alpha = 1.26 and 129 above.  From x = 12 on, the
+optimally truncated asymptotic sum is within 7e-17 absolute, and 1e-15
+relative up to alpha = 1.9; closer to 2 L0 carries a factor sin(alpha pi/2)
+-> 0 that the size of the terms does not show, and what the sum misses, the
+Gaussian core exp(-x^2/4) of alpha = 2, is 1e-11 of L0(12) at alpha = 1.995
+and 1e-8 at 1.99999.  The fit (specfun.chebyshev_coefficients) is cached;
+its nodes take the Fourier integral by one tanh-sinh rule (Takahasi & Mori
+1974).  The mass of L0 on |x| <= y integrates the same two branches
 term by term: the Chebyshev fit exactly, and the asymptotic sum through
 
     int_x^inf L0 = -(1/pi) sum_{n>=1} (-1)^n Gamma(alpha n)/n! sin(alpha n pi/2) x^-(alpha n).
@@ -90,19 +88,20 @@ def _as_order(alpha) -> FractionalOrder:
     return FractionalOrder(float(alpha))
 
 
-_CROSSOVER_CAP = 12.0
-_CROSSOVER_TOL = 1e-8
+# L0 is one Chebyshev table per alpha below x = _SPLIT and the asymptotic
+# sum from it on; the table is fitted at nodes of the Fourier integral,
+# whose error estimate must meet the _NODE tolerances
+_SPLIT = 12.0
 _ASYM_TERMS = 300
-# below the crossover: one Chebyshev table per alpha, fitted at nodes of the
-# Fourier integral, whose error estimate must meet the _NODE tolerances
 _TABLE_TOL = 1e-15
 _TABLE_MAX_DEGREE = 256
 _NODE_EPSABS = 1e-14
 _NODE_EPSREL = 1e-12
-# the tanh-sinh rule for the Fourier integral: t = j/256 for |j| <= 820,
-# 1641 nodes with |t| <= 3.2
+# the tanh-sinh rule for the Fourier integral: t = j/256 for |j| <= 870,
+# 1741 nodes with |t| <= 3.4, so that the sliver k < K exp(-pi sinh 3.4) it
+# leaves out is below 5e-20 of L0 (at |t| <= 3.2 it is 2e-16)
 _TS_STEP = 1.0 / 256.0
-_TS_HALF = 820
+_TS_HALF = 870
 _MASS_SERIES_Y = 1e-4
 
 
@@ -116,7 +115,7 @@ def _l0_fourier(alpha: float, x: np.ndarray) -> np.ndarray:
     cusp of exp(-k^alpha) at k = 0.  Its error estimate is the difference from
     the sum over every second node, at twice the step.
 
-    The points go one at a time, so every temporary is one 13 KB row: a
+    The points go one at a time, so every temporary is one 14 KB row: a
     freed mapped block would raise glibc's mmap threshold for the whole
     process (see schemes._interaction).
     """
@@ -139,29 +138,18 @@ def _l0_fourier(alpha: float, x: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _l0_model(alpha: float) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """The L0 model at this alpha (read-only, shared): the crossover, the
-    Chebyshev coefficients of L0 on [0, crossover], those of int_0^x L0 in the
-    same variable, and the asymptotic tail int_crossover^inf L0.
-
-    The crossover is the smallest grid x from which up to the cap the
-    asymptotic branch agrees with the Fourier integral to _CROSSOVER_TOL
-    relative.
-    """
-    grid = np.arange(0.8, _CROSSOVER_CAP + 1e-9, 0.025)[::-1]
-    exact = _l0_fourier(alpha, grid)
-    bad = np.abs(_l0_asym(alpha, grid) - exact) > _CROSSOVER_TOL * exact
-    # walking down from the cap, the last x before the first disagreement
-    agreed = int(np.argmax(bad)) if bad.any() else len(grid)
-    cross = float(grid[agreed - 1]) if agreed else _CROSSOVER_CAP
-    coef = chebyshev_coefficients(lambda x: _l0_fourier(alpha, x), 0.0, cross,
+def _l0_model(alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The L0 model at this alpha (read-only, shared): the Chebyshev
+    coefficients of L0 on [0, _SPLIT], those of int_0^x L0 in the same
+    variable, and the asymptotic tail int_SPLIT^inf L0."""
+    coef = chebyshev_coefficients(lambda x: _l0_fourier(alpha, x), 0.0, _SPLIT,
                                   _TABLE_TOL, _TABLE_MAX_DEGREE)
     if coef is None:
         raise AccuracyError(f"L0 table needs degree {_TABLE_MAX_DEGREE} or more (alpha={alpha})")
     integral = chebint(coef, lbnd=-1.0)
     coef.setflags(write=False)
     integral.setflags(write=False)
-    return cross, coef, integral, _mass_tail(alpha, cross)
+    return coef, integral, _mass_tail(alpha, _SPLIT)
 
 
 def _mass_tail(alpha: float, x: float) -> float:
@@ -215,11 +203,11 @@ def reduced_green(alpha, x):
     ax = np.abs(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(ax)):
         raise DomainError("non-finite argument to reduced_green")
-    cross, coef = _l0_model(order.alpha)[:2]
+    coef = _l0_model(order.alpha)[0]
     out = np.empty_like(ax)
-    small = ax < cross
+    small = ax < _SPLIT
     if small.any():
-        out[small] = chebval(2.0 * ax[small] / cross - 1.0, coef)
+        out[small] = chebval(2.0 * ax[small] / _SPLIT - 1.0, coef)
     if (~small).any():
         out[~small] = _l0_asym(order.alpha, ax[~small])
     return out[()]
@@ -228,9 +216,9 @@ def reduced_green(alpha, x):
 def reduced_green_mass(alpha, y) -> float:
     """Mass int_{-y}^{y} L0_alpha(x) dx of the reduced Green function, y >= 0.
 
-    The Chebyshev table integrates exactly up to the crossover; beyond it the
+    The Chebyshev table integrates exactly up to the split; beyond it the
     optimally truncated tail integral of the asymptotic expansion (module
-    docstring) adds int_cross^y L0 = tail(cross) - tail(y).
+    docstring) adds int_split^y L0 = tail(split) - tail(y).
     """
     order = _as_order(alpha)
     y = float(y)
@@ -239,10 +227,10 @@ def reduced_green_mass(alpha, y) -> float:
     if y < _MASS_SERIES_Y:  # the series' third term is below 1e-15 relative
         g1, g3 = math.gamma(1.0 + 1.0 / order.alpha), math.gamma(1.0 + 3.0 / order.alpha)
         return 2.0 * y * (g1 - y * y * g3 / 18.0) / math.pi
-    cross, _, integral, tail_cross = _l0_model(order.alpha)
-    half = 0.5 * cross * chebval(2.0 * min(y, cross) / cross - 1.0, integral)
-    if y > cross:
-        half += tail_cross - _mass_tail(order.alpha, y)
+    _, integral, tail_split = _l0_model(order.alpha)
+    half = 0.5 * _SPLIT * chebval(2.0 * min(y, _SPLIT) / _SPLIT - 1.0, integral)
+    if y > _SPLIT:
+        half += tail_split - _mass_tail(order.alpha, y)
     return 2.0 * float(half)
 
 

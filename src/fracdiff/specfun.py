@@ -108,11 +108,19 @@ def chebyshev_coefficients(f, lo: float, hi: float, tol: float, max_degree: int)
     """Chebyshev coefficients of f on [lo, hi], cut where they fall below
     tol of the largest, or None if that needs degree max_degree or more:
     one DCT-I of f at K + 1 Chebyshev points, K doubling until the upper
-    half of the coefficients is below the cut."""
+    half of the coefficients is below the cut.
+
+    f is called on 1-D arrays, elementwise, and once per point: point j of K
+    is point 2j of 2K to the bit (pi 2j/(2K) rounds as pi j/K does), so a
+    doubling evaluates f at the K new odd points only.
+    """
+    def points(j, k):
+        return 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * j / k)
+
     k = 16
+    v = f(points(np.arange(k + 1), k))
     while True:
-        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(k + 1) / k)
-        c = _dct1(f(x)) / k
+        c = _dct1(v) / k
         c[[0, k]] *= 0.5
         big = np.flatnonzero(np.abs(c) > tol * np.abs(c).max())
         degree = int(big[-1]) if big.size else 0
@@ -120,4 +128,7 @@ def chebyshev_coefficients(f, lo: float, hi: float, tol: float, max_degree: int)
             return None
         if 2 * degree < k:
             return c[:degree + 1]
-        k *= 2
+        both = np.empty(2 * k + 1)
+        both[::2] = v
+        both[1::2] = f(points(np.arange(1, 2 * k, 2), 2 * k))
+        v, k = both, 2 * k

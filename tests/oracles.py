@@ -23,9 +23,10 @@ comes from its convergent power series
     L0(x) = (1/pi) sum_k (-1)^k Gamma(1+(2k+1)/alpha) x^{2k} / (2k+1)!,
 
 summed in mpmath precision, which absorbs the alternating-series
-cancellation below the asymptotic crossover, and from its Fourier integral
-by adaptive quadrature (l0_fourier_quad), independent of the library's
-tanh-sinh rule.
+cancellation while the series converges, and from its Fourier integral, by
+adaptive quadrature (l0_fourier_quad), independent of the library's tanh-sinh
+rule, and in mpmath precision on a ray of the complex k plane, where it
+neither oscillates nor cancels (l0_contour_mp).
 
 The dense operator matrix (assemble_matrix) sums the kernels pair by pair
 instead of by the FFT Toeplitz product, and the field evaluations (eval_u,
@@ -291,7 +292,9 @@ _MP_GAMMA_CACHE: dict = {}
 
 
 def l0_series_mp(alpha: float, xs: np.ndarray, term_cap: int) -> np.ndarray:
-    """Extended-precision series for the ill-conditioned band below the crossover."""
+    """L0 by its power series in 50 digits, for the band where the float
+    series cancels; it converges in 4 term_cap terms only up to an alpha-
+    dependent x (about 1.4 at alpha = 1.05 for term_cap = 500)."""
     key = round(alpha, 12)
     cache = _MP_GAMMA_CACHE.setdefault(key, {})
     out = np.empty_like(xs)
@@ -317,6 +320,20 @@ def l0_series_mp(alpha: float, xs: np.ndarray, term_cap: int) -> np.ndarray:
                 raise AccuracyError(f"L0 extended series did not converge (alpha={alpha}, x={xv})")
             out[i] = float(s / mp.pi)
     return out
+
+
+def l0_contour_mp(alpha: float, x: float) -> float:
+    """L0(x) = (1/pi) Re int_0^inf exp(ikx - k^alpha) dk in 30 digits, on the
+    ray k = t exp(i theta), theta = pi/(4 alpha) (Cauchy: the integrand is
+    analytic in the sector, and it vanishes on its arc since cos(alpha
+    theta) > 0).  On the ray |integrand| = exp(-t x sin(theta) -
+    t^alpha cos(pi/4)), so the sum neither oscillates through the
+    cancellation of the real-axis integral nor decays slowly at small x."""
+    with mp.workdps(30):
+        a, xm = mp.mpf(alpha), mp.mpf(float(x))
+        e1, ea = mp.expj(mp.pi / (4 * a)), mp.expj(mp.pi / 4)
+        val = mp.quad(lambda t: mp.exp(1j * t * e1 * xm - t ** a * ea), [0, 1, mp.inf])
+        return float(mp.re(e1 * val) / mp.pi)
 
 
 def l0_fourier_quad(alpha: float, x: float) -> float:

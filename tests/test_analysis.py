@@ -5,8 +5,8 @@ from fracdiff.analysis import (conservation_drift, exact_mass, rel_l1_error,
                                self_convergence_order)
 from fracdiff.errors import DomainError
 from fracdiff.field import init_uniform
-from fracdiff.greens import (FractionalOrder, _l0_model,
-                             characteristic_width, green_function)
+from fracdiff.greens import (_SPLIT, FractionalOrder, characteristic_width,
+                             green_function)
 from fracdiff.schemes import SchemeKind
 from fracdiff.timeint import IntegratorSpec, RKOrder, integrate
 
@@ -34,11 +34,11 @@ def test_denominator_holds_97_percent():
 
 @pytest.mark.parametrize("beta", [0.01, 0.1, 0.5, 0.9, 0.99])
 @pytest.mark.parametrize("t", [0.51, 1.5])
-@pytest.mark.parametrize("y_over_cross", [0.5, 0.999, 1.001, 3.0])
-def test_exact_mass_matches_quadrature(beta, t, y_over_cross):
-    # d_eps on both sides of the L0 crossover, in reduced units y = d t^{-1/alpha}
+@pytest.mark.parametrize("y_over_split", [0.5, 0.999, 1.001, 3.0])
+def test_exact_mass_matches_quadrature(beta, t, y_over_split):
+    # d_eps on both sides of the L0 split, in reduced units y = d t^{-1/alpha}
     order = FractionalOrder.from_beta(beta)
-    d_eps = y_over_cross * _l0_model(order.alpha)[0] * t ** order.gamma
+    d_eps = y_over_split * _SPLIT * t ** order.gamma
     assert exact_mass(order, t, d_eps) == pytest.approx(
         exact_mass_quad(order, t, d_eps), rel=1e-9)
 

@@ -10,12 +10,28 @@ from fracdiff import greens
 from fracdiff.errors import AccuracyError, DomainError
 from fracdiff.greens import (FractionalOrder, characteristic_width,
                              green_function, reduced_green, reduced_green_mass)
-from fracdiff.greens import _l0_asym, _l0_fourier, _l0_model
+from fracdiff.greens import _SPLIT, _l0_asym, _l0_fourier, _l0_model
 
-from oracles import l0_fourier_quad, l0_series_mp, r_alpha_quad, r_alpha_split_series
+from oracles import (l0_contour_mp, l0_fourier_quad, l0_series_mp, r_alpha_quad,
+                     r_alpha_split_series)
 
 R_ALPHA_TABLE = {1.1: 6.688, 1.2: 3.544, 1.3: 2.512, 1.4: 2.005, 1.5: 1.705,
                  1.6: 1.509, 1.7: 1.371, 1.8: 1.269, 1.9: 1.190}
+
+# where the 50-digit power series (l0_series_mp, 2000 terms) is an oracle for
+# L0: past x ~ 1.4 at alpha = 1.05 and 1.95 at 1.1 it does not converge, and
+# past x ~ 7.6 at alpha = 1.5 its terms cancel more than 30 digits
+SERIES_TOP = {1.05: 1.35, 1.1: 1.9, 1.5: 7.5, 1.9: _SPLIT, 1.99: _SPLIT, 1.995: _SPLIT}
+
+
+def l0_oracle(alpha, x, above):
+    """L0 on [0, _SPLIT): the power series below SERIES_TOP[alpha], the
+    oracle above(alpha, x) from it on."""
+    series = x < SERIES_TOP[alpha]
+    out = np.empty_like(x)
+    out[series] = l0_series_mp(alpha, x[series], 500)
+    out[~series] = [above(alpha, v) for v in x[~series]]
+    return out
 
 
 def test_fractional_order_relations():
@@ -63,11 +79,9 @@ def test_reduced_green_mass_near_zero_matches_series(alpha):
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 1.95, 1.99])
 def test_branch_agreement_at_crossover(alpha):
-    cross = _l0_model(alpha)[0]
-    x = np.array([cross])
-    series = l0_series_mp(alpha, x, 500)[0]
-    asym = _l0_asym(alpha, x)[0]
-    assert asym == pytest.approx(series, rel=1e-8)
+    # the table hands over to the asymptotic sum at x = _SPLIT
+    asym = _l0_asym(alpha, np.array([_SPLIT]))[0]
+    assert asym == pytest.approx(l0_fourier_quad(alpha, _SPLIT), rel=1e-8)
 
 
 @pytest.mark.parametrize("alpha", [1.005, 1.1, 1.5, 1.9, 1.995])
@@ -78,18 +92,52 @@ def test_fourier_rule_matches_quadrature(alpha):
 
 
 def test_fourier_rule_reports_unresolved_oscillation():
-    # far beyond the crossover cap the step no longer resolves cos(kx)
+    # far beyond the split the step no longer resolves cos(kx)
     with pytest.raises(AccuracyError, match="x=100.0"):
         _l0_fourier(1.5, np.array([1.0, 100.0]))
 
 
 @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 1.9, 1.99, 1.995])
 def test_table_matches_series(alpha):
-    # the table is within 4e-16 absolute: a growing share of L0 as the
-    # crossover moves out towards x ~ 11
-    x = np.linspace(0.0, _l0_model(alpha)[0], 81)[:-1]
-    ref = l0_series_mp(alpha, x, 500)
+    # the table is within 4e-16 absolute: a growing share of L0 as it falls
+    # off towards the split.  Above the series' range the oracle is the
+    # 30-digit contour integral: adaptive quadrature on the real axis is
+    # itself off by up to 3.4e-16 there (alpha = 1.05, x = 3.75)
+    x = np.linspace(0.0, _SPLIT, 81)[:-1]
+    ref = l0_oracle(alpha, x, l0_contour_mp)
     assert np.all(np.abs(reduced_green(alpha, x) - ref) <= 2e-15 * ref + 2e-16)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.3, 1.5, 1.9, 1.99, 1.995])
+def test_table_matches_fourier_quadrature(alpha):
+    # the whole table interval, and the two points where the asymptotic sum,
+    # when it started at a per-alpha crossover below the split, missed by
+    # 6.4e-9 (alpha = 1.1) and 3.7e-10 (alpha = 1.3)
+    x = np.concatenate([np.linspace(0.0, _SPLIT, 481), [1.7526, 3.4022]])
+    ref = np.array([l0_fourier_quad(alpha, v) for v in x])
+    np.testing.assert_allclose(reduced_green(alpha, x), ref, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [1.0 + 1e-9, 1.05, 1.5, 1.99, 2.0 - 1e-9])
+def test_table_fit_evaluates_each_node_once(monkeypatch, alpha):
+    seen = []
+
+    def counted(a, x):
+        seen.extend(x)
+        return _l0_fourier(a, x)
+
+    monkeypatch.setattr(greens, "_l0_fourier", counted)
+    _l0_model.cache_clear()
+    try:
+        coef = _l0_model(alpha)[0]
+    finally:
+        _l0_model.cache_clear()
+    # the K + 1 nodes of one Chebyshev grid on [0, _SPLIT], each taken once,
+    # at most 257 of them
+    k = len(seen) - 1
+    assert k in (16, 32, 64, 128, 256) and len(coef) <= k // 2
+    nodes = 0.5 * _SPLIT + 0.5 * _SPLIT * np.cos(np.pi * np.arange(k + 1) / k)
+    assert sorted(seen) == sorted(nodes)
 
 
 @pytest.mark.parametrize("alpha",
@@ -114,10 +162,9 @@ def test_table_reports_degree_cap(monkeypatch):
 def test_asymptotic_branch_pointwise(alpha):
     # each point stops at its own smallest term: its value must not depend on
     # which points share the array
-    cross = _l0_model(alpha)[0]
     rng = np.random.default_rng(3)
-    x = np.concatenate([cross * (1.0 + rng.random(40) ** 3),
-                        cross * np.exp(rng.uniform(0.0, 12.0, 40)), [cross, 1e8]])
+    x = np.concatenate([_SPLIT * (1.0 + rng.random(40) ** 3),
+                        _SPLIT * np.exp(rng.uniform(0.0, 12.0, 40)), [_SPLIT, 1e8]])
     rng.shuffle(x)
     full = _l0_asym(alpha, x)
     for i in range(x.size):
@@ -199,10 +246,10 @@ def test_characteristic_width_small_and_large_beta(beta):
 
 @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 1.9, 1.99])
 def test_reduced_green_matches_series_oracle(alpha):
-    # dense grid over the whole table interval [0, crossover)
-    x = np.linspace(0.0, _l0_model(alpha)[0], 160, endpoint=False)
-    series = l0_series_mp(alpha, x, 500)
-    np.testing.assert_allclose(reduced_green(alpha, x), series, rtol=1e-10, atol=0.0)
+    # dense grid over the whole table interval [0, _SPLIT)
+    x = np.linspace(0.0, _SPLIT, 160, endpoint=False)
+    ref = l0_oracle(alpha, x, l0_fourier_quad)
+    np.testing.assert_allclose(reduced_green(alpha, x), ref, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("alpha", [1.01, 1.02])

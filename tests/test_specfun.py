@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fracdiff.errors import DomainError
-from fracdiff.specfun import gamma_rec, s_combo, t_combo
+from fracdiff.specfun import _dct1, chebyshev_coefficients, gamma_rec, s_combo, t_combo
 
 from oracles import central_first, pcf_d, pcf_d_quad
 
@@ -167,3 +167,25 @@ def test_gamma_rec_poles():
     assert gamma_rec(0.0) == 0.0
     assert gamma_rec(-3.0) == 0.0
     assert gamma_rec(2.0) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("width", [0.5, 2.0, 8.0, 16.0])
+def test_chebyshev_fit_evaluates_each_point_once(width):
+    # a doubling of K reuses the K + 1 values it has, so f sees the K + 1
+    # points of the final K once each, and the coefficients are those of one
+    # DCT-I of f at all of them, to the bit
+    lo, hi = -1.0, 2.0
+    seen = []
+
+    def f(x):
+        seen.extend(x)
+        return np.cos(width * x) * np.exp(x)
+
+    c = chebyshev_coefficients(f, lo, hi, 1e-15, 1024)
+    k = len(seen) - 1
+    assert k >= 16 and k & (k - 1) == 0
+    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(k + 1) / k)
+    assert sorted(seen) == sorted(x)
+    ref = _dct1(f(x)) / k
+    ref[[0, k]] *= 0.5
+    assert np.array_equal(c, ref[:len(c)])
