@@ -256,49 +256,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@functools.lru_cache(maxsize=32)
-def _line_format(types: tuple) -> str:
-    """'%' template of one CSV line with cells of these types, rendered as
-    _fmt renders them: floats by %.17g, anything else by %s."""
-    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\r\n"
-
-
-_BLOCK = 4096  # rows formatted per write
-
-
-def _cell_types(row) -> tuple:
-    return tuple(map(type, row))
-
-
-def _type_runs(block: list) -> list[tuple]:
-    """(types, rows) of each run of consecutive rows in block whose cells share
-    types.  A block of one run, the common case, is recognised from the types
-    of its cells laid end to end, without a type tuple per row."""
-    types = _cell_types(block[0])
-    if (set(map(len, block)) == {len(types)} and list(map(
-            type, itertools.chain.from_iterable(block))) == list(types) * len(block)):
-        return [(types, block)]
-    return [(key, list(run)) for key, run in itertools.groupby(block, _cell_types)]
-
-
 def _write_csv(path: str, echo: dict, columns: list[str], rows) -> str:
-    """Echo header, then the rows, streamed in blocks of _BLOCK.
+    """Echo header, then the rows, streamed line by line.
 
-    Each run of rows in a block whose cells share types is formatted by one
-    '%' over the run's line template repeated.  Lines end in CRLF, as
-    csv.writer ends them.  No field (numbers, scheme and kernel names, column
-    names) holds a comma, quote or line break, so none is quoted.
+    Each run of consecutive rows whose cells share types is written from one
+    '%' template, rendering cells as _fmt does: floats by %.17g, anything
+    else by %s.  Lines end in CRLF, as csv.writer ends them.  No field
+    (numbers, scheme and kernel names, column names) holds a comma, quote or
+    line break, so none is quoted.
     """
-    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(f"# fracdiff {__version__}\n")
         for key, value in echo.items():
             fh.write(f"# {key} = {_fmt(value)}\n")
         fh.write(",".join(columns) + "\r\n")
-        while block := list(itertools.islice(rows, _BLOCK)):
-            for types, run in _type_runs(block):
-                fh.write(_line_format(types) * len(run)
-                         % tuple(itertools.chain.from_iterable(run)))
+        for types, run in itertools.groupby(map(tuple, rows), lambda row: tuple(map(type, row))):
+            line = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\r\n"
+            fh.writelines(map(line.__mod__, run))
     return path
 
 

@@ -574,20 +574,25 @@ def test_write_csv_matches_csv_writer(tmp_path):
              ["dd", 0.5, "h", 0.125, "", 1.9999999999999998, ""],
              [0.1, "fpse", 2001, -1234.5, 7.049],
              ["gd", 0.1, np.float64(0.05), np.float64(-3.2e-9)]]
-    # longer than two blocks; the cell types change inside a block and on both
-    # sides of each block boundary
-    b = ex._BLOCK
-    long = [(i / 7.0, -i * 1e-300, float(i)) for i in range(2 * b + 5)]
-    for i in (3, 4, 100, b - 1, b, 2 * b - 1):
+    # 8197 rows; the cell types change at rows 3, 4, 100, 4095, 4096 and 8191,
+    # and row 4097 holds np.float64 cells
+    long = [(i / 7.0, -i * 1e-300, float(i)) for i in range(8197)]
+    for i in (3, 4, 100, 4095, 4096, 8191):
         long[i] = (i / 7.0, "", i)
-    long[b + 1] = (np.float64(0.25), np.float64(-1.5), 2.0)
+    long[4097] = (np.float64(0.25), np.float64(-1.5), 2.0)
     # ragged rows whose cells alone would repeat one row's types
     ragged = [(1.0, 2.0, 3.0), (4.0, 5.0), (6.0, 7.0, 8.0, 9.0)]
+    # list rows, as the kernels table's are
+    r = np.linspace(0.0, 2.0, 9)
+    lists = [[kind, 0.1, ri, -ri / 3.0] for kind in ("gd", "k") for ri in r]
     for name, columns, rows in (("floats.csv", ["x", "u", "u_exact"], floats),
                                 ("mixed.csv", list("abcdefg"), mixed),
                                 ("long.csv", ["x", "u", "u_exact"], long),
-                                ("ragged.csv", ["x", "u", "u_exact"], ragged)):
-        path = ex._write_csv(str(tmp_path / name), echo, columns, iter(rows))
+                                ("ragged.csv", ["x", "u", "u_exact"], ragged),
+                                ("empty.csv", ["x", "u", "u_exact"], []),
+                                ("lists.csv", ["kind", "beta", "r", "value"], lists)):
+        # each table arrives as an unsized iterator, as run's snapshot (a zip) does
+        path = ex._write_csv(str(tmp_path / name), echo, columns, (row for row in rows))
         with open(path, "rb") as fh:
             assert fh.read() == _csv_writer_bytes(echo, columns, rows)
 
