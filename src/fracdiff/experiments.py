@@ -256,23 +256,169 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, echo: dict, columns: list[str], rows) -> str:
-    """Echo header, then the rows, streamed line by line.
+_BLOCK = 4096  # rows per write
+_WIDTH = 24    # the longest %.17g of a float64, as in -1.2345678901234567e-100
+_Q0 = -280     # the power table holds 10^q for q in [_Q0, 300]
+_LOG10_2 = math.log10(2.0)
+# a cell's source row: its 17 digit characters, these six, then the three
+# digits of its exponent
+_TAIL = np.frombuffer(b".0-+e\0", np.uint8)
+_DOT, _ZERO, _MINUS, _PLUS, _E, _NUL, _EXP = range(17, 24)
+_SOURCE = _EXP + 3
 
-    Each run of consecutive rows whose cells share types is written from one
-    '%' template, rendering cells as _fmt does: floats by %.17g, anything
-    else by %s.  Lines end in CRLF, as csv.writer ends them.  No field
-    (numbers, scheme and kernel names, column names) holds a comma, quote or
-    line break, so none is quoted.
+
+def _layout(neg: int, form: int, nz: int) -> list[int]:
+    """Source positions of one %g layout.  Forms 0..20 are the fixed
+    notation of exponents -4..16, forms 21..24 the exponent notation with a
+    +, +, -, - sign and 2, 3, 2, 3 exponent digits; nz digits are
+    significant."""
+    def digits(last):  # digits 0..last-1, then a fraction if any is left
+        return [*range(last), *([_DOT, *range(last, nz)] if nz > last else [])]
+    if form > 20:
+        sign, wide = divmod(form - 21, 2)
+        cell = [*digits(1), _E, (_PLUS, _MINUS)[sign], *range(_EXP + 1 - wide, _EXP + 3)]
+    elif form >= 4:  # 10^X <= |x|: all X + 1 integer digits
+        cell = digits(form - 3)
+    else:
+        cell = [_ZERO, _DOT, *[_ZERO] * (3 - form), *range(nz)]
+    return [_MINUS] * neg + cell + [_NUL] * (_WIDTH - neg - len(cell))
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The formatter's tables, built on first use:
+    - hi, lo: hi + lo = 10^q to about 2^-106 relative, q from _Q0 to 300;
+      hi is 10^q and lo the remainder, each correctly rounded, since
+      Python's int / int rounds correctly
+    - quads: the four digit characters of 0..9999
+    - layouts: _layout's positions, row (neg * 25 + form) * 17 + nz - 1
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# fracdiff {__version__}\n")
-        for key, value in echo.items():
-            fh.write(f"# {key} = {_fmt(value)}\n")
-        fh.write(",".join(columns) + "\r\n")
-        for types, run in itertools.groupby(map(tuple, rows), lambda row: tuple(map(type, row))):
-            line = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\r\n"
-            fh.writelines(map(line.__mod__, run))
+    hi, lo = [], []
+    for q in range(_Q0, 301):
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        hi.append(num / den)
+        a, b = hi[-1].as_integer_ratio()
+        lo.append((num * b - a * den) / (den * b))
+    quads = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+    layouts = np.empty((2 * 25 * 17, _WIDTH), np.uint8)
+    for row, key in zip(layouts, itertools.product(range(2), range(25), range(1, 18))):
+        row[:] = _layout(*key)
+    return np.array(hi), np.array(lo), (quads % 10 + ord("0")).astype(np.uint8), layouts
+
+
+def _split(a):
+    """Veltkamp's split of a into two halves of 26 bits (Dekker 1971)."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, k, tie) for |x| in [1e-260, 1e290]: d, the 17-digit integer
+    nearest |x| 10^(16-k) with k = floor(log10 |x|) (k one more when d
+    rounds up to 10^17), and where that product's fraction lies within 1e-9
+    of 1/2, so that d is not certified.
+
+    The product is taken in double-double arithmetic (Dekker 1971) with the
+    table's hi + lo: exact but for at most 2^-104 relative, under 5e-15 of
+    d.
+    """
+    hi, lo = _tables()[:2]
+    # k0 = floor((e - 1) log10 2) <= k <= k0 + 1 for 2^(e-1) <= |x| < 2^e
+    # ((e - 1) log10 2 is 0 or over 4e-4 from an integer here, so the float
+    # floor is exact), and k = k0 + 1 when |x| >= hi + lo of 10^(k0 + 1),
+    # compared exactly
+    k = np.floor((np.frexp(ax)[1] - 1) * _LOG10_2).astype(np.intp)
+    up = k + 1 - _Q0
+    k += (ax > hi[up]) | ((ax == hi[up]) & (lo[up] <= 0.0))
+    # y = |x| 10^(16-k) in [1e16, 1e17) as y_hi + y_lo, y_hi an integer
+    scale = 16 - k - _Q0
+    b = hi[scale]
+    p = ax * b
+    (ah, al), (bh, bl) = _split(ax), _split(b)
+    t = ((ah * bh - p) + ah * bl + al * bh) + al * bl + ax * lo[scale]
+    y_hi = p + t
+    y_lo = t - (y_hi - p)
+    whole = np.floor(y_lo)
+    frac = y_lo - whole
+    d = y_hi.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = d == 10 ** 17  # rounded up into the next decade
+    k += carry
+    d[carry] = 10 ** 16
+    return d, k, np.abs(frac - 0.5) < 1e-9
+
+
+def _format_g17(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v of each float64 v in x, as a NUL-padded uint8 matrix of
+    one row per value.
+
+    Values _decimal cannot certify are written by '%' itself: a fraction
+    within 1e-9 of 1/2, and |x| outside [1e-260, 1e290], where the table or
+    the split would leave double range (zero, subnormals, inf and nan among
+    them).
+    """
+    quads, layouts = _tables()[2:]
+    n = len(x)
+    ax = np.abs(x)
+    fallback = ~((ax >= 1e-260) & (ax <= 1e290))
+    ax[fallback] = 1.0
+    digits, k, tie = _decimal(ax)
+    fallback |= tie
+    # the 17 digits: a leading digit, then four groups of four
+    quad = np.empty((n, 4), np.intp)
+    for j in (3, 2, 1, 0):
+        rest = digits // 10_000
+        quad[:, j] = digits - 10_000 * rest
+        digits = rest
+    chars = np.empty((n, _SOURCE), np.uint8)
+    chars[:, 0] = digits + ord("0")
+    chars[:, 1:17] = quads.take(quad.ravel(), axis=0).reshape(n, 16)
+    chars[:, 17:23] = _TAIL
+    chars[:, 23:] = quads.take(np.abs(k), axis=0)[:, 1:]
+    nz = 17 - np.argmax(chars[:, 16::-1] != ord("0"), axis=1)
+    form = np.where((k >= -4) & (k < 17), k + 4, 21 + 2 * (k < 0) + (np.abs(k) >= 100))
+    at = layouts.take(((x < 0) * 25 + form) * 17 + nz - 1, axis=0)
+    out = chars.ravel().take(at + np.arange(0, n * _SOURCE, _SOURCE)[:, None])
+    for i in np.flatnonzero(fallback):
+        cell = ("%.17g" % x[i]).encode()
+        out[i] = 0
+        out[i, :len(cell)] = np.frombuffer(cell, np.uint8)
+    return out
+
+
+def _cells(column) -> np.ndarray:
+    """A column's cells as a NUL-padded uint8 matrix, one row per cell: a
+    float64 array's by _format_g17, any other column's cell by cell by
+    _fmt."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return _format_g17(column)
+    cells = np.array([_fmt(v).encode() for v in column])
+    return cells.view(np.uint8).reshape(len(cells), -1)
+
+
+def _write_csv(path: str, echo: dict, names: list[str], columns) -> str:
+    """Echo header, then the table given as equal-length columns, written
+    in blocks of _BLOCK rows.
+
+    Cells read as _fmt renders them: floats by %.17g, anything else by %s.
+    Each block's columns are rendered to NUL-padded byte matrices, joined
+    with commas and CRLF line ends (as csv.writer ends lines), and written
+    in one piece with the NULs dropped.  No field (numbers, scheme and
+    kernel names, column names) holds a comma, quote or line break, so none
+    is quoted.
+    """
+    head = [f"# fracdiff {__version__}\n",
+            *(f"# {key} = {_fmt(value)}\n" for key, value in echo.items()),
+            ",".join(names) + "\r\n"]
+    with open(path, "wb") as fh:
+        fh.write("".join(head).encode())
+        for start in range(0, len(columns[0]), _BLOCK):
+            cells = [_cells(column[start:start + _BLOCK]) for column in columns]
+            rows = len(cells[0])
+            ends = [np.full((rows, 1), ord(","), np.uint8)] * (len(cells) - 1)
+            ends.append(np.full((rows, 2), (ord("\r"), ord("\n")), np.uint8))
+            block = np.concatenate([m for pair in zip(cells, ends) for m in pair], axis=1).ravel()
+            fh.write(block[block != 0])
     return path
 
 
@@ -336,14 +482,12 @@ def run(cfg: ExperimentConfig) -> list[str]:
             snap_echo = {"beta": cfg.beta, "t": cfg.tf, "n": len(f1),
                          "d": cfg.half_width(), "epsilon": f1.epsilon, **echo}
             exact = green_function(cfg.order, f1.positions, cfg.tf)
-            # Python floats: iterating the arrays would build slower numpy scalars
             out.append(_write_csv(path("solution.csv"), snap_echo, ["x", "u", "u_exact"],
-                                  zip(f1.positions.tolist(), f1.strengths.tolist(),
-                                      exact.tolist())))
+                                  [f1.positions, f1.strengths, exact]))
         elif converges:
             p = self_convergence_order(fields, params)
             rows.append([cfg.scheme.value, cfg.beta, param_name, params[0], "", p, ""])
-        out.append(_write_csv(path(table), echo, _COLUMNS, rows))
+        out.append(_write_csv(path(table), echo, _COLUMNS, list(zip(*rows))))
     elif cfg.study is StudyKind.STABILITY:
         rows = []
         for beta, sub, c, n in _runs(cfg):
@@ -353,16 +497,14 @@ def run(cfg: ExperimentConfig) -> list[str]:
                 rows.append([beta, scheme.value, len(f), rep.lambda_min,
                              rep.a_constant])
         out.append(_write_csv(path("stability.csv"), echo,
-                              ["beta", "scheme", "n", "lambda_min", "a"], rows))
+                              ["beta", "scheme", "n", "lambda_min", "a"], list(zip(*rows))))
     else:  # kernels
-        rows = []
         r = np.concatenate([np.arange(0.0, 10.0, 0.05),
                             np.geomspace(10.0, 100.0, 120)])
-        for beta in _STABILITY_BETAS:
-            order = FractionalOrder.from_beta(beta)
-            for kind in _KERNEL_DUMP_KINDS:
-                vals = kernels.scaled(kind, r, order, 1.0)
-                rows.extend([kind.value, beta, ri, vi] for ri, vi in zip(r, vals))
-        out.append(_write_csv(path("kernels.csv"), echo,
-                              ["kind", "beta", "r", "value"], rows))
+        kinds, betas, values = zip(*[
+            (kind.value, beta, kernels.scaled(kind, r, FractionalOrder.from_beta(beta), 1.0))
+            for beta in _STABILITY_BETAS for kind in _KERNEL_DUMP_KINDS])
+        out.append(_write_csv(path("kernels.csv"), echo, ["kind", "beta", "r", "value"],
+                              [[k for k in kinds for _ in r], [b for b in betas for _ in r],
+                               np.tile(r, len(kinds)), np.concatenate(values)]))
     return out

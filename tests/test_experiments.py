@@ -568,33 +568,64 @@ def _csv_writer_bytes(echo, columns, rows):
 def test_write_csv_matches_csv_writer(tmp_path):
     import fracdiff.experiments as ex
     echo = {"beta": 0.5, "n": 201, "scheme": "kpse", "values": ""}
-    floats = [(0.0, -0.0, 5e-320), (1e300, -1e300, -2.5e-7), (1 / 3, -math.pi, 1e-5),
-              (math.inf, -math.inf, math.nan)]
-    mixed = [["dd", 0.5, "dt", 5e-5, 4.0732060862549886e-05, "", 3.7e-4],
-             ["dd", 0.5, "h", 0.125, "", 1.9999999999999998, ""],
-             [0.1, "fpse", 2001, -1234.5, 7.049],
-             ["gd", 0.1, np.float64(0.05), np.float64(-3.2e-9)]]
-    # 8197 rows; the cell types change at rows 3, 4, 100, 4095, 4096 and 8191,
-    # and row 4097 holds np.float64 cells
-    long = [(i / 7.0, -i * 1e-300, float(i)) for i in range(8197)]
+    specials = [0.0, -0.0, 5e-320, 1e300, -1e300, -2.5e-7, 1 / 3, -math.pi, 1e-5,
+                math.inf, -math.inf, math.nan]
+    # 8197 rows, over the block ends 4095/4096 and 8191/8192: x is a float64
+    # array; at rows 3, 4, 100, 4095, 4096 and 8191 u holds "" and u_exact an
+    # int, and at row 4097 u holds an np.float64
+    n = 8197
+    u = [-i * 1e-300 for i in range(n)]
+    u_exact = [float(i) for i in range(n)]
     for i in (3, 4, 100, 4095, 4096, 8191):
-        long[i] = (i / 7.0, "", i)
-    long[4097] = (np.float64(0.25), np.float64(-1.5), 2.0)
-    # ragged rows whose cells alone would repeat one row's types
-    ragged = [(1.0, 2.0, 3.0), (4.0, 5.0), (6.0, 7.0, 8.0, 9.0)]
-    # list rows, as the kernels table's are
-    r = np.linspace(0.0, 2.0, 9)
-    lists = [[kind, 0.1, ri, -ri / 3.0] for kind in ("gd", "k") for ri in r]
-    for name, columns, rows in (("floats.csv", ["x", "u", "u_exact"], floats),
-                                ("mixed.csv", list("abcdefg"), mixed),
-                                ("long.csv", ["x", "u", "u_exact"], long),
-                                ("ragged.csv", ["x", "u", "u_exact"], ragged),
-                                ("empty.csv", ["x", "u", "u_exact"], []),
-                                ("lists.csv", ["kind", "beta", "r", "value"], lists)):
-        # each table arrives as an unsized iterator, as run's snapshot (a zip) does
-        path = ex._write_csv(str(tmp_path / name), echo, columns, (row for row in rows))
+        u[i], u_exact[i] = "", i
+    u[4097], u_exact[4097] = np.float64(-1.5), 2.0
+    # float64 arrays of 8197 and 4097 cells that hold every special value
+    # (written by '%' itself) among random bit patterns
+    bits = np.random.default_rng(20).integers(0, 2 ** 64, 2 * n, dtype=np.uint64)
+    noisy = bits.view(np.float64)
+    noisy[::997] = np.resize(specials, len(noisy[::997]))
+    tables = {
+        "floats.csv": (["x", "u", "u_exact"],
+                       [np.array(specials), specials, [np.float64(v) for v in specials]]),
+        "report.csv": (list("abcdefg"),
+                       [["dd", "dd"], [0.5, 0.5], ["dt", "h"], [5e-5, 0.125],
+                        [4.0732060862549886e-05, ""], ["", 1.9999999999999998], [3.7e-4, ""]]),
+        "stability.csv": (list("abcde"), [[0.1], ["fpse"], [2001], [-1234.5], [7.049]]),
+        "long.csv": (["x", "u", "u_exact"], [np.arange(n) / 7.0, u, u_exact]),
+        "arrays.csv": (["x", "u"], [noisy[:n], noisy[n:]]),
+        "short.csv": (["x", "u", "u_exact"], [noisy[:4097], noisy[-4097:], -noisy[5:4102]]),
+        "empty.csv": (["x", "u", "u_exact"], [np.array([]), [], np.array([])]),
+        # as the kernels table holds them: str and float lists, float64 arrays
+        "kernels.csv": (["kind", "beta", "r", "value"],
+                        [["gd"] * 10 + ["k"] * 9, [0.1] * 19,
+                         np.append(0.05, np.tile(np.linspace(0.0, 2.0, 9), 2)),
+                         np.append(-3.2e-9, -np.linspace(0.0, 2.0, 18) / 3.0)]),
+    }
+    for name, (names, columns) in tables.items():
+        path = ex._write_csv(str(tmp_path / name), echo, names, columns)
         with open(path, "rb") as fh:
-            assert fh.read() == _csv_writer_bytes(echo, columns, rows)
+            assert fh.read() == _csv_writer_bytes(echo, names, list(zip(*columns))), name
+
+
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
+    # a snapshot is written block by block: its peak of traced allocations
+    # (numpy's buffers among them) is a few blocks' worth at any length
+    import tracemalloc
+    import fracdiff.experiments as ex
+    ex._write_csv(str(tmp_path / "warm.csv"), {}, ["x"], [np.ones(3)])  # fill the tables
+    peaks = []
+    for n in (50001, 200001):
+        x = np.linspace(-357.5, 357.5, n)
+        columns = [x, np.exp(-x * x / 1e4) / 3.0, np.exp(-np.abs(x)) * 1e-3]
+        tracemalloc.start()
+        try:
+            ex._write_csv(str(tmp_path / f"snap{n}.csv"), {"n": n}, ["x", "u", "u_exact"],
+                          columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4 * 2 ** 20, peaks
+    assert peaks[1] < peaks[0] + 2 ** 18, peaks
 
 
 WITH_BLOCKED_IMPORTS = """
@@ -603,21 +634,22 @@ import sys
 
 class Blocked:
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] in ("mpmath", "scipy"):
+        if name.partition(".")[0] in ("mpmath", "scipy", "fractions", "decimal"):
             raise ImportError(f"{name} is not installed")
 
 
 sys.meta_path.insert(0, Blocked())
 import fracdiff, fracdiff.cli
-assert "mpmath" not in sys.modules
+assert not {"mpmath", "fractions", "decimal"} & set(sys.modules)
 sys.exit(fracdiff.cli.main(sys.argv[1:]) if sys.argv[1:] else 0)
 """
 
 
 def test_import_leaves_mpmath_unloaded(tmp_path):
-    # mpmath and scipy are test dependencies only: the package imports, runs
-    # a config (fitting an L0 table), builds a stability table and dumps its
-    # kernels where importing any of their modules fails
+    # mpmath and scipy are test dependencies only, and the CSV formatter's
+    # power table is built from ints, not fractions or decimal: the package
+    # imports, runs a config (fitting an L0 table), builds a stability table
+    # and dumps its kernels where importing any of these modules fails
     src = os.path.dirname(os.path.dirname(fracdiff.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     cfg_file = tmp_path / "tiny.cfg"
