@@ -5,7 +5,7 @@ to kernels_gallery.png (if matplotlib is available) plus a CSV next to it.
 
 The cast, for fractional order alpha = 1 + beta:
 
-* eta      -- the squared-exponential mollifier all schemes share
+* eta      -- the squared-exponential mollifier the others derive from
 * kappa    -- eta convolved with |r|^-beta: a "stretched" mollifier whose
               r^-beta tail is the signature of the fractional operator
 * F        -- d(kappa)/dr, the flux kernel (odd, negative for r > 0)
@@ -17,10 +17,23 @@ The cast, for fractional order alpha = 1 + beta:
 Run:  python demos/kernels_gallery.py
 """
 
+import math
+
 import numpy as np
 
-from fracdiff import FractionalOrder, c_beta, eta, kernel_e, kernel_f, \
-    kernel_gd, kernel_k, kernel_kappa
+from fracdiff import FractionalOrder, kernel_f, kernel_gd, kernel_k, kernel_kappa, \
+    reduced_green
+
+
+# the mollifier and kappa's tail constant belong to the derivation; no
+# scheme evaluates them, so the package does not export them
+def eta(r):
+    return math.exp(-r * r) / math.sqrt(math.pi)
+
+
+def c_beta(beta):
+    return 1.0 / (2.0 * math.gamma(1.0 - beta) * math.sin(beta * math.pi / 2.0))
+
 
 r_small = np.linspace(0.0, 6.0, 400)
 r_large = np.geomspace(1.0, 100.0, 200)
@@ -32,20 +45,20 @@ print(hdr)
 for r in (0.0, 0.5, 1.0, 2.0, 5.0):
     print(f"{r:6.2f} {eta(r):12.6f} {kernel_kappa(0.5, r):12.6f} "
           f"{kernel_f(order, r):12.6f} {kernel_k(order, r):12.6f} "
-          f"{kernel_gd(order, r):12.6f} {kernel_e(order, r):12.6f}")
+          f"{kernel_gd(order, r):12.6f} {reduced_green(order, r):12.6f}")
 
 # the slow tails are the whole story: kappa ~ c_beta r^-beta, K ~ |F|/r,
 # E ~ r^-(1+alpha), while eta is already zero for r > 5
 print("\ntail behavior at r = 50:")
 print("  kappa * r^beta      =", kernel_kappa(0.5, 50.0) * 50.0 ** 0.5,
       " (c_beta =", c_beta(0.5), ")")
-print("  E * r^(1+alpha)     =", kernel_e(order, 50.0) * 50.0 ** 2.5)
+print("  E * r^(1+alpha)     =", reduced_green(order, 50.0) * 50.0 ** 2.5)
 
 rows = []
 for beta in (0.1, 0.5, 0.9):
     o = FractionalOrder.from_beta(beta)
     for r in np.concatenate([r_small, r_large]):
-        rows.append((beta, r, kernel_gd(o, r), kernel_k(o, r), kernel_e(o, r),
+        rows.append((beta, r, kernel_gd(o, r), kernel_k(o, r), reduced_green(o, r),
                      kernel_f(o, r), kernel_kappa(beta, r)))
 
 with open("kernels_gallery.csv", "w") as fh:
@@ -68,7 +81,7 @@ else:
                      label=f"G^d, beta={beta}")
         axes[0].plot(r_small, kernel_k(o, r_small), "r" + style,
                      label=f"K, beta={beta}")
-        axes[0].plot(r_small, kernel_e(o, r_small), "g" + style,
+        axes[0].plot(r_small, reduced_green(o, r_small), "g" + style,
                      label=f"E, beta={beta}")
         axes[1].loglog(r_large, np.abs(np.asarray(kernel_gd(o, r_large))), "b" + style)
         axes[1].loglog(r_large, np.asarray(kernel_k(o, r_large)), "r" + style)

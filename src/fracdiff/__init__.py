@@ -15,11 +15,11 @@ from .errors import (AccuracyError, ConfigError, DomainError, FracdiffError,
 from .greens import (FractionalOrder, characteristic_width, green_function,
                      reduced_green)
 from .specfun import s_combo, t_combo
-from .kernels import (ODD_KINDS, KernelKind, c_beta, eta, eta1, kernel_e,
-                      kernel_f, kernel_gd, kernel_k, kernel_kappa, scaled)
+from .kernels import (ODD_KINDS, KernelKind, eta1, kernel_f, kernel_gd, kernel_k,
+                      kernel_kappa, scaled)
 from .field import ParticleField, init_uniform, total_strength
-from .schemes import SchemeKind, make_gpse_stepper, make_rate_operator
+from .schemes import SchemeKind, make_rate_operator
 from .timeint import (IntegratorSpec, RKOrder, StabilityReport, integrate,
-                      power_iteration_min_eig)
+                      make_gpse_stepper, power_iteration_min_eig)
 from .analysis import conservation_drift, rel_l1_error, self_convergence_order
 from .experiments import ExperimentConfig, StudyKind, parse_config, run

@@ -71,8 +71,10 @@ _TABLES = {
 _COLUMNS = ["scheme", "beta", "param_name", "param", "rel_l1", "p", "drift"]
 # numpy indexes an array's bytes with a signed machine word
 _MAX_PARTICLES = sys.maxsize // 8
-# a lower bound on a run's bytes per particle: four length-N arrays, and one
-# interaction's spectrum, buffer and freed block of 4m floats, m >= 2N - 1
+# a lower bound on the bytes per particle a run touches: six length-N arrays
+# (strengths, integrate's copy, the recurrence's sum and three iterates) and
+# one interaction's 5m floats, m >= 2N - 1 (spectrum, buffer, a matvec's FFT
+# outputs and scratch); the 8m-float block _interaction frees stays untouched
 _BYTES_PER_PARTICLE = 128
 
 

@@ -21,14 +21,17 @@ relative up to alpha = 1.9; closer to 2 L0 carries a factor sin(alpha pi/2)
 Gaussian core exp(-x^2/4) of alpha = 2, is 1e-11 of L0(12) at alpha = 1.995
 and 1e-8 at 1.99999.  The fit (specfun.chebyshev_coefficients) is cached;
 its nodes take the Fourier integral by one tanh-sinh rule (Takahasi & Mori
-1974).  The mass of L0 on |x| <= y integrates the same two branches
-term by term: the Chebyshev fit exactly, and the asymptotic sum through
+1974).  The mass of L0 on |x| <= y integrates the same two branches: the
+Chebyshev fit exactly, and the asymptotic sum term by term through
 
     int_x^inf L0 = -(1/pi) sum_{n>=1} (-1)^n Gamma(alpha n)/n! sin(alpha n pi/2) x^-(alpha n).
 
-Below y = 1e-4, where that integral keeps only an absolute precision of about
-1e-17, the mass takes two terms of int_0^y L0 = (1/pi) sum_{n>=0} (-1)^n
-Gamma(1 + (2n+1)/alpha) y^(2n+1) / ((2n+1)! (2n+1)).
+The fit's antiderivative keeps an absolute precision of only about 3e-16,
+which is 5e-12 of the mass near y = 1e-4.  Below y = 1 the mass instead
+integrates the fit by Gauss-Legendre with ceil((degree + 1)/2) nodes, a rule
+exact for the fit's degree that sums positive terms: within 1e-15 relative
+of the series int_0^y L0 = (1/pi) sum_{n>=0} (-1)^n Gamma(1 + (2n+1)/alpha)
+y^(2n+1) / ((2n+1)! (2n+1)) for every y < 1.
 
 The characteristic width R_alpha is the first absolute moment of L0_alpha,
 which for this law has the closed form (2/pi) Gamma(1 - 1/alpha)
@@ -44,6 +47,7 @@ from math import lgamma
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebval
+from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DomainError
 from .specfun import chebyshev_coefficients
@@ -102,7 +106,9 @@ _NODE_EPSREL = 1e-12
 # leaves out is below 5e-20 of L0 (at |t| <= 3.2 it is 2e-16)
 _TS_STEP = 1.0 / 256.0
 _TS_HALF = 870
-_MASS_SERIES_Y = 1e-4
+# (nodes, weights) of the n-point Gauss-Legendre rule on [-1, 1], exact to
+# degree 2n - 1: the mass integrates the table below y = 1 with it
+_gauss_legendre = functools.lru_cache(maxsize=8)(leggauss)
 
 
 def _l0_fourier(alpha: float, x: np.ndarray) -> np.ndarray:
@@ -216,18 +222,19 @@ def reduced_green(alpha, x):
 def reduced_green_mass(alpha, y) -> float:
     """Mass int_{-y}^{y} L0_alpha(x) dx of the reduced Green function, y >= 0.
 
-    The Chebyshev table integrates exactly up to the split; beyond it the
-    optimally truncated tail integral of the asymptotic expansion (module
-    docstring) adds int_split^y L0 = tail(split) - tail(y).
+    The Chebyshev table integrates exactly up to the split, by Gauss-Legendre
+    below y = 1 and by its antiderivative above (module docstring); beyond
+    the split the optimally truncated tail integral of the asymptotic
+    expansion adds int_split^y L0 = tail(split) - tail(y).
     """
     order = _as_order(alpha)
     y = float(y)
     if not y >= 0.0:
         raise DomainError(f"y must be non-negative, got {y}")
-    if y < _MASS_SERIES_Y:  # the series' third term is below 1e-15 relative
-        g1, g3 = math.gamma(1.0 + 1.0 / order.alpha), math.gamma(1.0 + 3.0 / order.alpha)
-        return 2.0 * y * (g1 - y * y * g3 / 18.0) / math.pi
-    _, integral, tail_split = _l0_model(order.alpha)
+    coef, integral, tail_split = _l0_model(order.alpha)
+    if y < 1.0:
+        nodes, weights = _gauss_legendre(-(-len(coef) // 2))
+        return y * float(weights @ chebval(y * (nodes + 1.0) / _SPLIT - 1.0, coef))
     half = 0.5 * _SPLIT * chebval(2.0 * min(y, _SPLIT) / _SPLIT - 1.0, integral)
     if y > _SPLIT:
         half += tail_split - _mass_tail(order.alpha, y)

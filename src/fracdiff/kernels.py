@@ -1,11 +1,12 @@
 """Radial interaction kernels of the particle schemes.
 
-All kernels are built from the squared-exponential mollifier
+All kernels derive from the squared-exponential mollifier
 
-    eta(r) = exp(-r^2)/sqrt(pi)
+    eta(r) = exp(-r^2)/sqrt(pi);
 
-and the parabolic-cylinder combinations S^nu, T^nu (closed forms in the
-Kummer function M, which specfun computes in numpy):
+the schemes apply its derivative eta1, not eta, and the parabolic-cylinder
+combinations S^nu, T^nu (closed forms in the Kummer function M, which
+specfun computes in numpy):
 
     kappa^beta(r) = 2^{(beta-3)/2}/(sqrt(pi) sin(beta pi/2)) S^beta(r)
     F(r)          = 2^{(beta-2)/2}/(sqrt(pi) sin(beta pi/2)) T^alpha(r)
@@ -17,9 +18,10 @@ Kummer function M, which specfun computes in numpy):
 T^alpha(r) is r times that Kummer function M, so r divides out of K in
 closed form and K(0) = -2^alpha / (sin(beta pi/2) Gamma((1-alpha)/2)).
 
-kappa is the |r|^-beta convolution of eta (the smoothed Riemann-Liouville
-potential of a unit particle); F is its derivative (the flux kernel) and G^d
-its second derivative (the Riesz derivative of the mollifier).  Scaled
+kappa = c_beta int eta(t) |r - t|^-beta dt, c_beta = 1/(2 Gamma(1-beta)
+sin(beta pi/2)), is the smoothed Riemann-Liouville potential of a unit
+particle; F is its derivative (the flux kernel) and G^d its second
+derivative (the Riesz derivative of the mollifier).  Scaled
 variants follow the mollifier pattern k_eps(r) = (1/eps) k(r/eps); scaled
 names the kernel by its KernelKind.  ETA1 and F are odd, the rest even.
 
@@ -41,14 +43,11 @@ from .specfun import gamma_rec, kummer_m, s_combo, t_combo
 __all__ = [
     "KernelKind",
     "ODD_KINDS",
-    "c_beta",
-    "eta",
     "eta1",
     "kernel_gd",
     "kernel_kappa",
     "kernel_f",
     "kernel_k",
-    "kernel_e",
     "scaled",
 ]
 
@@ -56,7 +55,6 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 class KernelKind(enum.Enum):
-    ETA = "eta"
     ETA1 = "eta1"
     GD = "gd"
     KAPPA_BETA = "kappa"
@@ -66,18 +64,6 @@ class KernelKind(enum.Enum):
 
 
 ODD_KINDS = frozenset({KernelKind.ETA1, KernelKind.F})
-
-
-def c_beta(beta: float) -> float:
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    return 1.0 / (2.0 * math.gamma(1.0 - beta) * math.sin(beta * math.pi / 2.0))
-
-
-def eta(r):
-    """Unit-mass squared-exponential mollifier."""
-    r = np.asarray(r, dtype=float)
-    return np.exp(-r * r) / _SQRT_PI
 
 
 def eta1(r):
@@ -116,19 +102,14 @@ def kernel_k(alpha, r):
     return k0 * kummer_m((a + 1.0) / 2.0, 1.5, r)
 
 
-def kernel_e(alpha, r):
-    """Green's-function kernel E(r) = L0_alpha(r) (even, positive, decaying)."""
-    return reduced_green(alpha, r)
-
-
 _DISPATCH = {
-    KernelKind.ETA: lambda order, r: eta(r),
     KernelKind.ETA1: lambda order, r: eta1(r),
     KernelKind.GD: kernel_gd,
     KernelKind.KAPPA_BETA: lambda order, r: kernel_kappa(order.beta, r),
     KernelKind.F: kernel_f,
     KernelKind.K: kernel_k,
-    KernelKind.E: kernel_e,
+    # looked up at each call, so a wrapper patched over reduced_green sees E
+    KernelKind.E: lambda order, r: reduced_green(order, r),
 }
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "rate_prefactors",
     "make_rate_operator",
     "gpse_field",
-    "make_gpse_stepper",
     "spectral_interval",
 ]
 
@@ -184,12 +183,6 @@ def gpse_field(field: ParticleField, dt: float) -> ParticleField:
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainError(f"dt must be positive, got {dt}")
     return replace(field, epsilon=dt ** field.order.gamma)
-
-
-def make_gpse_stepper(field: ParticleField, dt: float):
-    """Build the GPSE map u^n -> u^{n+1} = u^n + A u^n for a fixed time step."""
-    a = _operator(gpse_field(field, dt), SchemeKind.GPSE)[0]
-    return lambda u: u + a(u)
 
 
 def spectral_interval(field: ParticleField, kind: SchemeKind) -> tuple[float, float]:

@@ -54,8 +54,6 @@ from .errors import AccuracyError, ConfigError, InstabilityError
 from .field import ParticleField
 from .schemes import (SchemeKind, gpse_field, make_rate_operator,
                       spectral_interval)
-# not called here: perfbench/layertrace.py traces GPSE steppers through it
-from .schemes import make_gpse_stepper  # noqa: F401
 from .specfun import chebyshev_coefficients
 
 __all__ = [
@@ -63,6 +61,7 @@ __all__ = [
     "IntegratorSpec",
     "StabilityReport",
     "integrate",
+    "make_gpse_stepper",
     "power_iteration_min_eig",
     "DIVERGENCE_FACTOR",
 ]
@@ -107,6 +106,12 @@ class StabilityReport:
     a_constant: float
     iterations: int
     residual: float
+
+
+def make_gpse_stepper(field: ParticleField, dt: float):
+    """The GPSE map u^n -> u^{n+1} = u^n + A u^n for a fixed time step."""
+    a = make_rate_operator(gpse_field(field, dt), SchemeKind.GPSE)
+    return lambda u: u + a(u)
 
 
 def _norm(u: np.ndarray) -> float:

@@ -104,13 +104,24 @@ def riesz_quad(f, x: float, alpha: float) -> float:
     return pref * val
 
 
+def eta(r):
+    """The squared-exponential mollifier exp(-r^2)/sqrt(pi), of unit mass."""
+    r = np.asarray(r, dtype=float)
+    return np.exp(-r * r) / math.sqrt(math.pi)
+
+
+def c_beta(beta: float) -> float:
+    """kappa's tail constant 1/(2 Gamma(1-beta) sin(beta pi/2)): kappa^beta(r)
+    ~ c_beta r^-beta."""
+    return 1.0 / (2.0 * math.gamma(1.0 - beta) * math.sin(beta * math.pi / 2.0))
+
+
 def utilde_quad(u, x: float, beta: float) -> float:
     """c_beta * int u(xi) |x - xi|^-beta dxi with the singularity substituted away.
 
     With s = t^(1/(1-beta)), int_0^inf u(x +- s) s^-beta ds
     = 1/(1-beta) int_0^inf u(x +- t^(1/(1-beta))) dt.
     """
-    c_beta = 1.0 / (2.0 * math.gamma(1.0 - beta) * math.sin(beta * math.pi / 2.0))
     p = 1.0 / (1.0 - beta)
 
     def one_side(sign):
@@ -123,7 +134,7 @@ def utilde_quad(u, x: float, beta: float) -> float:
             val += v
         return val * p
 
-    return c_beta * (one_side(+1.0) + one_side(-1.0))
+    return c_beta(beta) * (one_side(+1.0) + one_side(-1.0))
 
 
 def central_second(f, x: float, h: float) -> float:
@@ -322,6 +333,32 @@ def l0_series_mp(alpha: float, xs: np.ndarray, term_cap: int) -> np.ndarray:
     return out
 
 
+def l0_mass_series_mp(alpha: float, y: float) -> float:
+    """The mass int_{-y}^{y} L0 by the power series integrated term by term,
+
+        (2/pi) sum_k (-1)^k Gamma(1+(2k+1)/alpha) y^{2k+1} / ((2k+1)! (2k+1)),
+
+    in 50 digits, to a term below 1e-40 of the sum (about 600 terms at
+    alpha = 1.01 and y = 1)."""
+    cache = _MP_GAMMA_CACHE.setdefault(round(alpha, 12), {})
+    with mp.workdps(50):
+        am, ym = mp.mpf(alpha), mp.mpf(float(y))
+        s = mp.mpf(0)
+        ypow = ym  # y^(2k+1)
+        fact = mp.mpf(1)  # (2k+1)!
+        for k in range(4000):
+            g = cache.get(k)
+            if g is None:
+                g = cache[k] = mp.gamma(1 + mp.mpf(2 * k + 1) / am)
+            t = g * ypow / (fact * (2 * k + 1))
+            s += -t if (k % 2) else t
+            if k > 4 and t < mp.mpf("1e-40") * abs(s):
+                return float(2 * s / mp.pi)
+            ypow *= ym * ym
+            fact *= (2 * k + 2) * (2 * k + 3)
+    raise AccuracyError(f"L0 mass series did not converge (alpha={alpha}, y={y})")
+
+
 def l0_contour_mp(alpha: float, x: float) -> float:
     """L0(x) = (1/pi) Re int_0^inf exp(ikx - k^alpha) dk in 30 digits, on the
     ray k = t exp(i theta), theta = pi/(4 alpha) (Cauchy: the integrand is
@@ -415,8 +452,7 @@ def field_arrays(field) -> tuple:
 
 def eval_u(x: float, positions, weights, order, eps: float) -> float:
     """Field value sum_i w_i eta_eps(x - x_i), with weights w_i = V_i u_i."""
-    w = kernels.scaled(KernelKind.ETA, x - np.asarray(positions), order, eps)
-    return float(np.dot(weights, w))
+    return float(np.dot(weights, eta((x - np.asarray(positions)) / eps) / eps))
 
 
 def eval_utilde(x: float, positions, weights, order, eps: float) -> float:

@@ -9,7 +9,8 @@ from fracdiff.field import ParticleField, init_uniform, total_strength
 from fracdiff.greens import FractionalOrder, green_function
 from fracdiff.kernels import KernelKind, scaled
 
-from oracles import central_first, eval_flux, eval_u, eval_utilde, field_arrays, utilde_quad
+from oracles import (central_first, eta, eval_flux, eval_u, eval_utilde, field_arrays,
+                     utilde_quad)
 
 ORDER = FractionalOrder.from_beta(0.5)
 
@@ -80,7 +81,7 @@ def test_field_validation():
 def test_eval_u_single_particle():
     for x in (0.0, 0.3, -1.1):
         assert eval_u(x, [0.0], [1.0], ORDER, 0.7) == pytest.approx(
-            scaled(KernelKind.ETA, x, ORDER, 0.7), rel=1e-14)
+            eta(x / 0.7) / 0.7, rel=1e-14)
 
 
 def test_eval_u_zero_field():
@@ -131,7 +132,7 @@ def test_eval_flux_single_particle_oracle():
     eps = 0.8
     x0 = 0.9
     ref = -central_first(
-        lambda x: utilde_quad(lambda s: scaled(KernelKind.ETA, s, ORDER, eps), x, ORDER.beta),
+        lambda x: utilde_quad(lambda s: eta(s / eps) / eps, x, ORDER.beta),
         x0, 1e-4)
     assert eval_flux(x0, [0.0], [1.0], ORDER, eps) == pytest.approx(ref, rel=1e-6)
 

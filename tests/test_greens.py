@@ -1,6 +1,5 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,8 +11,8 @@ from fracdiff.greens import (FractionalOrder, characteristic_width,
                              green_function, reduced_green, reduced_green_mass)
 from fracdiff.greens import _SPLIT, _l0_asym, _l0_fourier, _l0_model
 
-from oracles import (l0_contour_mp, l0_fourier_quad, l0_series_mp, r_alpha_quad,
-                     r_alpha_split_series)
+from oracles import (l0_contour_mp, l0_fourier_quad, l0_mass_series_mp, l0_series_mp,
+                     r_alpha_quad, r_alpha_split_series)
 
 R_ALPHA_TABLE = {1.1: 6.688, 1.2: 3.544, 1.3: 2.512, 1.4: 2.005, 1.5: 1.705,
                  1.6: 1.509, 1.7: 1.371, 1.8: 1.269, 1.9: 1.190}
@@ -58,23 +57,16 @@ def test_reduced_green_mass():
     assert 2.0 * (core + tail) == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
+@pytest.mark.parametrize("alpha", [1.01, 1.1, 1.5, 1.9, 1.99])
 def test_reduced_green_mass_near_zero_matches_series(alpha):
-    # the table's integral cancels near y = 0: it was 3e-4 off at y = 1e-12
-    # and exactly 0 from y = 1e-18, so a rel_l1 denominator divided by zero
-    def ref(y):
-        with mp.workdps(40):
-            a, y, s = mp.mpf(alpha), mp.mpf(y), mp.mpf(0)
-            for n in range(40):
-                s += (-1) ** n * mp.gamma(1 + (2 * n + 1) / a) * y ** (2 * n + 1) / (
-                    mp.factorial(2 * n + 1) * (2 * n + 1))
-            return float(2 * s / mp.pi)
-
+    # the table's antiderivative cancels near y = 0: it was 3e-4 off at
+    # y = 1e-12 and exactly 0 from y = 1e-18, so a rel_l1 denominator divided
+    # by zero, and still 5e-12 off at y = 1e-4 (alpha = 1.9)
+    ys = [1e-300, 1e-18, 1e-12, *np.geomspace(1e-8, 1.0, 25), 0.5, 0.999]
     # abs=0: approx's default absolute 1e-12 would pass any mass below it, 0 too
-    for y in (1e-300, 1e-18, 1e-12, 1e-8, 9.9e-5):
-        assert reduced_green_mass(alpha, y) == pytest.approx(ref(y), rel=1e-14, abs=0)
-    for y in (1e-4, 1e-3):  # the table's side of the switch
-        assert reduced_green_mass(alpha, y) == pytest.approx(ref(y), rel=1e-11, abs=0)
+    for y in ys:
+        assert reduced_green_mass(alpha, y) == pytest.approx(
+            l0_mass_series_mp(alpha, y), rel=2e-15, abs=0), y
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 1.95, 1.99])

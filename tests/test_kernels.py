@@ -5,28 +5,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracdiff import kernels
 from fracdiff.errors import DomainError
 from fracdiff.greens import FractionalOrder, reduced_green
-from fracdiff.kernels import (ODD_KINDS, KernelKind, c_beta, eta, eta1,
-                              kernel_e, kernel_f, kernel_gd, kernel_k,
-                              kernel_kappa, scaled)
+from fracdiff.kernels import (ODD_KINDS, KernelKind, eta1, kernel_f, kernel_gd,
+                              kernel_k, kernel_kappa, scaled)
 
-from oracles import central_first, central_second, riesz_quad, utilde_quad
+from oracles import c_beta, central_first, central_second, eta, riesz_quad, utilde_quad
 
 EVEN_KINDS = [kind for kind in KernelKind if kind not in ODD_KINDS]
 
 
 def test_c_beta_closed_form():
+    # the oracles' tail constant, which test_kappa_tail holds kappa to
     assert c_beta(0.5) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-14)
-
-
-def test_c_beta_positive_and_bounds():
-    assert c_beta(0.1) > 0.0 and math.isfinite(c_beta(0.1))
-    assert c_beta(0.9) > 0.0 and math.isfinite(c_beta(0.9))
-    with pytest.raises(DomainError):
-        c_beta(1.0)
-    with pytest.raises(DomainError):
-        c_beta(0.0)
 
 
 def test_c_beta_gamma_oracle():
@@ -156,10 +148,16 @@ def test_f_is_derivative_of_kappa():
     assert kernel_f(order, 1.1) == pytest.approx(fd, rel=1e-7)
 
 
-def test_kernel_e_delegates():
+def test_kernel_e_delegates(monkeypatch):
+    # E is L0 itself, looked up in kernels at each call: a wrapper patched
+    # over kernels.reduced_green (as a tracer does) sees every E table
     order = FractionalOrder(1.5)
     r = np.array([0.0, 0.5, 3.0, 20.0])
-    assert np.array_equal(np.asarray(kernel_e(order, r)), np.asarray(reduced_green(order, r)))
+    assert np.array_equal(scaled(KernelKind.E, r, order, 1.0), reduced_green(order, r))
+    seen = []
+    monkeypatch.setattr(kernels, "reduced_green", lambda a, x: seen.append(x) or 0.0 * x)
+    assert np.array_equal(scaled(KernelKind.E, r, order, 2.0), np.zeros(4))
+    assert len(seen) == 1 and np.array_equal(seen[0], r / 2.0)
 
 
 def test_kernel_e_discrete_mass():
@@ -172,19 +170,20 @@ def test_kernel_e_discrete_mass():
 
 
 def test_scaled_identity_and_mass():
+    # E has unit mass, as the mollifier does, and scaling keeps it
     order = FractionalOrder(1.5)
-    assert scaled(KernelKind.ETA, 0.3, order, 1.0) == eta(0.3)
+    assert scaled(KernelKind.E, 0.3, order, 1.0) == reduced_green(order, 0.3)
     for eps in (0.5, 2.0):
-        m, _ = quad(lambda r: scaled(KernelKind.ETA, r, order, eps), -math.inf, math.inf)
+        m, _ = quad(lambda r: scaled(KernelKind.E, r, order, eps), -math.inf, math.inf)
         assert m == pytest.approx(1.0, abs=1e-10)
-    assert scaled(KernelKind.ETA, 0.0, order, 0.25) == pytest.approx(eta(0.0) / 0.25,
-                                                                     rel=1e-15)
+    assert scaled(KernelKind.E, 0.0, order, 0.25) == pytest.approx(
+        reduced_green(order, 0.0) / 0.25, rel=1e-15)
 
 
 def test_scaled_epsilon_validation():
     for eps in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError, match="epsilon"):
-            scaled(KernelKind.ETA, np.array([0.5]), FractionalOrder(1.5), eps)
+            scaled(KernelKind.E, np.array([0.5]), FractionalOrder(1.5), eps)
 
 
 def test_kpse_constant_is_alpha():

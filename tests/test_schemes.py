@@ -14,8 +14,9 @@ from fracdiff.errors import ConfigError
 from fracdiff.field import init_uniform, total_strength
 from fracdiff.greens import FractionalOrder, green_function
 from fracdiff.kernels import KernelKind, scaled
-from fracdiff.schemes import (SchemeKind, _five_smooth, gpse_field, make_gpse_stepper,
-                              make_rate_operator, spectral_interval)
+from fracdiff.schemes import (SchemeKind, _five_smooth, gpse_field, make_rate_operator,
+                              spectral_interval)
+from fracdiff.timeint import make_gpse_stepper
 
 from oracles import assemble_matrix, eval_u, field_arrays, riesz_quad
 

@@ -8,7 +8,8 @@ from fracdiff.field import init_uniform
 from fracdiff.greens import FractionalOrder, characteristic_width, green_function
 from fracdiff.schemes import SchemeKind, spectral_interval
 from fracdiff.specfun import _dct1
-from fracdiff.timeint import IntegratorSpec, RKOrder, integrate, power_iteration_min_eig
+from fracdiff.timeint import (IntegratorSpec, RKOrder, integrate, make_gpse_stepper,
+                              power_iteration_min_eig)
 
 from oracles import assemble_matrix
 
@@ -62,7 +63,6 @@ def test_rk2_step_is_explicit_midpoint():
 
 
 def test_gpse_routing():
-    from fracdiff.schemes import make_gpse_stepper
     f = gaussian_field(n=61)
     dt = 1e-2
     out = integrate(f, SchemeKind.GPSE, IntegratorSpec(RKOrder.RK1, dt, 0.0, 3 * dt))
