@@ -71,15 +71,20 @@ def _spectrum(field: ParticleField, kind: KernelKind, eps: float,
         # the exchange schemes' self term h k(0) (u_i - u_i) is exactly 0;
         # carried, it cancels in e(u) - u row once eps << h
         half[0] = 0.0
-    # a power of two costs about as much as the 5-smooth length, or less,
-    # when 2N-1 fills more than 15/16 of it; below that it can cost 3x
-    m = 1 << (2 * n - 2).bit_length()
-    if 16 * (2 * n - 1) <= 15 * m:
-        m = _five_smooth(2 * n - 1)
+    m = _circulant_length(n)
     circ = np.zeros(m)
     circ[:n] = half
     circ[m - n + 1:] = (-1.0 if kind in ODD_KINDS else 1.0) * half[:0:-1]
     return np.fft.rfft((pref * field.h) * circ), m
+
+
+def _circulant_length(n: int) -> int:
+    """m, the length of the circulant embedding of an N = n Toeplitz section:
+    a symbol sampled by _spectrum lies at theta = 2 pi k/m, k < m//2 + 1."""
+    # a power of two costs about as much as the 5-smooth length, or less,
+    # when 2N-1 fills more than 15/16 of it; below that it can cost 3x
+    m = 1 << (2 * n - 2).bit_length()
+    return _five_smooth(2 * n - 1) if 16 * (2 * n - 1) <= 15 * m else m
 
 
 def _five_smooth(target: int) -> int:

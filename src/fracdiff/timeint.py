@@ -30,16 +30,23 @@ interval, from its two symbols' product, is an estimate the 1% widening covers.
 The stability bound of forward Euler is dt <= 2/|lambda_min|, reported as
 the nondimensional constant a = 2 D / (|lambda_min| h^alpha) with D = 1.
 lambda_min is the dominant eigenvalue of A, so plain power iteration
-applies, run matrix-free with the convolution operators.  The eigenvalues
-cluster at the spectral edge, so convergence is declared on the relative
-Rayleigh-quotient increment; the final residual ||Av - lambda v|| is
+applies, run matrix-free with the convolution operators.  It starts from the
+symbol's extremal Fourier mode: A is built from Toeplitz sections and row
+sums (schemes._operator), and its extremal eigenvectors are close to a
+windowed cos(theta* j), theta* = argmin sigma (Grenander & Szego 1958).  The
+eigenvalues cluster at the spectral edge, so convergence is declared on the
+relative Rayleigh-quotient increment; the final residual ||Av - lambda v|| is
 reported alongside.  The reported lambda_min is that Rayleigh quotient, so
 for the symmetric DD and KPSE it is at or above the true lambda_min, and a
 is at or above the true constant: the unsafe side, a dt limit slightly too
 large.  Against the dense matrix's eigenvalues at n = 201 (the rows of
-`fracdiff stability --n 201`), lambda_min sits 1.0e-5 to 1.2e-5 relative
-above for DD, 6.4e-5 to 8.9e-5 for KPSE, and 3.4e-6 to 1.8e-5 for FPSE,
-whose A is not symmetric and so has no such bound; a is high by as much.
+`fracdiff stability --n 201`), lambda_min sits 8.1e-6 to 9.7e-6 relative
+above for DD and 1.3e-5 to 4.0e-5 for KPSE; at n = 2001, 7.3e-7 to 1.0e-6
+for DD and 1.8e-7 to 4.4e-5 for KPSE.  a is high by as much.  FPSE's A is not
+symmetric, so its estimate has no such side (3.2e-7 below to 8.7e-6 above
+at n = 201, 8.0e-7 to 1.2e-5 above at n = 2001), and its Rayleigh quotients
+need not be monotone: the increment rule can stop at their turn, short of
+lambda_min.
 """
 
 from __future__ import annotations
@@ -52,8 +59,8 @@ import numpy as np
 
 from .errors import AccuracyError, ConfigError, InstabilityError
 from .field import ParticleField
-from .schemes import (SchemeKind, gpse_field, make_rate_operator,
-                      spectral_interval)
+from .schemes import (SchemeKind, _circulant_length, _operator, gpse_field,
+                      make_rate_operator, spectral_interval)
 from .specfun import chebyshev_coefficients
 
 __all__ = [
@@ -215,10 +222,25 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
     return field.with_strengths(u)
 
 
+def _extremal_mode(field: ParticleField, kind: SchemeKind) -> np.ndarray:
+    """The start vector of power iteration: the symbol's extremal Fourier mode
+    theta* = argmin sigma under a sine window, normalized.
+
+    A commutes with the grid's reflection j -> n-1-j, so each eigenvector is
+    even or odd about the centre; the pi/4 phase gives the start both parts,
+    and neither parity's extremal eigenvector is out of reach.
+    """
+    n = len(field)
+    theta = 2.0 * math.pi * int(np.argmin(_operator(field, kind)[1])) / _circulant_length(n)
+    j = np.arange(n)
+    v = np.sin(math.pi * (j + 1) / (n + 1)) * np.cos(theta * (j - 0.5 * (n - 1)) + 0.25 * math.pi)
+    return v / math.sqrt(v @ v)
+
+
 def power_iteration_min_eig(field: ParticleField, kind: SchemeKind,
                             tol: float = 1e-8, max_iter: int = 50000) -> StabilityReport:
-    """Most negative eigenvalue of A by matrix-free power iteration from one
-    fixed start vector, so reruns repeat to the bit.
+    """Most negative eigenvalue of A by matrix-free power iteration from the
+    symbol's extremal mode (_extremal_mode), so reruns repeat to the bit.
 
     Convergence: relative change of the Rayleigh quotient below ``tol``.
     Raises AccuracyError (carrying the best estimate) if max_iter is hit.
@@ -226,8 +248,7 @@ def power_iteration_min_eig(field: ParticleField, kind: SchemeKind,
     if kind not in (SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE):
         raise ConfigError(f"stability analysis applies to rate schemes, got {kind}")
     rate = make_rate_operator(field, kind)
-    v = np.random.default_rng(0).standard_normal(len(field))
-    v /= math.sqrt(v @ v)
+    v = _extremal_mode(field, kind)
     lam = 0.0
     # an operator with entries past about 1e154 overflows the plain sum of
     # squares; _norm rechecks an inf from it, so numpy need not warn of it

@@ -29,8 +29,10 @@ rule, and in mpmath precision on a ray of the complex k plane, where it
 neither oscillates nor cancels (l0_contour_mp).
 
 The dense operator matrix (assemble_matrix) sums the kernels pair by pair
-instead of by the FFT Toeplitz product, and the field evaluations (eval_u,
-eval_utilde, eval_flux) sum them at an arbitrary point x on raw arrays of
+instead of by the FFT Toeplitz product, DD's stability constant on the
+infinite lattice (dd_lattice_constant) comes from the closed-form Fourier
+transform of its kernel alone, and the field evaluations (eval_u,
+eval_utilde, eval_flux) sum the kernels at an arbitrary point x on raw arrays of
 particle positions and weights, so a single particle is as easy to pose as a
 grid.
 """
@@ -43,6 +45,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from fracdiff import kernels
 from fracdiff.errors import AccuracyError, ConfigError, DomainError
@@ -442,6 +445,36 @@ def assemble_matrix(field, kind: SchemeKind, size_guard: int = MATRIX_SIZE_GUARD
         left = e1 * v[None, :] + np.diag(e1 @ v)
         return eps ** (-1.0 - beta) * left @ (f * v[None, :])
     raise ConfigError(f"assemble_matrix supports rate schemes only, got {kind}")
+
+
+def dd_lattice_constant(beta: float, r: float) -> float:
+    """DD's stability constant on the infinite lattice at overlap r = eps/h,
+
+        a_inf = 2 / max_theta sum_m |theta + 2 pi m|^alpha exp(-r^2 (theta + 2 pi m)^2 / 4),
+
+    the symbol of G^d (Fourier transform -|k|^alpha exp(-k^2 eps^2/4)) sampled
+    at spacing h and summed over its aliases by Poisson summation.  A finite
+    section's spectrum lies inside the symbol's range, so its a is at or above
+    a_inf.
+    """
+    alpha = 1.0 + beta
+    # aliases past |theta + 2 pi m| r/2 = 7 weigh below exp(-49)
+    m_max = math.ceil(14.0 / (2.0 * math.pi * r)) + 1
+    m = np.arange(-m_max, m_max + 1)
+
+    def symbol(theta):
+        k = np.abs(theta + 2.0 * math.pi * m)
+        return float(np.sum(k ** alpha * np.exp(-(r * k / 2.0) ** 2)))
+
+    # the symbol is even and 2 pi periodic: a grid on [0, pi] brackets the
+    # peak, and a bounded search refines it
+    grid = np.linspace(0.0, math.pi, 2049)
+    i = int(np.argmax([symbol(t) for t in grid]))
+    step = grid[1]
+    best = minimize_scalar(lambda t: -symbol(t), method="bounded",
+                           bounds=(max(grid[i] - step, 0.0), min(grid[i] + step, math.pi)),
+                           options={"xatol": 1e-12})
+    return 2.0 / max(float(-best.fun), symbol(grid[i]))
 
 
 def field_arrays(field) -> tuple:

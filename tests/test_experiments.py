@@ -78,7 +78,8 @@ def test_even_count_rejected():
 def test_unknown_key_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError, match="unknown key: frobnicate"):
         parse_config("frobnicate = 1")
-    # power iteration always starts from default_rng(0): seed is no key or option
+    # power iteration always starts from the symbol's extremal mode: seed is
+    # no key or option
     cfg_file = tmp_path / "seed.cfg"
     cfg_file.write_text(TINY + "seed = 0\n")
     assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2

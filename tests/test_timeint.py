@@ -208,8 +208,10 @@ def test_power_iteration_two_particle_closed_form():
 
 def test_stability_table_matches_dense_eigenvalues():
     # the 9 rows of `fracdiff stability --n 201`, against the smallest real
-    # part of the dense oracle's eigenvalues: power iteration stops 3.4e-6
-    # (FPSE, beta = 0.1) to 8.9e-5 (KPSE, beta = 0.1) relative above it
+    # part of the dense oracle's eigenvalues: power iteration from the
+    # symbol's extremal mode stops from 3.2e-7 below it (FPSE, beta = 0.1)
+    # to 4.0e-5 relative above it (KPSE, beta = 0.5); from a random start it
+    # stopped 3.4e-6 to 8.9e-5 above
     import fracdiff.experiments as ex
     cfg = ex.parse_config("study = stability", {"n": 201})
     for beta, sub, c, n in ex._runs(cfg):
