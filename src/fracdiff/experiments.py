@@ -71,10 +71,11 @@ _TABLES = {
 _COLUMNS = ["scheme", "beta", "param_name", "param", "rel_l1", "p", "drift"]
 # numpy indexes an array's bytes with a signed machine word
 _MAX_PARTICLES = sys.maxsize // 8
-# a lower bound on the bytes per particle a run touches: six length-N arrays
-# (strengths, integrate's copy, the recurrence's sum and three iterates) and
-# one interaction's 5m floats, m >= 2N - 1 (spectrum, buffer, a matvec's FFT
-# outputs and scratch); the 8m-float block _interaction frees stays untouched
+# a lower bound on the bytes per particle a run touches: eight length-N
+# arrays (strengths, integrate's copy, its recurrence's sum, three iterates
+# and temporary, a matvec's fresh result) and one interaction's 4m floats,
+# m >= 2N - 1 (spectrum, real and complex buffers, pocketfft's scratch); the
+# 4m-float block it frees stays untouched
 _BYTES_PER_PARTICLE = 128
 
 
@@ -449,10 +450,17 @@ def _runs(cfg: ExperimentConfig):
         yield cfg.dt, cfg, None, cfg.n
 
 
+def _even_green(order: FractionalOrder, x: np.ndarray, t: float) -> np.ndarray:
+    """green_function on a field's centers x, evaluated on their non-negative
+    half and mirrored: G is even in x, and x_{-i} = -x_i exactly."""
+    half = green_function(order, x[len(x) // 2:], t)
+    return np.concatenate([half[:0:-1], half])
+
+
 def _build_field(cfg: ExperimentConfig, c: float | None, n: int) -> ParticleField:
     order = cfg.order
     return init_uniform(cfg.half_width(c), n, order, cfg.overlap,
-                        lambda x: green_function(order, x, cfg.t0))
+                        lambda x: _even_green(order, x, cfg.t0))
 
 
 def _run_one(cfg: ExperimentConfig, c: float | None, n: int):
@@ -483,7 +491,7 @@ def run(cfg: ExperimentConfig) -> list[str]:
         if cfg.study is StudyKind.SINGLE:
             snap_echo = {"beta": cfg.beta, "t": cfg.tf, "n": len(f1),
                          "d": cfg.half_width(), "epsilon": f1.epsilon, **echo}
-            exact = green_function(cfg.order, f1.positions, cfg.tf)
+            exact = _even_green(cfg.order, f1.positions, cfg.tf)
             out.append(_write_csv(path("solution.csv"), snap_echo, ["x", "u", "u_exact"],
                                   [f1.positions, f1.strengths, exact]))
         elif converges:
@@ -495,7 +503,8 @@ def run(cfg: ExperimentConfig) -> list[str]:
         for beta, sub, c, n in _runs(cfg):
             f = _build_field(sub, c, n)
             for scheme in _STABILITY_SCHEMES:
-                rep = power_iteration_min_eig(f, scheme)
+                # a copy per scheme, whose operator is freed with its row
+                rep = power_iteration_min_eig(replace(f), scheme)
                 rows.append([beta, scheme.value, len(f), rep.lambda_min,
                              rep.a_constant])
         out.append(_write_csv(path("stability.csv"), echo,

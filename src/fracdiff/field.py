@@ -13,7 +13,7 @@ epsilon = overlap * h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -36,6 +36,9 @@ class ParticleField:
     strengths: np.ndarray
     epsilon: float
     order: FractionalOrder
+    # schemes._operator's builds on this grid, by scheme: they die with the
+    # field, and a replace() (new strengths or epsilon) starts empty
+    operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         u = np.ascontiguousarray(self.strengths, dtype=float)

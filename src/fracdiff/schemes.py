@@ -106,8 +106,9 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
     apply(w)_i = pref sum_j h k_eps(x_i - x_j) w_j, its fixed row sums
     row = apply(1), and the spectrum of _spectrum that apply multiplies by.
 
-    apply is one FFT product against that spectrum.  It reuses its own padded
-    buffer: not reentrant.
+    apply is one FFT product against that spectrum, written into buffers of
+    its own: it returns a view of its real buffer, valid until its next call,
+    and is not reentrant.
     """
     n = len(field)
     # a table near the float limit overflows in the transforms; the inf it
@@ -115,23 +116,24 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
     # guard or power iteration), so numpy need not warn of it here
     with np.errstate(over="ignore"):
         spectrum, m = _spectrum(field, kind, eps, pref)
-        buf = np.zeros(m)
-        # each call allocates and frees the rfft and irfft outputs and
-        # pocketfft's scratch, about 8m bytes each.  Freeing a mapped block
+        # each transform allocates and frees pocketfft's scratch, about 8m
+        # bytes, and each matvec its fresh result.  Freeing a mapped block
         # raises glibc's mmap threshold to its size and the trim threshold
-        # to twice that (mallopt(3)), so after this untouched 64m-byte block
+        # to twice that (mallopt(3)), so after this untouched 32m-byte block
         # those come from the heap instead of being mapped and faulted in
-        # afresh on every call, and freeing a whole operator build does not
-        # trim the heap that the next matvecs would fault back in (at 32m
-        # bytes it did, for 100 faults a matvec in a fresh production run)
-        np.empty(8 * m)
+        # afresh on every call.  glibc raises it only for blocks up to 32
+        # MiB, so this holds while m < 2^20 (N up to about 4.9e5).  integrate
+        # fills its own arrays before the build, so no matvec touches them
+        # first either
+        np.empty(4 * m)
+        buf, z = np.zeros(m), np.empty_like(spectrum)
 
         def apply(w: np.ndarray) -> np.ndarray:
             buf[:n] = w
-            x = np.fft.rfft(buf)
-            x *= spectrum
-            return np.fft.irfft(x, m)[:n]
-        return apply, apply(np.ones(n)), spectrum
+            buf[n:] = 0.0  # the last product's wrap-around
+            np.multiply(np.fft.rfft(buf, out=z), spectrum, out=z)
+            return np.fft.irfft(z, m, out=buf)[:n]
+        return apply, apply(np.ones(n)).copy(), spectrum
 
 
 def rate_prefactors(kind: SchemeKind, order: FractionalOrder,
@@ -151,30 +153,46 @@ def rate_prefactors(kind: SchemeKind, order: FractionalOrder,
 
 def _operator(field: ParticleField, kind: SchemeKind):
     """(A, sigma): the scheme's operator A at field.epsilon, a closure over
-    fixed positions, and its real symbol sigma, read off the spectra A applies:
+    fixed positions that returns a fresh array, and its real symbol sigma,
+    read off the spectra A applies:
 
         DD     A = T_Gd                           sigma = sigma_Gd
         FPSE   A = (T_eta1 + diag(row_eta1)) T_F  sigma = sigma_F sigma_eta1
         KPSE   A = T_K - diag(row_K)              sigma = sigma_K - sigma_K(0)
         GPSE   A = T_E - diag(row_E) = P - I      sigma = sigma_E - sigma_E(0)
+
+    Built once per field and scheme (field.operators), so a run that steps and
+    reads the interval, or iterates from sigma's extremal mode, shares one.
     """
+    if kind not in field.operators:
+        field.operators[kind] = _build_operator(field, kind)
+    return field.operators[kind]
+
+
+def _build_operator(field: ParticleField, kind: SchemeKind):
     eps = field.epsilon
     pref = rate_prefactors(kind, field.order, eps)
     if kind is SchemeKind.DD:
         a, _, spectrum = _interaction(field, KernelKind.GD, eps, pref[0])
-        return a, spectrum.real
+        return (lambda u: a(u).copy()), spectrum.real
     if kind is SchemeKind.FPSE:
         f, _, spectrum_f = _interaction(field, KernelKind.F, eps, pref[0])
         e1, row, spectrum_e1 = _interaction(field, KernelKind.ETA1, eps, pref[1])
 
         def rate(u: np.ndarray) -> np.ndarray:
             q = f(u)
-            return e1(q) + q * row
+            out = q * row
+            return np.add(e1(q), out, out=out)
 
         return rate, (spectrum_f * spectrum_e1).real
     kernel = KernelKind.E if kind is SchemeKind.GPSE else KernelKind.K
     k, row, spectrum = _interaction(field, kernel, eps, pref[0])
-    return (lambda u: k(u) - u * row), spectrum.real - spectrum[0].real
+
+    def rate(u: np.ndarray) -> np.ndarray:
+        out = u * row
+        return np.subtract(k(u), out, out=out)
+
+    return rate, spectrum.real - spectrum[0].real
 
 
 def make_rate_operator(field: ParticleField, kind: SchemeKind):

@@ -129,14 +129,15 @@ def _norm(u: np.ndarray) -> float:
 
 
 def _chebyshev_run(op, u0: np.ndarray, interval: tuple[float, float], scale: float,
-                   n: int, rk2: bool):
+                   n: int, rk2: bool, work: list[np.ndarray]):
     """p(A) u0 for p(lambda) = s(scale lambda)^n, or None where stepping is
     as cheap or the run lies outside the stability region.
 
     q(lambda) = (p(lambda) - 1)/lambda is expanded in Chebyshev polynomials
     T_k(B), B = (2A - (hi + lo)) / (hi - lo), and u0 + A sum_k c_k T_k(B) u0
     is summed by the three-term recurrence: degree + 1 matvecs of op = A.
-    u0 alone carries the conserved sum.
+    The recurrence rotates three iterates and one temporary through the rows
+    of work, four length-N arrays.  u0 alone carries the conserved sum.
     """
     lo, hi = interval
 
@@ -159,22 +160,19 @@ def _chebyshev_run(op, u0: np.ndarray, interval: tuple[float, float], scale: flo
     if c is None:
         return None
 
-    def b(v):
-        # a fresh length-N product: op's result can be a view that holds
-        # the whole padded FFT output, and the recurrence keeps three
-        out = (2.0 / (hi - lo)) * op(v)
-        out -= ((hi + lo) / (hi - lo)) * v
-        return out
-
+    tmp = work[3]
     acc = c[0] * u0
     prev, cur = None, u0
     for k in range(1, len(c)):
-        nxt = b(cur)
+        # T_k = 2 B T_{k-1} - T_{k-2}, into the row that holds neither
+        nxt = work[k % 3]
+        np.multiply(op(cur), 2.0 / (hi - lo), out=nxt)
+        nxt -= np.multiply(cur, (hi + lo) / (hi - lo), out=tmp)
         if k > 1:
             nxt *= 2.0
             nxt -= prev
         prev, cur = cur, nxt
-        acc += c[k] * cur
+        acc += np.multiply(cur, c[k], out=tmp)
     return u0 + op(acc)
 
 
@@ -188,6 +186,9 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
     if kind is SchemeKind.GPSE:
         # one exchange step is one RK1 step of unit length on GPSE's field
         field, scale, rk2 = gpse_field(field, dt), 1.0, False
+    # the recurrence's rows, zero-filled before the build: their pages are
+    # faulted in here, not by the first matvecs (see schemes._interaction)
+    work = [np.zeros_like(u) for _ in range(4)]
     rate = make_rate_operator(field, kind)
     if not rk2:
         def advance(u):
@@ -203,7 +204,8 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
     if np.isfinite(u).all():
         # an overflow in the recurrence falls back to stepping, which reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _chebyshev_run(rate, u, spectral_interval(field, kind), scale, n, rk2)
+            out = _chebyshev_run(rate, u, spectral_interval(field, kind), scale, n, rk2,
+                                 work)
         if out is not None and np.isfinite(out).all():
             return field.with_strengths(out)
     # an overflow leaves an inf (in u, or in _norm's sum of squares), and the

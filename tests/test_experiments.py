@@ -13,7 +13,8 @@ import fracdiff
 from fracdiff import __version__
 from fracdiff.cli import main
 from fracdiff.errors import ConfigError, DomainError
-from fracdiff.experiments import PRESETS, parse_config, run
+from fracdiff.experiments import PRESETS, _build_field, parse_config, run
+from fracdiff.greens import green_function
 from fracdiff.schemes import SchemeKind
 from fracdiff.timeint import RKOrder
 
@@ -135,6 +136,84 @@ def test_rerun_bit_identical(tmp_path):
         run(parse_config(TINY, {"out_dir": str(d)}))
     for name in ("solution.csv", "report.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+# one small single run per scheme (GPSE's step sets its own eps)
+SMALL = {s: f"scheme = {s}\nc = 5\nn = 201\ndt = 1e-3\nt0 = 0.5\ntf = 0.52\n"
+         for s in ("dd", "fpse", "kpse")}
+SMALL["gpse"] = "scheme = gpse\nc = 5\nn = 201\ndt = 1e-2\nt0 = 0.5\ntf = 0.6\n"
+
+
+def _count_builds(monkeypatch) -> list:
+    """The scheme of every operator schemes._operator builds from here on."""
+    import fracdiff.schemes as schemes
+    built, build = [], schemes._build_operator
+
+    def build_counted(field, kind):
+        built.append(kind.value)
+        return build(field, kind)
+    monkeypatch.setattr(schemes, "_build_operator", build_counted)
+    return built
+
+
+@pytest.mark.parametrize("scheme", ["dd", "fpse", "kpse", "gpse"])
+def test_single_run_builds_its_operator_once(tmp_path, monkeypatch, scheme):
+    # integrate steps with the operator and reads its spectral interval off
+    # the same build
+    built = _count_builds(monkeypatch)
+    run(parse_config(SMALL[scheme], {"out_dir": str(tmp_path)}))
+    assert built == [scheme]
+
+
+def test_stability_table_builds_each_operator_once(tmp_path, monkeypatch):
+    # power iteration's matvec and its start vector share one build per row
+    built = _count_builds(monkeypatch)
+    run(parse_config("study = stability", {"n": 201, "out_dir": str(tmp_path)}))
+    assert sorted(built) == sorted(3 * ["dd", "fpse", "kpse"])
+
+
+REUSE_ROUND = """
+import sys
+from fracdiff.experiments import parse_config, run
+for out, text in zip(sys.argv[1::2], sys.argv[2::2]):
+    run(parse_config(text, {"out_dir": out}))
+"""
+
+
+def test_workspace_reuse_does_not_leak_between_runs(tmp_path):
+    # every operator's buffers and every recurrence's rows belong to one run:
+    # the four schemes at two orders, run here and again in the reverse order
+    # in a fresh process, write the same bytes
+    runs = [(f"{s}-{beta}", SMALL[s] + f"beta = {beta}\n")
+            for beta in (0.5, 0.3) for s in ("dd", "fpse", "kpse", "gpse")]
+    for name, text in runs:
+        run(parse_config(text, {"out_dir": str(tmp_path / "a" / name)}))
+    args = [a for name, text in runs[::-1] for a in (str(tmp_path / "b" / name), text)]
+    src = os.path.dirname(os.path.dirname(fracdiff.__file__))
+    subprocess.run([sys.executable, "-c", REUSE_ROUND, *args], check=True, timeout=300,
+                   env={**os.environ, "PYTHONPATH": src})
+    for name, _ in runs:
+        for table in ("solution.csv", "report.csv"):
+            assert (tmp_path / "a" / name / table).read_bytes() == \
+                (tmp_path / "b" / name / table).read_bytes()
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("n", [3, 201, 4001])
+def test_half_grid_green_equals_full_grid(tmp_path, n, beta):
+    # the initial strengths and the snapshot's u_exact are evaluated on the
+    # non-negative half of the grid and mirrored, to the bit
+    text = f"beta = {beta}\nn = {n}\ndt = 1e-3\nt0 = 0.5\ntf = 0.501\n"
+    cfg = parse_config(text, {"out_dir": str(tmp_path)})
+    f0 = _build_field(cfg, None, n)
+    assert np.array_equal(f0.strengths, green_function(cfg.order, f0.positions, cfg.t0))
+    run(cfg)
+    with open(tmp_path / "solution.csv") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    x = np.array([float(r["x"]) for r in rows])
+    exact = np.array([float(r["u_exact"]) for r in rows])
+    assert np.array_equal(x, f0.positions)
+    assert np.array_equal(exact, green_function(cfg.order, f0.positions, cfg.tf))
 
 
 # rel_l1 of the paper's reference case (N = 32001, 20000 RK1 steps), by
