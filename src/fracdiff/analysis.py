@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .field import ParticleField, total_strength
-from .greens import _as_order, green_function, reduced_green_mass
+from .greens import _as_order, green_function_symmetric, reduced_green_mass
 
 __all__ = [
     "rel_l1_error",
@@ -55,7 +55,7 @@ def rel_l1_error(field: ParticleField, t: float, d_eps: float) -> float:
     mask = np.abs(x) <= d_eps
     if not mask.any():
         raise DomainError(f"no particles inside |x| <= {d_eps}")
-    exact = green_function(field.order, x[mask], t)
+    exact = green_function_symmetric(field.order, x[mask], t)
     num = math.fsum(field.h * np.abs(field.strengths[mask] - exact))
     den = exact_mass(field.order, t, d_eps)
     if not den > 0.0:

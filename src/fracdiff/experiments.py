@@ -34,7 +34,7 @@ from . import __version__, kernels
 from .analysis import conservation_drift, rel_l1_error, self_convergence_order
 from .errors import ConfigError
 from .field import ParticleField, init_uniform
-from .greens import FractionalOrder, characteristic_width, green_function
+from .greens import FractionalOrder, characteristic_width, green_function_symmetric
 from .kernels import KernelKind
 from .schemes import SchemeKind, rate_prefactors
 from .timeint import IntegratorSpec, RKOrder, integrate, power_iteration_min_eig
@@ -450,17 +450,10 @@ def _runs(cfg: ExperimentConfig):
         yield cfg.dt, cfg, None, cfg.n
 
 
-def _even_green(order: FractionalOrder, x: np.ndarray, t: float) -> np.ndarray:
-    """green_function on a field's centers x, evaluated on their non-negative
-    half and mirrored: G is even in x, and x_{-i} = -x_i exactly."""
-    half = green_function(order, x[len(x) // 2:], t)
-    return np.concatenate([half[:0:-1], half])
-
-
 def _build_field(cfg: ExperimentConfig, c: float | None, n: int) -> ParticleField:
     order = cfg.order
     return init_uniform(cfg.half_width(c), n, order, cfg.overlap,
-                        lambda x: _even_green(order, x, cfg.t0))
+                        lambda x: green_function_symmetric(order, x, cfg.t0))
 
 
 def _run_one(cfg: ExperimentConfig, c: float | None, n: int):
@@ -491,7 +484,7 @@ def run(cfg: ExperimentConfig) -> list[str]:
         if cfg.study is StudyKind.SINGLE:
             snap_echo = {"beta": cfg.beta, "t": cfg.tf, "n": len(f1),
                          "d": cfg.half_width(), "epsilon": f1.epsilon, **echo}
-            exact = _even_green(cfg.order, f1.positions, cfg.tf)
+            exact = green_function_symmetric(cfg.order, f1.positions, cfg.tf)
             out.append(_write_csv(path("solution.csv"), snap_echo, ["x", "u", "u_exact"],
                                   [f1.positions, f1.strengths, exact]))
         elif converges:
@@ -503,8 +496,7 @@ def run(cfg: ExperimentConfig) -> list[str]:
         for beta, sub, c, n in _runs(cfg):
             f = _build_field(sub, c, n)
             for scheme in _STABILITY_SCHEMES:
-                # a copy per scheme, whose operator is freed with its row
-                rep = power_iteration_min_eig(replace(f), scheme)
+                rep = power_iteration_min_eig(f, scheme)
                 rows.append([beta, scheme.value, len(f), rep.lambda_min,
                              rep.a_constant])
         out.append(_write_csv(path("stability.csv"), echo,

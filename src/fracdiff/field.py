@@ -36,8 +36,7 @@ class ParticleField:
     strengths: np.ndarray
     epsilon: float
     order: FractionalOrder
-    # schemes._operator's builds on this grid, by scheme: they die with the
-    # field, and a replace() (new strengths or epsilon) starts empty
+    # schemes._operator's builds on this grid, by scheme; a replace() starts empty
     operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -251,6 +251,14 @@ def green_function(alpha, x, t):
     return val * scale
 
 
+def green_function_symmetric(alpha, x, t):
+    """green_function at an odd count of points with x[::-1] == -x, as a
+    field's centers: on the non-negative half, mirrored, bit for bit (L0 is
+    even and reduced_green takes |x|)."""
+    half = green_function(alpha, x[len(x) // 2:], t)
+    return np.concatenate([half[:0:-1], half])
+
+
 # ---------------------------------------------------------------------------
 # characteristic width R_alpha
 

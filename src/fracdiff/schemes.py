@@ -122,9 +122,8 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
         # to twice that (mallopt(3)), so after this untouched 32m-byte block
         # those come from the heap instead of being mapped and faulted in
         # afresh on every call.  glibc raises it only for blocks up to 32
-        # MiB, so this holds while m < 2^20 (N up to about 4.9e5).  integrate
-        # fills its own arrays before the build, so no matvec touches them
-        # first either
+        # MiB, so this holds while m < 2^20 (N up to about 4.9e5).  The
+        # product that forms row leaves those heap pages faulted in
         np.empty(4 * m)
         buf, z = np.zeros(m), np.empty_like(spectrum)
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,14 +180,15 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
     """Advance the field from t0 to tf, by one Chebyshev recurrence where the
     module docstring says so and by stepping otherwise; raises
     InstabilityError on divergence."""
+    field = replace(field)  # a copy, so its operator build ends with this call
     u = field.strengths.copy()
     dt, n = spec.dt, spec.n_steps
     scale, rk2 = dt, spec.order is RKOrder.RK2
     if kind is SchemeKind.GPSE:
         # one exchange step is one RK1 step of unit length on GPSE's field
         field, scale, rk2 = gpse_field(field, dt), 1.0, False
-    # the recurrence's rows, zero-filled before the build: their pages are
-    # faulted in here, not by the first matvecs (see schemes._interaction)
+    # the recurrence's rows, zero-filled before the build: allocated after it,
+    # they pushed the matvecs' temporaries onto fresh pages (schemes._interaction)
     work = [np.zeros_like(u) for _ in range(4)]
     rate = make_rate_operator(field, kind)
     if not rk2:
@@ -208,6 +209,7 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
                                  work)
         if out is not None and np.isfinite(out).all():
             return field.with_strengths(out)
+    del work  # stepping does not use the rows
     # an overflow leaves an inf (in u, or in _norm's sum of squares), and the
     # guard reports that, so numpy need not warn of it
     with np.errstate(over="ignore"):
@@ -249,6 +251,7 @@ def power_iteration_min_eig(field: ParticleField, kind: SchemeKind,
     """
     if kind not in (SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE):
         raise ConfigError(f"stability analysis applies to rate schemes, got {kind}")
+    field = replace(field)  # a copy, so its operator build ends with this call
     rate = make_rate_operator(field, kind)
     v = _extremal_mode(field, kind)
     lam = 0.0

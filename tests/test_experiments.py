@@ -14,7 +14,7 @@ from fracdiff import __version__
 from fracdiff.cli import main
 from fracdiff.errors import ConfigError, DomainError
 from fracdiff.experiments import PRESETS, _build_field, parse_config, run
-from fracdiff.greens import green_function
+from fracdiff.greens import green_function, green_function_symmetric
 from fracdiff.schemes import SchemeKind
 from fracdiff.timeint import RKOrder
 
@@ -201,12 +201,17 @@ def test_workspace_reuse_does_not_leak_between_runs(tmp_path):
 @pytest.mark.parametrize("beta", [0.01, 0.5, 0.99])
 @pytest.mark.parametrize("n", [3, 201, 4001])
 def test_half_grid_green_equals_full_grid(tmp_path, n, beta):
-    # the initial strengths and the snapshot's u_exact are evaluated on the
-    # non-negative half of the grid and mirrored, to the bit
+    # the initial strengths, the snapshot's u_exact and rel_l1's exact values
+    # are evaluated on the non-negative half of the grid and mirrored, to the bit
     text = f"beta = {beta}\nn = {n}\ndt = 1e-3\nt0 = 0.5\ntf = 0.501\n"
     cfg = parse_config(text, {"out_dir": str(tmp_path)})
     f0 = _build_field(cfg, None, n)
     assert np.array_equal(f0.strengths, green_function(cfg.order, f0.positions, cfg.t0))
+    x = f0.positions
+    for d_eps in (0.0, 0.3 * cfg.half_width(), cfg.half_width()):
+        inner = x[np.abs(x) <= d_eps]  # rel_l1_error's set
+        assert np.array_equal(green_function_symmetric(cfg.order, inner, cfg.tf),
+                              green_function(cfg.order, inner, cfg.tf))
     run(cfg)
     with open(tmp_path / "solution.csv") as fh:
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))

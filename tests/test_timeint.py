@@ -186,6 +186,18 @@ def test_gpse_million_step_chebyshev_run_keeps_strength(monkeypatch):
 
 @pytest.mark.parametrize("kind", [SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE,
                                   SchemeKind.GPSE])
+def test_operator_build_ends_with_its_call(kind):
+    # integrate and power iteration keep their build on a copy of the field:
+    # kept on the caller's, it outlived the run, and a sweep held two at once
+    f = gaussian_field(n=101)
+    integrate(f, kind, IntegratorSpec(RKOrder.RK1, 1e-3, 0.0, 1e-2))
+    if kind is not SchemeKind.GPSE:
+        power_iteration_min_eig(f, kind)
+    assert f.operators == {}
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE,
+                                  SchemeKind.GPSE])
 def test_divergence_guard_huge_finite_start(kind):
     # ||u||^2 overflows past entries of about 1e154; the guard must not
     f = gaussian_field(n=101)
