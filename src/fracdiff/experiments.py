@@ -73,8 +73,10 @@ _COLUMNS = ["scheme", "beta", "param_name", "param", "rel_l1", "p", "drift"]
 _MAX_PARTICLES = sys.maxsize // 8
 # a lower bound on the bytes per particle a run touches: eight length-N
 # arrays (strengths, integrate's copy, its recurrence's sum, three iterates
-# and temporary, a matvec's fresh result) and one interaction's 4m floats,
-# m >= 2N - 1 (spectrum, real and complex buffers, pocketfft's scratch); the
+# and temporary, a matvec's fresh result) and what one interaction touches
+# with m >= 2N - 1 and L >= N: its spectrum (m + 2 floats), its two folded
+# spectra and complex buffer (2L + 4 floats each), the first (N - 1)/2 + L
+# floats of its real buffer and pocketfft's scratch (L floats); the
 # 4m-float block it frees stays untouched
 _BYTES_PER_PARTICLE = 128
 

@@ -25,6 +25,13 @@ table's circulant embedding, built once per operator (positions never move)
 with pref and h folded in.  The circulant length is the smallest power of two
 >= 2N-1, or the smallest 5-smooth length >= 2N-1 when 2N-1 fills at most
 15/16 of that power.
+
+The grid is symmetric about its centre and every kernel is even or odd, so
+each sum maps an even or odd vector to an even or odd one.  Runs start from
+the even Green function and stay even, and for them the product is folded
+about the centre: a Toeplitz-plus-Hankel product of half the size, one real
+FFT product of length L >= N (_interaction).  A vector of mixed parity, such
+as power iteration's start, takes the full-length product.
 """
 
 from __future__ import annotations
@@ -58,24 +65,43 @@ class SchemeKind(enum.Enum):
 
 
 def _spectrum(field: ParticleField, kind: KernelKind, eps: float,
-              pref: float) -> tuple[np.ndarray, int]:
-    """(spectrum, m): the rFFT of the length-m circulant embedding of the
-    interaction sum pref sum_j h k_eps(x_i - x_j), with pref and h folded in.
+              pref: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(spectrum, toeplitz, hankel): rFFTs of the interaction sum
+    pref sum_j h k_eps(x_i - x_j), with pref and h folded in, from one table
+    t_d = pref h k_eps(d h), d = 0..N-1, t_{-d} = +-t_d:
 
-    It is the sum's finite-section symbol sampled at theta = 2 pi k/m: real
-    for an even kernel, imaginary for an odd one.
+    spectrum  the length-m circulant embedding of the N = 2c+1 section (lags
+              -2c..2c); it is the sum's finite-section symbol sampled at
+              theta = 2 pi k/m: real for an even kernel, imaginary for an odd one
+    toeplitz  the length-L circulant embedding of lags -c..c, L >= N
+    hankel    lags 0..2c at 0..2c, zero-padded to length L
     """
     n = len(field)
+    c = n // 2
     half = kernels.scaled(kind, np.arange(n) * field.h, field.order, eps)
     if kind in (KernelKind.K, KernelKind.E):
         # the exchange schemes' self term h k(0) (u_i - u_i) is exactly 0;
         # carried, it cancels in e(u) - u row once eps << h
         half[0] = 0.0
-    m = _circulant_length(n)
-    circ = np.zeros(m)
+    sign = -1.0 if kind in ODD_KINDS else 1.0
+    m, fold = _circulant_length(n), _circulant_length(c + 1)
+    # the Hankel lags get a transform of their own: the Toeplitz spectrum of
+    # a centred table times the phase exp(-2 pi i k c/L) rounds worse
+    hankel = np.zeros(fold)
+    hankel[:n] = half
+    return tuple(np.fft.rfft((pref * field.h) * circ)
+                 for circ in (_circulant(half, sign, m), _circulant(half[:c + 1], sign, fold),
+                              hankel))
+
+
+def _circulant(half: np.ndarray, sign: float, length: int) -> np.ndarray:
+    """The length-`length` circulant embedding of the Toeplitz section with
+    lags t_d = half[d], t_{-d} = sign half[d], |d| < len(half)."""
+    n = len(half)
+    circ = np.zeros(length)
     circ[:n] = half
-    circ[m - n + 1:] = (-1.0 if kind in ODD_KINDS else 1.0) * half[:0:-1]
-    return np.fft.rfft((pref * field.h) * circ), m
+    circ[length - n + 1:] = sign * half[:0:-1]
+    return circ
 
 
 def _circulant_length(n: int) -> int:
@@ -104,34 +130,74 @@ def _five_smooth(target: int) -> int:
 def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float):
     """(apply, row, spectrum): the interaction sum
     apply(w)_i = pref sum_j h k_eps(x_i - x_j) w_j, its fixed row sums
-    row = apply(1), and the spectrum of _spectrum that apply multiplies by.
+    row = apply(1), and the full-length spectrum of _spectrum.
 
-    apply is one FFT product against that spectrum, written into buffers of
-    its own: it returns a view of its real buffer, valid until its next call,
-    and is not reentrant.
+    The sum commutes with the reflection about the centre c = (N-1)/2 up to
+    the kernel's sign, so apply reads the parity of w first: the end pair,
+    then the whole vector.  An even (s = +1) or odd (s = -1) w is folded onto
+    its half W_q = w_{c+q}, q = 0..c, with W_0 halved, where the sum is the
+    Toeplitz-plus-Hankel product y_p = sum_q (t_{p-q} + s t_{p+q}) W_q of half
+    the size (Martucci 1994): one length-L FFT product,
+    y = irfft(toeplitz rfft(W) + s hankel conj(rfft(W))), mirrored into the
+    output with the kernel's sign times s, and an odd output's centre set to
+    its exact 0.  So an even or odd iterate stays exactly even or odd.  A
+    mixed w takes the full length-m product against spectrum.
+
+    apply writes into buffers of its own: it returns a view of its real
+    buffer, valid until its next call, and is not reentrant.
     """
     n = len(field)
+    c = n // 2
+    sign = -1.0 if kind in ODD_KINDS else 1.0
     # a table near the float limit overflows in the transforms; the inf it
     # leaves is reported where the operator is applied (by the divergence
     # guard or power iteration), so numpy need not warn of it here
     with np.errstate(over="ignore"):
-        spectrum, m = _spectrum(field, kind, eps, pref)
+        spectrum, toeplitz, hankel = _spectrum(field, kind, eps, pref)
+        m, fold = _circulant_length(n), _circulant_length(c + 1)
         # each transform allocates and frees pocketfft's scratch, about 8m
-        # bytes, and each matvec its fresh result.  Freeing a mapped block
-        # raises glibc's mmap threshold to its size and the trim threshold
-        # to twice that (mallopt(3)), so after this untouched 32m-byte block
-        # those come from the heap instead of being mapped and faulted in
-        # afresh on every call.  glibc raises it only for blocks up to 32
-        # MiB, so this holds while m < 2^20 (N up to about 4.9e5).  The
-        # product that forms row leaves those heap pages faulted in
+        # bytes (8L folded).  Freeing a mapped block raises glibc's mmap
+        # threshold to its size and the trim threshold to twice that
+        # (mallopt(3)), so after this untouched 32m-byte block those come
+        # from the heap instead of being mapped and faulted in afresh on
+        # every call.  glibc raises it only for blocks up to 32 MiB, so for
+        # the full product this holds while m < 2^20 (N up to about 4.9e5);
+        # the folded one stays on the heap at least up to N = 1.5e6.  The
+        # folded product that forms row leaves its heap pages faulted in
         np.empty(4 * m)
-        buf, z = np.zeros(m), np.empty_like(spectrum)
+        # both paths share one real and one complex buffer: the fold works
+        # in buf[c:c + L], whose head is the output's upper half, and in two
+        # length-L/2+1 spectra
+        buf = np.zeros(max(m, c + fold))
+        z = np.empty(max(m // 2 + 1, 2 * (fold // 2 + 1)), dtype=complex)
+        out, full, z_full = buf[:n], buf[:m], z[:m // 2 + 1]
+        folded, z_half, z_conj = buf[c:c + fold], z[:fold // 2 + 1], z[fold // 2 + 1:fold + 2]
 
         def apply(w: np.ndarray) -> np.ndarray:
-            buf[:n] = w
-            buf[n:] = 0.0  # the last product's wrap-around
-            np.multiply(np.fft.rfft(buf, out=z), spectrum, out=z)
-            return np.fft.irfft(z, m, out=buf)[:n]
+            lo, hi = w[:c], w[:c:-1]
+            if w[0] == w[-1] and np.array_equal(lo, hi):
+                s = 1.0
+            elif w[0] == -w[-1] and w[c] == 0.0 and np.array_equal(lo, -hi):
+                s = -1.0
+            else:
+                full[:n] = w
+                full[n:] = 0.0  # the last product's wrap-around
+                np.multiply(np.fft.rfft(full, out=z_full), spectrum, out=z_full)
+                return np.fft.irfft(z_full, m, out=full)[:n]
+            folded[:c + 1] = w[c:]
+            folded[0] *= 0.5
+            folded[c + 1:] = 0.0
+            np.fft.rfft(folded, out=z_half)
+            np.multiply(np.conjugate(z_half, out=z_conj), hankel, out=z_conj)
+            np.multiply(z_half, toeplitz, out=z_half)
+            (np.add if s > 0.0 else np.subtract)(z_half, z_conj, out=z_half)
+            np.fft.irfft(z_half, fold, out=folded)
+            if sign * s > 0.0:
+                out[:c] = out[:c:-1]
+            else:
+                np.negative(out[:c:-1], out=out[:c])
+                out[c] = 0.0
+            return out
         return apply, apply(np.ones(n)).copy(), spectrum
 
 

@@ -221,6 +221,27 @@ def test_half_grid_green_equals_full_grid(tmp_path, n, beta):
     assert np.array_equal(exact, green_function(cfg.order, f0.positions, cfg.tf))
 
 
+@pytest.mark.parametrize("stepping", [False, True])
+@pytest.mark.parametrize("scheme,integrator", [
+    ("dd", "rk1"), ("dd", "rk2"), ("fpse", "rk1"), ("fpse", "rk2"),
+    ("kpse", "rk1"), ("kpse", "rk2"), ("gpse", "rk1")])
+def test_integrate_keeps_the_start_mirror_symmetric(monkeypatch, scheme, integrator,
+                                                    stepping):
+    # the start is even to the bit, and the operator's product of an even or
+    # odd vector is folded about the centre and mirrored, so every iterate of
+    # the recurrence or of stepping is exactly even too
+    from fracdiff import timeint
+    if stepping:
+        monkeypatch.setattr(timeint, "_chebyshev_run", lambda *args: None)
+    cfg = parse_config(f"scheme = {scheme}\nintegrator = {integrator}\nc = 5\nn = 201\n"
+                       "dt = 1e-3\nt0 = 0.5\ntf = 0.52\n")
+    f0 = _build_field(cfg, None, cfg.n)
+    u = timeint.integrate(f0, cfg.scheme,
+                          timeint.IntegratorSpec(cfg.integrator, cfg.dt, cfg.t0, cfg.tf)).strengths
+    assert not np.array_equal(u, f0.strengths)
+    assert np.array_equal(u, u[::-1])
+
+
 # rel_l1 of the paper's reference case (N = 32001, 20000 RK1 steps), by
 # stepping, before runs were advanced by their Chebyshev expansion
 _STEPPED_REFERENCE_REL_L1 = {"dd": 1.7744265545647589e-4, "fpse": 3.6299308562665831e-4,
@@ -579,15 +600,46 @@ def test_cli_numerical_failure_exit_3(tmp_path):
 
 
 def test_cli_power_iteration_stops_at_first_nonfinite_iterate(tmp_path, capsys):
-    # this operator's first product is not finite; iterating on from there
-    # divided by a NaN norm and ended in "did not converge" 50000 steps later
+    # the DD beta = 0.9 operator's first product is not finite; iterating on
+    # from there divided by a NaN norm and ended in "did not converge" 50000
+    # steps later
     cfg_file = tmp_path / "nan.cfg"
-    cfg_file.write_text("study = stability\nbeta = 0.01\nn = 7\nc = 1e-214\ntf = 1e100\n")
+    cfg_file.write_text("study = stability\nbeta = 0.01\nn = 7\nc = 1e-214\ntf = 2e99\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == (
         "numerical failure: power iteration iterate 1 is not finite\n")
+
+
+def test_stability_table_near_the_float_limit_matches_dense_eigenvalues(tmp_path):
+    # lambda_min reaches -2.2e307 on the KPSE beta = 0.9 row, whose row sums
+    # (up to 1.6e307) stay finite through the folded product of the even
+    # vector of ones.  The dense A overflows at this eps, so it is assembled
+    # on the grid scaled by s = 2^k, which leaves every kernel argument
+    # (x_i - x_j)/eps bit for bit, and A = s^alpha A_s
+    from dataclasses import replace
+
+    from fracdiff.experiments import _STABILITY_SCHEMES, _runs
+
+    from oracles import assemble_matrix
+    text = "study = stability\nbeta = 0.01\nn = 7\nc = 1e-214\ntf = 1e100\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        files = run(parse_config(text, {"out_dir": str(tmp_path)}))
+    with open(files[0], newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    cfg = parse_config(text)
+    fields = [_build_field(sub, c, n) for _, sub, c, n in _runs(cfg)]
+    assert len(rows) == 9 and len(fields) == 3
+    for row, (f, kind) in zip(rows, [(f, k) for f in fields for k in _STABILITY_SCHEMES]):
+        assert row["scheme"] == kind.value
+        k = -math.frexp(f.epsilon)[1]
+        scaled = replace(f, h=math.ldexp(f.h, k), epsilon=math.ldexp(f.epsilon, k))
+        lam = np.linalg.eigvals(assemble_matrix(scaled, kind)).real.min()
+        lam *= 2.0 ** (k * f.order.alpha)
+        assert abs(float(row["lambda_min"]) / lam - 1.0) <= 1e-6
+        assert math.isfinite(float(row["a"]))
 
 
 @pytest.mark.filterwarnings("error")

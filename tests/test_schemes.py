@@ -13,9 +13,9 @@ import fracdiff
 from fracdiff.errors import ConfigError
 from fracdiff.field import init_uniform, total_strength
 from fracdiff.greens import FractionalOrder, green_function
-from fracdiff.kernels import KernelKind, scaled
-from fracdiff.schemes import (SchemeKind, _five_smooth, gpse_field, make_rate_operator,
-                              spectral_interval)
+from fracdiff.kernels import ODD_KINDS, KernelKind, scaled
+from fracdiff.schemes import (SchemeKind, _five_smooth, _interaction, gpse_field,
+                              make_rate_operator, spectral_interval)
 from fracdiff.timeint import make_gpse_stepper
 
 from oracles import assemble_matrix, eval_u, field_arrays, riesz_quad
@@ -52,7 +52,7 @@ def test_symmetric_field_symmetric_rates():
     f = gaussian_field()
     for kind in RATE_SCHEMES:
         r = rates(f, kind)
-        assert np.allclose(r, r[::-1], rtol=1e-12, atol=1e-13 * np.abs(r).max())
+        assert np.array_equal(r, r[::-1])
 
 
 def test_uniform_strengths_fixed_points():
@@ -153,6 +153,64 @@ def test_matrix_operator_equivalence(n):
         A = assemble_matrix(f, kind)
         r = make_rate_operator(f, kind)(u)
         assert np.abs(A @ u - r).max() <= 1e-13 * np.abs(r).max()
+
+
+def _parity_inputs(n, seed):
+    """(w, s): an even (s = 1), an odd (s = -1) and mixed (s = 0) vectors;
+    r_i + r_{n-1-i} and r_i - r_{n-1-i} are even and odd to the bit.  Two
+    mixed ones end in an even or odd pair, so the end test alone passes them."""
+    r = np.random.default_rng(seed).standard_normal(n)
+    even_ends, odd_ends = r.copy(), r.copy()
+    even_ends[-1] = r[0]
+    odd_ends[-1], odd_ends[n // 2] = -r[0], 0.0
+    return [(r + r[::-1], 1), (r - r[::-1], -1), (r, 0), (even_ends, 0), (odd_ends, 0)]
+
+
+# odd n from 3 to 301, beta in (0, 1), overlap from 1 to 8 spacings
+fold_grids = st.tuples(st.integers(1, 150), st.integers(1, 99), st.floats(1.0, 8.0),
+                       st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([KernelKind.GD, KernelKind.F, KernelKind.ETA1, KernelKind.K,
+                        KernelKind.E]), fold_grids)
+def test_interaction_fold_matches_dense(kind, grid):
+    # an even or odd input takes the half-length fold, a mixed one the full
+    # circulant; both against the kernel summed pair by pair
+    half, beta, overlap, seed = grid
+    n = 2 * half + 1
+    f = init_uniform(10.0, n, FractionalOrder.from_beta(beta / 100.0), overlap,
+                     lambda x: np.exp(-x * x))
+    x = f.positions
+    t = f.h * scaled(kind, x[:, None] - x[None, :], f.order, f.epsilon)
+    if kind in (KernelKind.K, KernelKind.E):
+        np.fill_diagonal(t, 0.0)  # the exchange sums carry no self term
+    apply, row, _ = _interaction(f, kind, f.epsilon, 1.0)
+    scale = np.abs(t).sum(axis=1).max()
+    assert np.abs(row - t.sum(axis=1)).max() <= 1e-13 * scale
+    sign = -1 if kind in ODD_KINDS else 1
+    for w, s in _parity_inputs(n, seed):
+        y = apply(w).copy()
+        assert np.abs(y - t @ w).max() <= 1e-13 * scale * np.abs(w).max()
+        if s:
+            assert np.array_equal(y, sign * s * y[::-1])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(RATE_SCHEMES), fold_grids)
+def test_operator_fold_matches_assembled_matrix(kind, grid):
+    half, beta, overlap, seed = grid
+    n = 2 * half + 1
+    f = init_uniform(10.0, n, FractionalOrder.from_beta(beta / 100.0), overlap,
+                     lambda x: np.exp(-x * x))
+    A = assemble_matrix(f, kind)
+    rate = make_rate_operator(f, kind)
+    for w, s in _parity_inputs(n, seed):
+        y = rate(w)
+        assert np.abs(y - A @ w).max() <= 1e-13 * np.abs(A).sum(axis=1).max() * np.abs(w).max()
+        if s:
+            # every scheme's A commutes with the reflection
+            assert np.array_equal(y, s * y[::-1])
 
 
 def test_matrix_toy_grid_bitwise_tolerant():
