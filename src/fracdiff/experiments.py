@@ -71,13 +71,14 @@ _TABLES = {
 _COLUMNS = ["scheme", "beta", "param_name", "param", "rel_l1", "p", "drift"]
 # numpy indexes an array's bytes with a signed machine word
 _MAX_PARTICLES = sys.maxsize // 8
-# a lower bound on the bytes per particle a run touches: eight length-N
-# arrays (strengths, integrate's copy, its recurrence's sum, three iterates
-# and temporary, a matvec's fresh result) and what one interaction touches
-# with m >= 2N - 1 and L >= N: its spectrum (m + 2 floats), its two folded
-# spectra and complex buffer (2L + 4 floats each), the first (N - 1)/2 + L
-# floats of its real buffer and pocketfft's scratch (L floats); the
-# 4m-float block it frees stays untouched
+# a lower bound on the bytes per particle a run touches.  Stepping, a run
+# holds eight length-N arrays (strengths, integrate's copy, its recurrence's
+# four rows and sum, a matvec's fresh result) and sigma (m/2 + 1 floats,
+# m >= 2N - 1); one interaction touches, with L >= N, its two spectra and the
+# first row pair of its complex work (2L + 4 floats each), the first
+# (N - 1)/2 + L floats of its real buffer and pocketfft's scratch (L floats):
+# 124 bytes, 132 with the row sums all but DD keep.  At N = 1000001 a run's
+# live arrays peak at 152 to 248 bytes a particle, in the build
 _BYTES_PER_PARTICLE = 128
 
 

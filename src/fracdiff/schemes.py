@@ -18,20 +18,19 @@ so its operator A = P - I is the exchange sum itself.
 Every scheme is built from one interaction sum, pref sum_j h k_eps(x_i - x_j) w_j,
 with a scheme-specific kernel and prefactor, applied once (DD, KPSE, GPSE) or
 twice (FPSE), together with its fixed row sums.  _operator is the one place
-that composes them, and it reads each operator's symbol off the same spectra.
-On the uniform grid that sum is a Toeplitz matrix-vector product: one real
-FFT product (numpy.fft) against the spectrum of the per-separation kernel
-table's circulant embedding, built once per operator (positions never move)
-with pref and h folded in.  The circulant length is the smallest power of two
->= 2N-1, or the smallest 5-smooth length >= 2N-1 when 2N-1 fills at most
+that composes them, and it reads each operator's symbol off the length-m
+circulant spectra of the same kernel tables.  On the uniform grid that sum is
+a Toeplitz matrix-vector product.  The grid is symmetric about its centre and
+every kernel is even or odd, so the product folds about the centre into a
+Toeplitz-plus-Hankel product of half the size (_interaction): one batched
+real FFT product (numpy.fft) of length L >= N against two spectra of the
+kernel table, built once per operator (positions never move) with pref and h
+folded in.  An even or odd vector, such as every iterate of a run started
+from the even Green function, takes one row of it, and a vector of mixed
+parity, such as power iteration's, two.  Each circulant length, m for the
+N-section and L for its half, is the smallest power of two >= 2n-1 (n = N or
+(N+1)/2), or the smallest 5-smooth length >= 2n-1 when 2n-1 fills at most
 15/16 of that power.
-
-The grid is symmetric about its centre and every kernel is even or odd, so
-each sum maps an even or odd vector to an even or odd one.  Runs start from
-the even Green function and stay even, and for them the product is folded
-about the centre: a Toeplitz-plus-Hankel product of half the size, one real
-FFT product of length L >= N (_interaction).  A vector of mixed parity, such
-as power iteration's start, takes the full-length product.
 """
 
 from __future__ import annotations
@@ -130,18 +129,19 @@ def _five_smooth(target: int) -> int:
 def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float):
     """(apply, row, spectrum): the interaction sum
     apply(w)_i = pref sum_j h k_eps(x_i - x_j) w_j, its fixed row sums
-    row = apply(1), and the full-length spectrum of _spectrum.
+    row = apply(1), and the full-length spectrum of _spectrum, for sigma.
 
     The sum commutes with the reflection about the centre c = (N-1)/2 up to
-    the kernel's sign, so apply reads the parity of w first: the end pair,
-    then the whole vector.  An even (s = +1) or odd (s = -1) w is folded onto
-    its half W_q = w_{c+q}, q = 0..c, with W_0 halved, where the sum is the
-    Toeplitz-plus-Hankel product y_p = sum_q (t_{p-q} + s t_{p+q}) W_q of half
-    the size (Martucci 1994): one length-L FFT product,
-    y = irfft(toeplitz rfft(W) + s hankel conj(rfft(W))), mirrored into the
-    output with the kernel's sign times s, and an odd output's centre set to
-    its exact 0.  So an even or odd iterate stays exactly even or odd.  A
-    mixed w takes the full length-m product against spectrum.
+    the kernel's sign, so it folds onto the halves U_q = w_{c+q} and
+    D_q = w_{c-q}, q = 0..c, centre entries halved, as a Toeplitz-plus-Hankel
+    product of half the size (Martucci 1994): y_{c+q} = sum_r t_{q-r} U_r +
+    t_{q+r} D_r, and y_{c-q} is the kernel's sign times the same with U and
+    D swapped.  One batched length-L FFT product gives both halves,
+    irfft(toeplitz rfft(U) + hankel conj(rfft(D))) and its swap.  An even
+    (s = +1) or odd (s = -1) w, told by its end pair and then the whole
+    vector, has D = s U: one row, mirrored with the kernel's sign times s,
+    and an odd output's centre set to its exact 0, so an even or odd iterate
+    stays exactly so.
 
     apply writes into buffers of its own: it returns a view of its real
     buffer, valid until its next call, and is not reentrant.
@@ -149,56 +149,48 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
     n = len(field)
     c = n // 2
     sign = -1.0 if kind in ODD_KINDS else 1.0
-    # a table near the float limit overflows in the transforms; the inf it
-    # leaves is reported where the operator is applied (by the divergence
-    # guard or power iteration), so numpy need not warn of it here
-    with np.errstate(over="ignore"):
-        spectrum, toeplitz, hankel = _spectrum(field, kind, eps, pref)
-        m, fold = _circulant_length(n), _circulant_length(c + 1)
-        # each transform allocates and frees pocketfft's scratch, about 8m
-        # bytes (8L folded).  Freeing a mapped block raises glibc's mmap
-        # threshold to its size and the trim threshold to twice that
-        # (mallopt(3)), so after this untouched 32m-byte block those come
-        # from the heap instead of being mapped and faulted in afresh on
-        # every call.  glibc raises it only for blocks up to 32 MiB, so for
-        # the full product this holds while m < 2^20 (N up to about 4.9e5);
-        # the folded one stays on the heap at least up to N = 1.5e6.  The
-        # folded product that forms row leaves its heap pages faulted in
-        np.empty(4 * m)
-        # both paths share one real and one complex buffer: the fold works
-        # in buf[c:c + L], whose head is the output's upper half, and in two
-        # length-L/2+1 spectra
-        buf = np.zeros(max(m, c + fold))
-        z = np.empty(max(m // 2 + 1, 2 * (fold // 2 + 1)), dtype=complex)
-        out, full, z_full = buf[:n], buf[:m], z[:m // 2 + 1]
-        folded, z_half, z_conj = buf[c:c + fold], z[:fold // 2 + 1], z[fold // 2 + 1:fold + 2]
+    spectrum, toeplitz, hankel = _spectrum(field, kind, eps, pref)
+    fold = _circulant_length(c + 1)
+    # freeing a mapped block raises glibc's mmap threshold to its size, and
+    # the trim threshold to twice that (mallopt(3)), so after this untouched
+    # 32L-byte block pocketfft's scratch and each matvec's fresh result come
+    # from the heap instead of being mapped and faulted in on every call.
+    # glibc does so for blocks below 32 MiB: L < 2^20, N up to about 9.8e5
+    np.empty(4 * fold)
+    # row 0 is buf[c:c + L], whose head is the output's upper half; the
+    # spectra interleave, so that the one-row case touches only the first half
+    buf = np.zeros(c + 2 * fold)
+    out, rows = buf[:n], buf[c:].reshape(2, fold)
+    z, z_conj = np.empty((2, 2, fold // 2 + 1), dtype=complex).transpose(1, 0, 2)
+    # (rows, spectra, conjugate products, partner spectra) of the two cases
+    one, two = (rows[0], z[0], z_conj[0], z[0]), (rows, z, z_conj, z[::-1])
 
-        def apply(w: np.ndarray) -> np.ndarray:
-            lo, hi = w[:c], w[:c:-1]
-            if w[0] == w[-1] and np.array_equal(lo, hi):
-                s = 1.0
-            elif w[0] == -w[-1] and w[c] == 0.0 and np.array_equal(lo, -hi):
-                s = -1.0
-            else:
-                full[:n] = w
-                full[n:] = 0.0  # the last product's wrap-around
-                np.multiply(np.fft.rfft(full, out=z_full), spectrum, out=z_full)
-                return np.fft.irfft(z_full, m, out=full)[:n]
-            folded[:c + 1] = w[c:]
-            folded[0] *= 0.5
-            folded[c + 1:] = 0.0
-            np.fft.rfft(folded, out=z_half)
-            np.multiply(np.conjugate(z_half, out=z_conj), hankel, out=z_conj)
-            np.multiply(z_half, toeplitz, out=z_half)
-            (np.add if s > 0.0 else np.subtract)(z_half, z_conj, out=z_half)
-            np.fft.irfft(z_half, fold, out=folded)
-            if sign * s > 0.0:
-                out[:c] = out[:c:-1]
-            else:
-                np.negative(out[:c:-1], out=out[:c])
-                out[c] = 0.0
-            return out
-        return apply, apply(np.ones(n)).copy(), spectrum
+    def apply(w: np.ndarray) -> np.ndarray:
+        lo, hi = w[:c], w[:c:-1]
+        if w[0] == w[-1] and np.array_equal(lo, hi):
+            s = 1.0
+        elif w[0] == -w[-1] and w[c] == 0.0 and np.array_equal(lo, -hi):
+            s = -1.0
+        else:
+            s = 0.0
+        r, zr, zc, partner = one if s else two
+        rows[0, :c + 1] = w[c:]
+        rows[0, 0] *= 0.5
+        if not s:
+            rows[1, :c + 1] = w[c::-1]
+            rows[1, 0] = rows[0, 0]
+        r[..., c + 1:] = 0.0
+        np.fft.rfft(r, out=zr)
+        np.multiply(np.conjugate(partner, out=zc), hankel, out=zc)
+        np.multiply(zr, toeplitz, out=zr)
+        (np.subtract if s < 0.0 else np.add)(zr, zc, out=zr)
+        np.fft.irfft(zr, fold, out=r)
+        # y_0..y_{c-1}: the last row in use, reversed, times the sign (and s)
+        np.multiply(rows[0 if s else 1, c:0:-1], sign * (s or 1.0), out=out[:c])
+        if sign * s < 0.0:
+            out[c] = 0.0  # an odd output's exact centre
+        return out
+    return apply, apply(np.ones(n)).copy(), spectrum
 
 
 def rate_prefactors(kind: SchemeKind, order: FractionalOrder,
@@ -230,7 +222,11 @@ def _operator(field: ParticleField, kind: SchemeKind):
     reads the interval, or iterates from sigma's extremal mode, shares one.
     """
     if kind not in field.operators:
-        field.operators[kind] = _build_operator(field, kind)
+        # a table near the float limit overflows in the transforms and sigma,
+        # leaving infs and NaNs that the divergence guard or power iteration
+        # reports where the operator is applied, so numpy need not warn here
+        with np.errstate(over="ignore", invalid="ignore"):
+            field.operators[kind] = _build_operator(field, kind)
     return field.operators[kind]
 
 
@@ -239,7 +235,8 @@ def _build_operator(field: ParticleField, kind: SchemeKind):
     pref = rate_prefactors(kind, field.order, eps)
     if kind is SchemeKind.DD:
         a, _, spectrum = _interaction(field, KernelKind.GD, eps, pref[0])
-        return (lambda u: a(u).copy()), spectrum.real
+        # copied, so that sigma does not keep the complex spectrum alive
+        return (lambda u: a(u).copy()), spectrum.real.copy()
     if kind is SchemeKind.FPSE:
         f, _, spectrum_f = _interaction(field, KernelKind.F, eps, pref[0])
         e1, row, spectrum_e1 = _interaction(field, KernelKind.ETA1, eps, pref[1])
@@ -249,7 +246,7 @@ def _build_operator(field: ParticleField, kind: SchemeKind):
             out = q * row
             return np.add(e1(q), out, out=out)
 
-        return rate, (spectrum_f * spectrum_e1).real
+        return rate, np.multiply(spectrum_f, spectrum_e1, out=spectrum_f).real.copy()
     kernel = KernelKind.E if kind is SchemeKind.GPSE else KernelKind.K
     k, row, spectrum = _interaction(field, kernel, eps, pref[0])
 

@@ -256,8 +256,9 @@ def power_iteration_min_eig(field: ParticleField, kind: SchemeKind,
     v = _extremal_mode(field, kind)
     lam = 0.0
     # an operator with entries past about 1e154 overflows the plain sum of
-    # squares; _norm rechecks an inf from it, so numpy need not warn of it
-    with np.errstate(over="ignore"):
+    # squares (_norm rechecks it), and one near the float limit leaves infs
+    # and NaNs in its product (reported below), so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             av = rate(v)
             lam_new = float(np.dot(v, av))

@@ -599,12 +599,15 @@ def test_cli_numerical_failure_exit_3(tmp_path):
     assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 3
 
 
-def test_cli_power_iteration_stops_at_first_nonfinite_iterate(tmp_path, capsys):
-    # the DD beta = 0.9 operator's first product is not finite; iterating on
-    # from there divided by a NaN norm and ended in "did not converge" 50000
-    # steps later
+@pytest.mark.parametrize("tf", ["1e99", "2e99"])
+def test_cli_power_iteration_stops_at_first_nonfinite_iterate(tmp_path, capsys, tf):
+    # the first product of a beta = 0.9 operator is not finite: DD's at
+    # tf = 1e99, and KPSE's at 2e99, where DD reaches lambda = -3.5e307.
+    # Iterating on from there divided by a NaN norm and ended in "did not
+    # converge" 50000 steps later.  The infs meet as NaN inside the
+    # transforms, which must not warn before the iterate is reported
     cfg_file = tmp_path / "nan.cfg"
-    cfg_file.write_text("study = stability\nbeta = 0.01\nn = 7\nc = 1e-214\ntf = 2e99\n")
+    cfg_file.write_text(f"study = stability\nbeta = 0.01\nn = 7\nc = 1e-214\ntf = {tf}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 3

@@ -175,8 +175,8 @@ fold_grids = st.tuples(st.integers(1, 150), st.integers(1, 99), st.floats(1.0, 8
 @given(st.sampled_from([KernelKind.GD, KernelKind.F, KernelKind.ETA1, KernelKind.K,
                         KernelKind.E]), fold_grids)
 def test_interaction_fold_matches_dense(kind, grid):
-    # an even or odd input takes the half-length fold, a mixed one the full
-    # circulant; both against the kernel summed pair by pair
+    # an even or odd input takes one row of the half-length fold, a mixed one
+    # two; each against the kernel summed pair by pair
     half, beta, overlap, seed = grid
     n = 2 * half + 1
     f = init_uniform(10.0, n, FractionalOrder.from_beta(beta / 100.0), overlap,
