@@ -13,7 +13,10 @@ kernels studies write tables of their own.
 
 Outputs are CSV files; every file starts with ``#``-prefixed lines echoing
 the full configuration and the code version, and numbers are written with 17
-significant digits so reruns can be compared bit for bit.
+significant digits so reruns can be compared bit for bit.  A snapshot's x is
+odd and its u and u_exact even about the grid's centre, to the bit, so only
+its centre row and the rows above it are formatted: each row below is the
+bytes of its mirror row with a '-' in front (_write_csv).
 """
 
 from __future__ import annotations
@@ -74,11 +77,11 @@ _MAX_PARTICLES = sys.maxsize // 8
 # a lower bound on the bytes per particle a run touches.  Stepping, a run
 # holds eight length-N arrays (strengths, integrate's copy, its recurrence's
 # four rows and sum, a matvec's fresh result) and sigma (m/2 + 1 floats,
-# m >= 2N - 1); one interaction touches, with L >= N, its two spectra and the
-# first row pair of its complex work (2L + 4 floats each), the first
-# (N - 1)/2 + L floats of its real buffer and pocketfft's scratch (L floats):
-# 124 bytes, 132 with the row sums all but DD keep.  At N = 1000001 a run's
-# live arrays peak at 152 to 248 bytes a particle, in the build
+# m >= 2N - 1); one interaction holds, with L >= N, its two spectra and the
+# one row pair of its complex work (2L + 4 floats each), its real buffer
+# ((N - 1)/2 + L floats) and pocketfft's scratch (L floats): 124 bytes, 132
+# with the row sums all but DD keep.  At N = 1000001 a run's live arrays
+# peak at 132 to 202 bytes a particle, in the build
 _BYTES_PER_PARTICLE = 128
 
 
@@ -402,6 +405,50 @@ def _cells(column) -> np.ndarray:
     return cells.view(np.uint8).reshape(len(cells), -1)
 
 
+def _lines(columns, minus: bool = False) -> np.ndarray:
+    """The bytes of the rows the columns hold, one CRLF-ended line each,
+    led by a '-' if minus."""
+    cells = [_cells(column) for column in columns]
+    rows = len(cells[0])
+    ends = [np.full((rows, 1), ord(","), np.uint8)] * (len(cells) - 1)
+    ends.append(np.full((rows, 2), (ord("\r"), ord("\n")), np.uint8))
+    lead = [np.full((rows, 1), ord("-"), np.uint8)] if minus else []
+    block = np.concatenate(lead + [m for pair in zip(cells, ends) for m in pair], axis=1).ravel()
+    return block[block != 0]
+
+
+def _upper_blocks(n: int):
+    """(start, stop) of the blocks of rows above the centre row c = n // 2,
+    c + 1..n-1, from the last down."""
+    c = n // 2
+    return ((max(stop - _BLOCK, c + 1), stop) for stop in range(n, c + 1, -_BLOCK))
+
+
+_SIGN = np.uint64(1 << 63)
+_INF = np.float64(math.inf).view(np.uint64)
+
+
+def _mirrored(columns) -> bool:
+    """Whether a table of float64 array columns and an odd row count is its
+    own mirror image about its centre row, bit for bit, with the first
+    column negated: the first column odd, the others even, and the first
+    column's rows above the centre free of sign bits and NaN.  Then
+    '%.17g' % (-v) == '-' + '%.17g' % v, so each lower line is its mirror
+    line with a '-' in front.  Checked block by block, so that no temporary
+    grows with the table."""
+    n = len(columns[0])
+    if n % 2 == 0 or not all(isinstance(column, np.ndarray) and column.dtype == np.float64
+                             for column in columns):
+        return False
+    for start, stop in _upper_blocks(n):
+        (upper, lower), *even = [(bits[start:stop], bits[n - stop:n - start][::-1])
+                                 for bits in (column.view(np.uint64) for column in columns)]
+        if not ((upper <= _INF).all() and np.array_equal(lower, upper | _SIGN)
+                and all(np.array_equal(*pair) for pair in even)):
+            return False
+    return True
+
+
 def _write_csv(path: str, echo: dict, names: list[str], columns) -> str:
     """Echo header, then the table given as equal-length columns, written
     in blocks of _BLOCK rows.
@@ -412,19 +459,37 @@ def _write_csv(path: str, echo: dict, names: list[str], columns) -> str:
     in one piece with the NULs dropped.  No field (numbers, scheme and
     kernel names, column names) holds a comma, quote or line break, so none
     is quoted.
+
+    A table that is its own mirror image (_mirrored), as a snapshot's x, u
+    and u_exact are, is formatted from its centre row and the rows above
+    it alone.  The upper blocks, from the last down, are written reversed
+    with a '-' before each line: the lower half, in file order.  The centre
+    row follows.  Then each of those blocks is read back, the last written
+    first, and written as the upper lines it came from: split at each CRLF
+    and '-', and reversed.
     """
     head = [f"# fracdiff {__version__}\n",
             *(f"# {key} = {_fmt(value)}\n" for key, value in echo.items()),
             ",".join(names) + "\r\n"]
-    with open(path, "wb") as fh:
+    n = len(columns[0])
+    with open(path, "w+b") as fh:
         fh.write("".join(head).encode())
-        for start in range(0, len(columns[0]), _BLOCK):
-            cells = [_cells(column[start:start + _BLOCK]) for column in columns]
-            rows = len(cells[0])
-            ends = [np.full((rows, 1), ord(","), np.uint8)] * (len(cells) - 1)
-            ends.append(np.full((rows, 2), (ord("\r"), ord("\n")), np.uint8))
-            block = np.concatenate([m for pair in zip(cells, ends) for m in pair], axis=1).ravel()
-            fh.write(block[block != 0])
+        if _mirrored(columns):
+            spans = []
+            for start, stop in _upper_blocks(n):
+                block = _lines([column[start:stop][::-1] for column in columns], minus=True)
+                spans.append((fh.tell(), fh.write(block)))
+            fh.write(_lines([column[n // 2:n // 2 + 1] for column in columns]))
+            for offset, size in reversed(spans):
+                fh.seek(offset)
+                lines = fh.read(size)[1:-2].split(b"\r\n-")
+                fh.seek(0, os.SEEK_END)
+                lines.reverse()
+                lines.append(b"")
+                fh.write(b"\r\n".join(lines))
+        else:
+            for start in range(0, n, _BLOCK):
+                fh.write(_lines([column[start:start + _BLOCK] for column in columns]))
     return path
 
 

@@ -85,4 +85,4 @@ def init_uniform(half_width: float, n: int, order: FractionalOrder, overlap: flo
 
 def total_strength(field: ParticleField) -> float:
     """sum_i h u_i by exact (error-free) summation; order-independent."""
-    return math.fsum(field.h * field.strengths)
+    return math.fsum((field.h * field.strengths).tolist())

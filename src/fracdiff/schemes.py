@@ -143,8 +143,9 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
     and an odd output's centre set to its exact 0, so an even or odd iterate
     stays exactly so.
 
-    apply writes into buffers of its own: it returns a view of its real
-    buffer, valid until its next call, and is not reentrant.
+    apply writes into buffers of its own, with room for the second row from
+    its first mixed vector on: it returns a view of its real buffer, valid
+    until its next call, and is not reentrant.
     """
     n = len(field)
     c = n // 2
@@ -157,15 +158,22 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
     # from the heap instead of being mapped and faulted in on every call.
     # glibc does so for blocks below 32 MiB: L < 2^20, N up to about 9.8e5
     np.empty(4 * fold)
-    # row 0 is buf[c:c + L], whose head is the output's upper half; the
-    # spectra interleave, so that the one-row case touches only the first half
-    buf = np.zeros(c + 2 * fold)
-    out, rows = buf[:n], buf[c:].reshape(2, fold)
-    z, z_conj = np.empty((2, 2, fold // 2 + 1), dtype=complex).transpose(1, 0, 2)
-    # (rows, spectra, conjugate products, partner spectra) of the two cases
-    one, two = (rows[0], z[0], z_conj[0], z[0]), (rows, z, z_conj, z[::-1])
+
+    def workspace(k: int):
+        # k rows: row 0 is buf[c:c + L], whose head is the output's upper
+        # half, and each row's spectrum sits next to its conjugate product
+        buf = np.zeros(c + k * fold)
+        rows = buf[c:].reshape(k, fold)
+        z, z_conj = np.empty((k, 2, fold // 2 + 1), dtype=complex).transpose(1, 0, 2)
+        # out, rows, and (rows, spectra, conjugate products, partner spectra)
+        # of the one-row and the two-row case
+        return buf[:n], rows, (rows[0], z[0], z_conj[0], z[0]), (rows, z, z_conj, z[::-1])
+
+    # one row until the first mixed vector, which only power iteration makes
+    ws = workspace(1)
 
     def apply(w: np.ndarray) -> np.ndarray:
+        nonlocal ws
         lo, hi = w[:c], w[:c:-1]
         if w[0] == w[-1] and np.array_equal(lo, hi):
             s = 1.0
@@ -173,6 +181,9 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
             s = -1.0
         else:
             s = 0.0
+            if len(ws[1]) == 1:
+                ws = workspace(2)
+        out, rows, one, two = ws
         r, zr, zc, partner = one if s else two
         rows[0, :c + 1] = w[c:]
         rows[0, 0] *= 0.5

@@ -14,6 +14,7 @@ from fracdiff import __version__
 from fracdiff.cli import main
 from fracdiff.errors import ConfigError, DomainError
 from fracdiff.experiments import PRESETS, _build_field, parse_config, run
+from fracdiff.field import _centers
 from fracdiff.greens import green_function, green_function_symmetric
 from fracdiff.schemes import SchemeKind
 from fracdiff.timeint import RKOrder
@@ -741,6 +742,34 @@ def test_write_csv_matches_csv_writer(tmp_path):
                          np.append(0.05, np.tile(np.linspace(0.0, 2.0, 9), 2)),
                          np.append(-3.2e-9, -np.linspace(0.0, 2.0, 18) / 3.0)]),
     }
+    # tables whose lower rows mirror the upper ones, as a snapshot's do: 8197
+    # upper rows, over the block ends 4096 and 8192 counted from the last row
+    # down.  x is odd, holds 0 and -0 off the centre and +-inf at the ends, and
+    # u and u_exact are even, u with the specials (nan among them) and random
+    # bits; each near miss breaks the mirror in one cell and its partner
+    c = 8197
+    up = noisy[:c].copy()
+    up[::997] = np.resize(specials, len(up[::997]))
+    x = np.arange(-c, c + 1) * 0.1
+    x[[c - 3, c + 3]], x[[0, -1]] = [-0.0, 0.0], [-math.inf, math.inf]
+    u = np.concatenate([up[::-1], [math.pi], up])
+    mirrored = [x, u, np.exp(-x * x)]
+    near_misses = {
+        "zero in x": (0, c - 3, 0.0),    # +0 mirrored by +0
+        "-zero in x": (0, c + 3, -0.0),  # -0 mirrored by -0
+        "zero in u": (1, c - 7, -0.0),   # -0 mirrored by +0 in an even column
+        "nan in x": (0, [c + 9, c - 9], [math.nan, -math.nan]),
+        "negative x": (0, [c + 4, c - 4], [-0.4, -0.4]),
+        "-inf in x": (0, -1, -math.inf),
+        "inf in x": (0, 0, math.inf),
+    }
+    assert ex._mirrored(mirrored)
+    tables["mirrored.csv"] = (["x", "u", "u_exact"], mirrored)
+    for name, (j, i, v) in near_misses.items():
+        columns = [column.copy() for column in mirrored]
+        columns[j][i] = v
+        assert not ex._mirrored(columns), name
+        tables[name + ".csv"] = (["x", "u", "u_exact"], columns)
     for name, (names, columns) in tables.items():
         path = ex._write_csv(str(tmp_path / name), echo, names, columns)
         with open(path, "rb") as fh:
@@ -753,19 +782,35 @@ def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
     import tracemalloc
     import fracdiff.experiments as ex
     ex._write_csv(str(tmp_path / "warm.csv"), {}, ["x"], [np.ones(3)])  # fill the tables
-    peaks = []
-    for n in (50001, 200001):
-        x = np.linspace(-357.5, 357.5, n)
-        columns = [x, np.exp(-x * x / 1e4) / 3.0, np.exp(-np.abs(x)) * 1e-3]
-        tracemalloc.start()
-        try:
-            ex._write_csv(str(tmp_path / f"snap{n}.csv"), {"n": n}, ["x", "u", "u_exact"],
-                          columns)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert max(peaks) < 4 * 2 ** 20, peaks
-    assert peaks[1] < peaks[0] + 2 ** 18, peaks
+    # linspace's x is not exactly odd, so its table takes the general path;
+    # the field's centres are, and theirs the mirrored one
+    for grid, mirrored in ((lambda n: np.linspace(-357.5, 357.5, n), False),
+                           (lambda n: _centers(n, 715.0 / (n - 1)), True)):
+        peaks = []
+        for n in (50001, 200001):
+            x = grid(n)
+            columns = [x, np.exp(-x * x / 1e4) / 3.0, np.exp(-np.abs(x)) * 1e-3]
+            assert ex._mirrored(columns) is mirrored
+            tracemalloc.start()
+            try:
+                ex._write_csv(str(tmp_path / f"snap{n}.csv"), {"n": n}, ["x", "u", "u_exact"],
+                              columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * 2 ** 20, (mirrored, peaks)
+        assert peaks[1] < peaks[0] + 2 ** 18, (mirrored, peaks)
+
+
+def test_single_run_snapshot_formats_its_upper_half(tmp_path, monkeypatch):
+    # the snapshot's lower rows are its upper rows' bytes: _format_g17 sees
+    # the centre and the rows above it, (N + 1)/2 of each column
+    import fracdiff.experiments as ex
+    format_g17, seen = ex._format_g17, []
+    monkeypatch.setattr(ex, "_format_g17", lambda x: seen.append(len(x)) or format_g17(x))
+    cfg = parse_config(TINY, {"out_dir": str(tmp_path)})
+    run(cfg)
+    assert sum(seen) == 3 * (cfg.n + 1) // 2, seen
 
 
 WITH_BLOCKED_IMPORTS = """
