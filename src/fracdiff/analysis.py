@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .field import ParticleField, total_strength
+from .field import ParticleField, exact_sum, total_strength
 from .greens import _as_order, green_function_symmetric, reduced_green_mass
 
 __all__ = [
@@ -56,7 +56,7 @@ def rel_l1_error(field: ParticleField, t: float, d_eps: float) -> float:
     if not mask.any():
         raise DomainError(f"no particles inside |x| <= {d_eps}")
     exact = green_function_symmetric(field.order, x[mask], t)
-    num = math.fsum((field.h * np.abs(field.strengths[mask] - exact)).tolist())
+    num = exact_sum(field.h * np.abs(field.strengths[mask] - exact))
     den = exact_mass(field.order, t, d_eps)
     if not den > 0.0:
         raise DomainError(f"the exact mass on |x| <= {d_eps} underflows to 0 at t = {t}")
@@ -87,8 +87,8 @@ def self_convergence_order(fields: Sequence[ParticleField],
                            atol=1e-9 * max(1.0, abs(coarse.positions[-1]))):
             raise DomainError(f"level {lvl} nodes do not contain the coarse nodes")
         strengths.append(f.strengths[::stride])
-    num = math.fsum(np.abs(strengths[0] - strengths[1]).tolist())
-    den = math.fsum(np.abs(strengths[1] - strengths[2]).tolist())
+    num = exact_sum(np.abs(strengths[0] - strengths[1]))
+    den = exact_sum(np.abs(strengths[1] - strengths[2]))
     for name, diff in (("denominator", den), ("numerator", num)):
         if diff == 0.0:
             raise DomainError(f"degenerate level difference (zero {name})")

@@ -74,15 +74,17 @@ _TABLES = {
 _COLUMNS = ["scheme", "beta", "param_name", "param", "rel_l1", "p", "drift"]
 # numpy indexes an array's bytes with a signed machine word
 _MAX_PARTICLES = sys.maxsize // 8
-# a lower bound on the bytes per particle a run touches.  Stepping, a run
-# holds eight length-N arrays (strengths, integrate's copy, its recurrence's
-# four rows and sum, a matvec's fresh result) and sigma (m/2 + 1 floats,
-# m >= 2N - 1); one interaction holds, with L >= N, its two spectra and the
-# one row pair of its complex work (2L + 4 floats each), its real buffer
-# ((N - 1)/2 + L floats) and pocketfft's scratch (L floats): 124 bytes, 132
-# with the row sums all but DD keep.  At N = 1000001 a run's live arrays
-# peak at 132 to 202 bytes a particle, in the build
-_BYTES_PER_PARTICLE = 128
+# a lower bound on the bytes per particle a run touches.  A run from the
+# even start holds the strengths and integrate's copy (N floats each), the
+# recurrence's four rows, sum and matvec result on the upper half
+# ((N + 1)/2 floats each) and sigma (m/2 + 1 floats, m >= 2N - 1); one
+# interaction holds, with L >= N, its two spectra and the one row pair of
+# its complex work (2L + 4 floats each), its real buffer ((N - 1)/2 + L
+# floats) and pocketfft's scratch (L floats): 100 bytes, 108 with the row
+# sums all but DD keep.  At N = 1000001 a run's live arrays (tracemalloc)
+# peak at 116 (DD, KPSE), 139 (GPSE) and 178 (FPSE) bytes a particle, and
+# the bound stays below every one of them
+_BYTES_PER_PARTICLE = 112
 
 
 @dataclass(frozen=True)

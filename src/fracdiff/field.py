@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -21,7 +22,10 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .greens import FractionalOrder
 
-__all__ = ["ParticleField", "init_uniform", "total_strength"]
+__all__ = ["ParticleField", "init_uniform", "total_strength", "exact_sum", "is_mirrored"]
+
+# exact_sum lists this many entries at a time
+_BLOCK = 4096
 
 
 def _centers(n: int, h: float) -> np.ndarray:
@@ -85,4 +89,27 @@ def init_uniform(half_width: float, n: int, order: FractionalOrder, overlap: flo
 
 def total_strength(field: ParticleField) -> float:
     """sum_i h u_i by exact (error-free) summation; order-independent."""
-    return math.fsum((field.h * field.strengths).tolist())
+    return exact_sum(field.h * field.strengths)
+
+
+def is_mirrored(a: np.ndarray) -> bool:
+    """Whether a reads the same both ways, bit for bit (so -0.0 is not 0.0)."""
+    c = len(a) // 2
+    bits = a.view(np.uint64)
+    return np.array_equal(bits[:c], bits[:c:-1])
+
+
+def exact_sum(a: np.ndarray) -> float:
+    """math.fsum(a.tolist()), fed one block's list at a time.
+
+    A mirrored a of odd length is summed as its centre plus its doubled upper
+    entries: doubling is exact below 2^1023 in magnitude, and fsum rounds the
+    exact sum correctly, so the bits are the same.
+    """
+    c = len(a) // 2
+    if len(a) % 2 and is_mirrored(a) and -2.0 ** 1023 < a.min() and a.max() < 2.0 ** 1023:
+        blocks = chain((a[c:c + 1].tolist(),),
+                       ((2.0 * a[i:i + _BLOCK]).tolist() for i in range(c + 1, len(a), _BLOCK)))
+    else:
+        blocks = (a[i:i + _BLOCK].tolist() for i in range(0, len(a), _BLOCK))
+    return math.fsum(chain.from_iterable(blocks))

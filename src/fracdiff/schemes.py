@@ -27,7 +27,11 @@ real FFT product (numpy.fft) of length L >= N against two spectra of the
 kernel table, built once per operator (positions never move) with pref and h
 folded in.  An even or odd vector, such as every iterate of a run started
 from the even Green function, takes one row of it, and a vector of mixed
-parity, such as power iteration's, two.  Each circulant length, m for the
+parity, such as power iteration's, two.  The operators also take the upper
+half u[c:] of an even u alone, c = (N-1)/2, and return the upper half of
+A u, bit for bit as the full product has it (make_rate_operator): the
+lower half of an even vector is its mirror, and a run from an even start
+need not carry it.  Each circulant length, m for the
 N-section and L for its half, is the smallest power of two >= 2n-1 (n = N or
 (N+1)/2), or the smallest 5-smooth length >= 2n-1 when 2n-1 fills at most
 15/16 of that power.
@@ -127,9 +131,9 @@ def _five_smooth(target: int) -> int:
 
 
 def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float):
-    """(apply, row, spectrum): the interaction sum
-    apply(w)_i = pref sum_j h k_eps(x_i - x_j) w_j, its fixed row sums
-    row = apply(1), and the full-length spectrum of _spectrum, for sigma.
+    """(apply, spectrum): the interaction sum
+    apply(w)_i = pref sum_j h k_eps(x_i - x_j) w_j, and the full-length
+    spectrum of _spectrum, for sigma.
 
     The sum commutes with the reflection about the centre c = (N-1)/2 up to
     the kernel's sign, so it folds onto the halves U_q = w_{c+q} and
@@ -138,10 +142,17 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
     t_{q+r} D_r, and y_{c-q} is the kernel's sign times the same with U and
     D swapped.  One batched length-L FFT product gives both halves,
     irfft(toeplitz rfft(U) + hankel conj(rfft(D))) and its swap.  An even
-    (s = +1) or odd (s = -1) w, told by its end pair and then the whole
-    vector, has D = s U: one row, mirrored with the kernel's sign times s,
-    and an odd output's centre set to its exact 0, so an even or odd iterate
-    stays exactly so.
+    (s = +1) or odd (s = -1) w has D = s U: one row, the half-length core,
+    whose output is y's upper half, with an odd output's centre set to its
+    exact 0, so an even or odd iterate stays exactly so.
+
+    apply takes w in one of two forms:
+
+    - all N entries: an even or odd w, told by its end pair and then the
+      whole vector, is folded, goes through the core and is mirrored with
+      the kernel's sign times s; a mixed one takes both rows;
+    - its (N+1)/2 upper entries w[c:], of a w of the given parity s (+1 by
+      default): the core's output y[c:] is returned as it is.
 
     apply writes into buffers of its own, with room for the second row from
     its first mixed vector on: it returns a view of its real buffer, valid
@@ -172,36 +183,48 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
     # one row until the first mixed vector, which only power iteration makes
     ws = workspace(1)
 
-    def apply(w: np.ndarray) -> np.ndarray:
-        nonlocal ws
-        lo, hi = w[:c], w[:c:-1]
-        if w[0] == w[-1] and np.array_equal(lo, hi):
-            s = 1.0
-        elif w[0] == -w[-1] and w[c] == 0.0 and np.array_equal(lo, -hi):
-            s = -1.0
-        else:
-            s = 0.0
-            if len(ws[1]) == 1:
-                ws = workspace(2)
-        out, rows, one, two = ws
-        r, zr, zc, partner = one if s else two
-        rows[0, :c + 1] = w[c:]
-        rows[0, 0] *= 0.5
-        if not s:
-            rows[1, :c + 1] = w[c::-1]
-            rows[1, 0] = rows[0, 0]
+    def product(r, zr, zc, partner, s):
+        # rows r hold the folded halves, centre entries halved
+        r[..., 0] *= 0.5
         r[..., c + 1:] = 0.0
         np.fft.rfft(r, out=zr)
         np.multiply(np.conjugate(partner, out=zc), hankel, out=zc)
         np.multiply(zr, toeplitz, out=zr)
         (np.subtract if s < 0.0 else np.add)(zr, zc, out=zr)
         np.fft.irfft(zr, fold, out=r)
-        # y_0..y_{c-1}: the last row in use, reversed, times the sign (and s)
-        np.multiply(rows[0 if s else 1, c:0:-1], sign * (s or 1.0), out=out[:c])
+
+    def core(v: np.ndarray, s: float) -> np.ndarray:
+        r = ws[2][0]
+        r[:c + 1] = v
+        product(*ws[2], s)
         if sign * s < 0.0:
-            out[c] = 0.0  # an odd output's exact centre
+            r[0] = 0.0  # an odd output's exact centre
+        return r[:c + 1]
+
+    def apply(w: np.ndarray, s: float = 1.0) -> np.ndarray:
+        nonlocal ws
+        if len(w) == c + 1:
+            return core(w, s)
+        lo, hi = w[:c], w[:c:-1]
+        if w[0] == w[-1] and np.array_equal(lo, hi):
+            s = 1.0
+        elif w[0] == -w[-1] and w[c] == 0.0 and np.array_equal(lo, -hi):
+            s = -1.0
+        else:
+            if len(ws[1]) == 1:
+                ws = workspace(2)
+            out, rows, _, two = ws
+            rows[0, :c + 1] = w[c:]
+            rows[1, :c + 1] = w[c::-1]
+            product(*two, 0.0)
+            # y_0..y_{c-1}: the second row, reversed, times the sign
+            np.multiply(rows[1, c:0:-1], sign, out=out[:c])
+            return out
+        out, rows = ws[:2]
+        core(w[c:], s)
+        np.multiply(rows[0, c:0:-1], sign * s, out=out[:c])
         return out
-    return apply, apply(np.ones(n)).copy(), spectrum
+    return apply, spectrum
 
 
 def rate_prefactors(kind: SchemeKind, order: FractionalOrder,
@@ -243,26 +266,30 @@ def _operator(field: ParticleField, kind: SchemeKind):
 
 def _build_operator(field: ParticleField, kind: SchemeKind):
     eps = field.epsilon
+    n = len(field)
     pref = rate_prefactors(kind, field.order, eps)
     if kind is SchemeKind.DD:
-        a, _, spectrum = _interaction(field, KernelKind.GD, eps, pref[0])
+        a, spectrum = _interaction(field, KernelKind.GD, eps, pref[0])
         # copied, so that sigma does not keep the complex spectrum alive
         return (lambda u: a(u).copy()), spectrum.real.copy()
     if kind is SchemeKind.FPSE:
-        f, _, spectrum_f = _interaction(field, KernelKind.F, eps, pref[0])
-        e1, row, spectrum_e1 = _interaction(field, KernelKind.ETA1, eps, pref[1])
+        f, spectrum_f = _interaction(field, KernelKind.F, eps, pref[0])
+        e1, spectrum_e1 = _interaction(field, KernelKind.ETA1, eps, pref[1])
+        row = e1(np.ones(n)).copy()
 
         def rate(u: np.ndarray) -> np.ndarray:
+            # an upper half u is even (make_rate_operator), so its q is odd
             q = f(u)
-            out = q * row
-            return np.add(e1(q), out, out=out)
+            out = q * row[n - len(u):]
+            return np.add(e1(q, -1.0), out, out=out)
 
         return rate, np.multiply(spectrum_f, spectrum_e1, out=spectrum_f).real.copy()
     kernel = KernelKind.E if kind is SchemeKind.GPSE else KernelKind.K
-    k, row, spectrum = _interaction(field, kernel, eps, pref[0])
+    k, spectrum = _interaction(field, kernel, eps, pref[0])
+    row = k(np.ones(n)).copy()
 
     def rate(u: np.ndarray) -> np.ndarray:
-        out = u * row
+        out = u * row[n - len(u):]
         return np.subtract(k(u), out, out=out)
 
     return rate, spectrum.real - spectrum[0].real
@@ -270,7 +297,13 @@ def _build_operator(field: ParticleField, kind: SchemeKind):
 
 def make_rate_operator(field: ParticleField, kind: SchemeKind):
     """Build du/dt = A u as a reusable closure over fixed positions; for GPSE,
-    A = P - I with P the exchange step at the field's epsilon."""
+    A = P - I with P the exchange step at the field's epsilon.
+
+    The closure takes u in one of two forms and returns a fresh array of the
+    same length: all N entries, of any parity, or the (N+1)/2 upper entries
+    u[c:] of an even u, c = (N-1)/2, for which it returns (A u)[c:], the
+    upper half of the even A u, bit for bit as the full product has it.
+    """
     return _operator(field, kind)[0]
 
 

@@ -26,6 +26,11 @@ q(lambda) = (p(lambda) - 1)/lambda, fitted by specfun.chebyshev_coefficients
 u0 + A q(A) u0, so u0 alone carries the conserved sum.  The interval bounds
 the spectrum for DD, KPSE and GPSE; FPSE's A is not symmetric, and its
 interval, from its two symbols' product, is an estimate the 1% widening covers.
+Every A commutes with the grid's reflection, so from a u0 that reads the same
+both ways, bit for bit, every iterate does too: the recurrence then runs on
+the (N+1)/2-entry upper halves, which the operator closure takes in place of
+the whole vectors (schemes.make_rate_operator), and the result is mirrored
+once.  Any other start, stepping and power iteration keep whole vectors.
 
 The stability bound of forward Euler is dt <= 2/|lambda_min|, reported as
 the nondimensional constant a = 2 D / (|lambda_min| h^alpha) with D = 1.
@@ -58,7 +63,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AccuracyError, ConfigError, InstabilityError
-from .field import ParticleField
+from .field import ParticleField, is_mirrored
 from .schemes import (SchemeKind, _circulant_length, _operator, gpse_field,
                       make_rate_operator, spectral_interval)
 from .specfun import chebyshev_coefficients
@@ -137,7 +142,10 @@ def _chebyshev_run(op, u0: np.ndarray, interval: tuple[float, float], scale: flo
     T_k(B), B = (2A - (hi + lo)) / (hi - lo), and u0 + A sum_k c_k T_k(B) u0
     is summed by the three-term recurrence: degree + 1 matvecs of op = A.
     The recurrence rotates three iterates and one temporary through the rows
-    of work, four length-N arrays.  u0 alone carries the conserved sum.
+    of work, four arrays of u0's length.  u0 alone carries the conserved sum.
+    op is the closure of schemes.make_rate_operator: u0 may be all N
+    entries, or the upper half of an even start, whose p(A) u0 is then the
+    upper half of the even result.
     """
     lo, hi = interval
 
@@ -187,9 +195,13 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
     if kind is SchemeKind.GPSE:
         # one exchange step is one RK1 step of unit length on GPSE's field
         field, scale, rk2 = gpse_field(field, dt), 1.0, False
+    # an even start, such as the Green function, has even iterates: the
+    # recurrence runs on its upper half and mirrors the result once
+    even = is_mirrored(u)
+    u0 = u[len(u) // 2:] if even else u
     # the recurrence's rows, zero-filled before the build: allocated after it,
     # they pushed the matvecs' temporaries onto fresh pages (schemes._interaction)
-    work = [np.zeros_like(u) for _ in range(4)]
+    work = [np.zeros_like(u0) for _ in range(4)]
     rate = make_rate_operator(field, kind)
     if not rk2:
         def advance(u):
@@ -205,10 +217,10 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
     if np.isfinite(u).all():
         # an overflow in the recurrence falls back to stepping, which reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _chebyshev_run(rate, u, spectral_interval(field, kind), scale, n, rk2,
+            out = _chebyshev_run(rate, u0, spectral_interval(field, kind), scale, n, rk2,
                                  work)
         if out is not None and np.isfinite(out).all():
-            return field.with_strengths(out)
+            return field.with_strengths(np.concatenate((out[:0:-1], out)) if even else out)
     del work  # stepping does not use the rows
     # an overflow leaves an inf (in u, or in _norm's sum of squares), and the
     # guard reports that, so numpy need not warn of it

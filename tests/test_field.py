@@ -5,7 +5,7 @@ import pytest
 
 from fracdiff.errors import ConfigError, DomainError
 from fracdiff.experiments import parse_config
-from fracdiff.field import ParticleField, init_uniform, total_strength
+from fracdiff.field import ParticleField, exact_sum, init_uniform, total_strength
 from fracdiff.greens import FractionalOrder, green_function
 from fracdiff.kernels import KernelKind, scaled
 
@@ -157,3 +157,55 @@ def test_total_strength():
     for _ in range(3):
         perm = rng.permutation(len(terms))
         assert math.fsum(terms[perm]) == total_strength(g)
+
+
+def _mirror(upper):
+    return np.concatenate((upper[:0:-1], upper))
+
+
+def _sum_outcome(total, a):
+    """The result's bits, or the error it raises."""
+    try:
+        return total(a).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+_rng = np.random.default_rng(7)
+_upper = _rng.standard_normal(10001)
+EXACT_SUM_CASES = {
+    "n = 3": _mirror(np.array([0.3, -1e-17])),
+    "all -0.0": np.full(9, -0.0),
+    "+-0.0 mirrored": _mirror(np.where(_rng.random(5001) < 0.5, -0.0, 0.0)),
+    "subnormals": _mirror(_rng.integers(-50, 50, 5001) * 5e-324),
+    "several blocks": _mirror(_upper),
+    "cancelling": _mirror(np.concatenate(([1e16], _upper, [-1e16, 1.0]))),
+    "near 2^1023": _mirror(np.array([-8.9e307, 8.9e307, 8.9e307])),
+    "past 2^1023": _mirror(np.array([1.0, 1.7e308])),
+    "inf": _mirror(np.array([1.0, np.inf])),
+    "+-inf": _mirror(np.array([-np.inf, np.inf])),
+    "even by value only": np.array([0.0, 1.0, -0.0]),
+    "one ulp off": np.array([1.0, 2.0, np.nextafter(1.0, 2.0)]),
+    "random": _rng.standard_normal(20001),
+    "even length": _rng.standard_normal(8),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_SUM_CASES))
+def test_exact_sum_matches_fsum_of_the_whole_list(case):
+    # a mirrored operand is summed from its upper half, doubled: the bits, or
+    # the error, of fsum over every entry
+    a = EXACT_SUM_CASES[case]
+    assert _sum_outcome(exact_sum, a) == _sum_outcome(lambda v: math.fsum(v.tolist()), a)
+
+
+def test_exact_sum_lists_one_block_at_a_time():
+    # fsum over a list of every entry held 32 bytes a particle at once
+    import tracemalloc
+    for a in (_mirror(np.random.default_rng(1).standard_normal(100001)),
+              np.random.default_rng(2).standard_normal(200001)):
+        tracemalloc.start()
+        exact_sum(a)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 512 * 1024

@@ -16,6 +16,7 @@ and the dense spectra against spectral_interval, for overlap from 1 to 20.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracdiff import timeint
@@ -115,3 +116,33 @@ def test_dense_spectrum_inside_spectral_interval(kind, beta, n, half_width, over
     tol = 1e-11 * abs(lo)
     assert np.abs(ev.imag).max() <= tol
     assert lo - tol <= ev.real.min() and ev.real.max() <= hi + tol
+
+
+@pytest.mark.parametrize("start", ["signed zeros", "one ulp", "random"])
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_starts_not_even_to_the_bit_run_on_full_vectors(kind, start, matvec_lengths):
+    # the recurrence runs on the upper half only of a start even bit for bit;
+    # these near misses hand the rate all N entries, and still match the
+    # dense matrix power
+    order = FractionalOrder.from_beta(0.5)
+    f = init_uniform(20.0, 101, order, 2.0, lambda x: np.exp(-(x / 4.0) ** 2))
+    u = f.strengths.copy()
+    if start == "signed zeros":
+        u[:3], u[-3:] = 0.0, -0.0  # even by value
+    elif start == "one ulp":
+        u[10] = np.nextafter(u[10], 1.0)
+    else:
+        u = np.random.default_rng(1).standard_normal(len(u))
+    f = f.with_strengths(u)
+    if kind is SchemeKind.GPSE:
+        dt = (2.0 * f.h) ** order.alpha
+        z = _dense_operator(gpse_field(f, dt), kind)
+    else:
+        dt = 0.5 / abs(spectral_interval(f, kind)[0])
+        z = dt * _dense_operator(f, kind)
+    spec = IntegratorSpec(RKOrder.RK1, dt, 0.0, 200 * dt)
+    out = integrate(f, kind, spec).strengths
+    [lengths] = matvec_lengths
+    assert 1 < len(lengths) < 200 and set(lengths) == {101}  # the recurrence
+    ref = np.linalg.matrix_power(np.eye(len(f)) + z, 200) @ u
+    assert np.abs(out - ref).max() <= TOL_PER_STEP * 200 * np.abs(u).max()

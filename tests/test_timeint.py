@@ -4,12 +4,13 @@ import scipy.fft
 
 from fracdiff.analysis import conservation_drift
 from fracdiff.errors import AccuracyError, ConfigError, InstabilityError
+from fracdiff.experiments import _build_field, parse_config
 from fracdiff.field import init_uniform
 from fracdiff.greens import FractionalOrder, characteristic_width, green_function
-from fracdiff.schemes import SchemeKind, spectral_interval
+from fracdiff.schemes import SchemeKind, gpse_field, make_rate_operator, spectral_interval
 from fracdiff.specfun import _dct1
-from fracdiff.timeint import (IntegratorSpec, RKOrder, integrate, make_gpse_stepper,
-                              power_iteration_min_eig)
+from fracdiff.timeint import (IntegratorSpec, RKOrder, _chebyshev_run, integrate,
+                              make_gpse_stepper, power_iteration_min_eig)
 
 from oracles import assemble_matrix
 
@@ -95,10 +96,11 @@ def test_divergence_guard_nonfinite_start(bad):
 def _naive_integrate(f, kind, dt, n_steps, order=RKOrder.RK1):
     """The stepping loop written out, every update a fresh array."""
     from fracdiff.kernels import KernelKind
-    from fracdiff.schemes import _interaction, make_rate_operator
+    from fracdiff.schemes import _interaction
     u = f.strengths.copy()
     if kind is SchemeKind.GPSE:
-        e, row, _ = _interaction(f, KernelKind.E, dt ** f.order.gamma, 1.0)
+        e, _ = _interaction(f, KernelKind.E, dt ** f.order.gamma, 1.0)
+        row = e(np.ones(len(f))).copy()
         for _ in range(n_steps):
             u = u + (e(u) - u * row)
         return u
@@ -109,26 +111,6 @@ def _naive_integrate(f, kind, dt, n_steps, order=RKOrder.RK1):
         else:
             u = u + dt * rate(u + 0.5 * dt * rate(u))
     return u
-
-
-def _count_matvecs(monkeypatch) -> list:
-    """Count the matvecs of the operators timeint builds from here on: one
-    entry per integrate call."""
-    import fracdiff.timeint as ti
-    counts = []
-
-    build = ti.make_rate_operator
-
-    def build_counted(*args):
-        op = build(*args)
-        counts.append(0)
-
-        def op_counted(u):
-            counts[-1] += 1
-            return op(u)
-        return op_counted
-    monkeypatch.setattr(ti, "make_rate_operator", build_counted)
-    return counts
 
 
 def _stepping_dt(f, kind):
@@ -143,45 +125,91 @@ def _stepping_dt(f, kind):
 
 @pytest.mark.parametrize("kind", [SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE,
                                   SchemeKind.GPSE])
-def test_in_place_steps_equal_naive_loop(kind, monkeypatch):
+def test_in_place_steps_equal_naive_loop(kind, matvec_lengths):
     # integrate updates in place; the arithmetic, and so every bit, is the same
     f = gaussian_field(n=401, D=20.0)
     dt = _stepping_dt(f, kind)
-    matvecs = _count_matvecs(monkeypatch)
     out = integrate(f, kind, IntegratorSpec(RKOrder.RK1, dt, 0.0, 20 * dt))
-    assert matvecs == [20]
+    assert matvec_lengths == [[401] * 20]
     assert np.array_equal(out.strengths, _naive_integrate(f, kind, dt, 20))
 
 
 @pytest.mark.parametrize("order", [RKOrder.RK1, RKOrder.RK2])
 @pytest.mark.parametrize("kind", [SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE,
                                   SchemeKind.GPSE])
-def test_chebyshev_run_matches_naive_stepping(kind, order, monkeypatch):
+def test_chebyshev_run_matches_naive_stepping(kind, order, matvec_lengths):
     # 100 steps through one Chebyshev recurrence, against the stepping loop
     # (GPSE has its own step and ignores the RK order)
     f = gaussian_field(n=401, D=20.0)
     dt = 1e-2 if kind is SchemeKind.GPSE else 1e-3
-    matvecs = _count_matvecs(monkeypatch)
     out = integrate(f, kind, IntegratorSpec(order, dt, 0.0, 100 * dt))
     stepping = 100 * (2 if order is RKOrder.RK2 and kind is not SchemeKind.GPSE else 1)
-    assert matvecs[0] < stepping / 2
+    assert len(matvec_lengths[0]) < stepping / 2
     ref = _naive_integrate(f, kind, dt, 100, order)
     assert np.abs(out.strengths - ref).max() <= 1e-12 * np.abs(ref).max()
     if kind is not SchemeKind.DD:
         assert conservation_drift([f, out]) <= 1e-13
 
 
-def test_gpse_million_step_chebyshev_run_keeps_strength(monkeypatch):
+def test_gpse_million_step_chebyshev_run_keeps_strength(matvec_lengths):
     # criterion 5's reference field over 10^6 GPSE steps.  With A = P - I
     # formed as step(v) - v, each matvec rounded relative to |v|, and the
     # accumulator, about n u0, carried that into a drift of 5.5e-12
     order = FractionalOrder.from_beta(0.5)
     d = 10.0 * 1.5 ** order.gamma * characteristic_width(order)
     f0 = init_uniform(d, 1001, order, 2.0, lambda x: green_function(order, x, 0.5))
-    matvecs = _count_matvecs(monkeypatch)
     f1 = integrate(f0, SchemeKind.GPSE, IntegratorSpec(RKOrder.RK1, 1e-6, 0.5, 1.5))
-    assert len(matvecs) == 1 and matvecs[0] < 1000  # the Chebyshev path
+    assert len(matvec_lengths) == 1 and len(matvec_lengths[0]) < 1000  # the Chebyshev path
     assert conservation_drift([f0, f1]) <= 1e-12
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [3, 5, 101, 4001])
+@pytest.mark.parametrize("order", [RKOrder.RK1, RKOrder.RK2])
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_upper_half_closure_and_run_match_the_full_ones(kind, order, n):
+    # an even u's upper half u[c:] goes through the same closure: the upper
+    # half of A u, and of the recurrence's p(A) u, bit for bit
+    f = gaussian_field(n=n, D=20.0)
+    c = n // 2
+    scale, rk2 = 1e-3, order is RKOrder.RK2
+    if kind is SchemeKind.GPSE:
+        f, scale, rk2 = gpse_field(f, 1e-2), 1.0, False
+    rate = make_rate_operator(f, kind)
+    r = np.random.default_rng(n).standard_normal(n)
+    for u in (f.strengths, r + r[::-1], np.zeros(n), -np.zeros(n)):
+        assert np.array_equal(_bits(rate(u[c:])), _bits(rate(u)[c:]))
+    interval = spectral_interval(f, kind)
+    full, half = (_chebyshev_run(rate, u0, interval, scale, 100, rk2,
+                                 [np.zeros_like(u0) for _ in range(4)])
+                  for u0 in (f.strengths, f.strengths[c:]))
+    assert (full is None) == (half is None)
+    assert full is not None or n < 101
+    if full is not None:
+        assert np.array_equal(_bits(half), _bits(full[c:]))
+        assert np.array_equal(_bits(full), _bits(full[::-1]))
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_production_run_hands_the_rate_upper_halves(kind, matvec_lengths):
+    # the production grid (N = 32001), 200 steps: an even start hands the
+    # rate (N+1)/2 entries a matvec, and as many matvecs (degree + 1) as a
+    # start one ulp off even, which takes all N
+    cfg = parse_config(f"scheme = {kind.value}")
+    f = _build_field(cfg, None, cfg.n)
+    u = f.strengths.copy()
+    u[0] = np.nextafter(u[0], 1.0)
+    spec = IntegratorSpec(RKOrder.RK1, cfg.dt, cfg.t0, cfg.t0 + 200 * cfg.dt)
+    out = integrate(f, kind, spec).strengths
+    near = integrate(f.with_strengths(u), kind, spec).strengths
+    half, full = matvec_lengths
+    assert half == [16001] * len(full) and full == [32001] * len(full)
+    assert 1 < len(full) < 200
+    assert np.array_equal(_bits(out), _bits(out[::-1]))
+    assert np.abs(out - near).max() <= 1e-12 * np.abs(out).max()
 
 
 @pytest.mark.parametrize("kind", [SchemeKind.DD, SchemeKind.FPSE, SchemeKind.KPSE,
