@@ -75,16 +75,16 @@ _COLUMNS = ["scheme", "beta", "param_name", "param", "rel_l1", "p", "drift"]
 # numpy indexes an array's bytes with a signed machine word
 _MAX_PARTICLES = sys.maxsize // 8
 # a lower bound on the bytes per particle a run touches.  A run from the
-# even start holds the strengths and integrate's copy (N floats each), the
-# recurrence's four rows, sum and matvec result on the upper half
-# ((N + 1)/2 floats each) and sigma (m/2 + 1 floats, m >= 2N - 1); one
-# interaction holds, with L >= N, its two spectra and the one row pair of
-# its complex work (2L + 4 floats each), its real buffer ((N - 1)/2 + L
-# floats) and pocketfft's scratch (L floats): 100 bytes, 108 with the row
-# sums all but DD keep.  At N = 1000001 a run's live arrays (tracemalloc)
-# peak at 116 (DD, KPSE), 139 (GPSE) and 178 (FPSE) bytes a particle, and
-# the bound stays below every one of them
-_BYTES_PER_PARTICLE = 112
+# even start holds the strengths (N floats), and on the upper half
+# ((N + 1)/2 floats each) integrate's copy, the recurrence's four rows, sum
+# and matvec result; sigma (m/2 + 1 floats, m >= 2N - 1); one interaction
+# holds, with L >= N, its two spectra and the one row pair of its complex
+# work (2L + 4 floats each), its real row (L floats) and pocketfft's scratch
+# (L floats): 92 bytes, 100 with the row sums all but DD keep.  At
+# N = 1000001 a run's live arrays (tracemalloc) peak at 111.6 (DD, KPSE),
+# 135.1 (GPSE) and 170.3 (FPSE) bytes a particle, and the bound stays below
+# every one of them
+_BYTES_PER_PARTICLE = 108
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,13 @@ every kernel is even or odd, so the product folds about the centre into a
 Toeplitz-plus-Hankel product of half the size (_interaction): one batched
 real FFT product (numpy.fft) of length L >= N against two spectra of the
 kernel table, built once per operator (positions never move) with pref and h
-folded in.  An even or odd vector, such as every iterate of a run started
-from the even Green function, takes one row of it, and a vector of mixed
-parity, such as power iteration's, two.  The operators also take the upper
-half u[c:] of an even u alone, c = (N-1)/2, and return the upper half of
-A u, bit for bit as the full product has it (make_rate_operator): the
-lower half of an even vector is its mirror, and a run from an even start
-need not carry it.  Each circulant length, m for the
-N-section and L for its half, is the smallest power of two >= 2n-1 (n = N or
-(N+1)/2), or the smallest 5-smooth length >= 2n-1 when 2n-1 fills at most
-15/16 of that power.
+folded in.  A vector's length tells its form: the upper half u[c:],
+c = (N-1)/2, of an even or odd u, such as every iterate of a run started
+from the even Green function, takes one row of it and gives the upper half
+of the product, and a whole vector, such as power iteration's, takes both
+rows.  Each circulant length, m for the N-section and L for its half, is
+the smallest power of two >= 2n-1 (n = N or (N+1)/2), or the smallest
+5-smooth length >= 2n-1 when 2n-1 fills at most 15/16 of that power.
 """
 
 from __future__ import annotations
@@ -141,21 +138,18 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
     product of half the size (Martucci 1994): y_{c+q} = sum_r t_{q-r} U_r +
     t_{q+r} D_r, and y_{c-q} is the kernel's sign times the same with U and
     D swapped.  One batched length-L FFT product gives both halves,
-    irfft(toeplitz rfft(U) + hankel conj(rfft(D))) and its swap.  An even
-    (s = +1) or odd (s = -1) w has D = s U: one row, the half-length core,
-    whose output is y's upper half, with an odd output's centre set to its
-    exact 0, so an even or odd iterate stays exactly so.
+    irfft(toeplitz rfft(U) + hankel conj(rfft(D))) and its swap.
 
-    apply takes w in one of two forms:
+    w's length tells its form:
 
-    - all N entries: an even or odd w, told by its end pair and then the
-      whole vector, is folded, goes through the core and is mirrored with
-      the kernel's sign times s; a mixed one takes both rows;
     - its (N+1)/2 upper entries w[c:], of a w of the given parity s (+1 by
-      default): the core's output y[c:] is returned as it is.
+      default, -1 for odd), so D = s U: one row, the half-length core, whose
+      output is y[c:], with an odd output's centre set to its exact 0, so an
+      even or odd iterate stays exactly so;
+    - all N entries, of any parity: both rows.
 
     apply writes into buffers of its own, with room for the second row from
-    its first mixed vector on: it returns a view of its real buffer, valid
+    its first whole vector on: it returns a view of its real buffer, valid
     until its next call, and is not reentrant.
     """
     n = len(field)
@@ -171,16 +165,14 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
     np.empty(4 * fold)
 
     def workspace(k: int):
-        # k rows: row 0 is buf[c:c + L], whose head is the output's upper
-        # half, and each row's spectrum sits next to its conjugate product
-        buf = np.zeros(c + k * fold)
-        rows = buf[c:].reshape(k, fold)
+        # k rows, each row's spectrum next to its conjugate product; two rows
+        # sit after room for y's lower half, so that row 0's head, y's upper
+        # half, completes y = buf[:n]
+        buf = np.zeros((k - 1) * c + k * fold)
         z, z_conj = np.empty((k, 2, fold // 2 + 1), dtype=complex).transpose(1, 0, 2)
-        # out, rows, and (rows, spectra, conjugate products, partner spectra)
-        # of the one-row and the two-row case
-        return buf[:n], rows, (rows[0], z[0], z_conj[0], z[0]), (rows, z, z_conj, z[::-1])
+        return buf, buf[(k - 1) * c:].reshape(k, fold), z, z_conj
 
-    # one row until the first mixed vector, which only power iteration makes
+    # one row until the first whole vector, which only power iteration makes
     ws = workspace(1)
 
     def product(r, zr, zc, partner, s):
@@ -193,37 +185,25 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
         (np.subtract if s < 0.0 else np.add)(zr, zc, out=zr)
         np.fft.irfft(zr, fold, out=r)
 
-    def core(v: np.ndarray, s: float) -> np.ndarray:
-        r = ws[2][0]
-        r[:c + 1] = v
-        product(*ws[2], s)
-        if sign * s < 0.0:
-            r[0] = 0.0  # an odd output's exact centre
-        return r[:c + 1]
-
     def apply(w: np.ndarray, s: float = 1.0) -> np.ndarray:
         nonlocal ws
         if len(w) == c + 1:
-            return core(w, s)
-        lo, hi = w[:c], w[:c:-1]
-        if w[0] == w[-1] and np.array_equal(lo, hi):
-            s = 1.0
-        elif w[0] == -w[-1] and w[c] == 0.0 and np.array_equal(lo, -hi):
-            s = -1.0
-        else:
-            if len(ws[1]) == 1:
-                ws = workspace(2)
-            out, rows, _, two = ws
-            rows[0, :c + 1] = w[c:]
-            rows[1, :c + 1] = w[c::-1]
-            product(*two, 0.0)
-            # y_0..y_{c-1}: the second row, reversed, times the sign
-            np.multiply(rows[1, c:0:-1], sign, out=out[:c])
-            return out
-        out, rows = ws[:2]
-        core(w[c:], s)
-        np.multiply(rows[0, c:0:-1], sign * s, out=out[:c])
-        return out
+            _, rows, z, z_conj = ws
+            r = rows[0]
+            r[:c + 1] = w
+            product(r, z[0], z_conj[0], z[0], s)
+            if sign * s < 0.0:
+                r[0] = 0.0  # an odd output's exact centre
+            return r[:c + 1]
+        if len(ws[1]) == 1:
+            ws = workspace(2)
+        buf, rows, z, z_conj = ws
+        rows[0, :c + 1] = w[c:]
+        rows[1, :c + 1] = w[c::-1]
+        product(rows, z, z_conj, z[::-1], 0.0)
+        # y_0..y_{c-1}: the second row, reversed, times the sign
+        np.multiply(rows[1, c:0:-1], sign, out=buf[:c])
+        return buf[:n]
     return apply, spectrum
 
 
@@ -268,6 +248,13 @@ def _build_operator(field: ParticleField, kind: SchemeKind):
     eps = field.epsilon
     n = len(field)
     pref = rate_prefactors(kind, field.order, eps)
+
+    def row_sums(apply, sign: float) -> np.ndarray:
+        # apply(1) from its upper half: the lower half is its mirror times
+        # the kernel's sign
+        half = apply(np.ones(n // 2 + 1))
+        return np.concatenate((sign * half[:0:-1], half))
+
     if kind is SchemeKind.DD:
         a, spectrum = _interaction(field, KernelKind.GD, eps, pref[0])
         # copied, so that sigma does not keep the complex spectrum alive
@@ -275,7 +262,7 @@ def _build_operator(field: ParticleField, kind: SchemeKind):
     if kind is SchemeKind.FPSE:
         f, spectrum_f = _interaction(field, KernelKind.F, eps, pref[0])
         e1, spectrum_e1 = _interaction(field, KernelKind.ETA1, eps, pref[1])
-        row = e1(np.ones(n)).copy()
+        row = row_sums(e1, -1.0)
 
         def rate(u: np.ndarray) -> np.ndarray:
             # an upper half u is even (make_rate_operator), so its q is odd
@@ -286,7 +273,7 @@ def _build_operator(field: ParticleField, kind: SchemeKind):
         return rate, np.multiply(spectrum_f, spectrum_e1, out=spectrum_f).real.copy()
     kernel = KernelKind.E if kind is SchemeKind.GPSE else KernelKind.K
     k, spectrum = _interaction(field, kernel, eps, pref[0])
-    row = k(np.ones(n)).copy()
+    row = row_sums(k, 1.0)
 
     def rate(u: np.ndarray) -> np.ndarray:
         out = u * row[n - len(u):]
@@ -299,10 +286,10 @@ def make_rate_operator(field: ParticleField, kind: SchemeKind):
     """Build du/dt = A u as a reusable closure over fixed positions; for GPSE,
     A = P - I with P the exchange step at the field's epsilon.
 
-    The closure takes u in one of two forms and returns a fresh array of the
-    same length: all N entries, of any parity, or the (N+1)/2 upper entries
-    u[c:] of an even u, c = (N-1)/2, for which it returns (A u)[c:], the
-    upper half of the even A u, bit for bit as the full product has it.
+    The closure returns a fresh array of u's length, whose form it follows:
+    all N entries, of any parity, or the (N+1)/2 upper entries u[c:] of an
+    even u, c = (N-1)/2, for which it returns (A u)[c:], the upper half of
+    the even A u.
     """
     return _operator(field, kind)[0]
 

@@ -27,10 +27,12 @@ u0 + A q(A) u0, so u0 alone carries the conserved sum.  The interval bounds
 the spectrum for DD, KPSE and GPSE; FPSE's A is not symmetric, and its
 interval, from its two symbols' product, is an estimate the 1% widening covers.
 Every A commutes with the grid's reflection, so from a u0 that reads the same
-both ways, bit for bit, every iterate does too: the recurrence then runs on
-the (N+1)/2-entry upper halves, which the operator closure takes in place of
-the whole vectors (schemes.make_rate_operator), and the result is mirrored
-once.  Any other start, stepping and power iteration keep whole vectors.
+both ways, bit for bit, every iterate does too.  integrate is the one place
+that tells a run's parity: from such a u0 the recurrence, or the stepping,
+carries the (N+1)/2-entry upper halves, which the operator closure takes in
+place of the whole vectors (schemes.make_rate_operator), the divergence guard
+measures the whole vector from its upper half, and the result is mirrored
+once.  Any other start, and power iteration, keep whole vectors.
 
 The stability bound of forward Euler is dt <= 2/|lambda_min|, reported as
 the nondimensional constant a = 2 D / (|lambda_min| h^alpha) with D = 1.
@@ -40,18 +42,17 @@ symbol's extremal Fourier mode: A is built from Toeplitz sections and row
 sums (schemes._operator), and its extremal eigenvectors are close to a
 windowed cos(theta* j), theta* = argmin sigma (Grenander & Szego 1958).  The
 eigenvalues cluster at the spectral edge, so convergence is declared on the
-relative Rayleigh-quotient increment; the final residual ||Av - lambda v|| is
-reported alongside.  The reported lambda_min is that Rayleigh quotient, so
-for the symmetric DD and KPSE it is at or above the true lambda_min, and a
-is at or above the true constant: the unsafe side, a dt limit slightly too
-large.  Against the dense matrix's eigenvalues at n = 201 (the rows of
-`fracdiff stability --n 201`), lambda_min sits 8.1e-6 to 9.7e-6 relative
-above for DD and 1.3e-5 to 4.0e-5 for KPSE; at n = 2001, 7.3e-7 to 1.0e-6
-for DD and 1.8e-7 to 4.4e-5 for KPSE.  a is high by as much.  FPSE's A is not
-symmetric, so its estimate has no such side (3.2e-7 below to 8.7e-6 above
-at n = 201, 8.0e-7 to 1.2e-5 above at n = 2001), and its Rayleigh quotients
-need not be monotone: the increment rule can stop at their turn, short of
-lambda_min.
+relative Rayleigh-quotient increment.  The reported lambda_min is that
+Rayleigh quotient, so for the symmetric DD and KPSE it is at or above the
+true lambda_min, and a is at or above the true constant: the unsafe side, a
+dt limit slightly too large.  Against the dense matrix's eigenvalues at
+n = 201 (the rows of `fracdiff stability --n 201`), lambda_min sits 8.1e-6
+to 9.7e-6 relative above for DD and 1.3e-5 to 4.0e-5 for KPSE; at n = 2001,
+7.3e-7 to 1.0e-6 for DD and 1.8e-7 to 4.4e-5 for KPSE.  a is high by as
+much.  FPSE's A is not symmetric, so its estimate has no such side (3.2e-7
+below to 8.7e-6 above at n = 201, 8.0e-7 to 1.2e-5 above at n = 2001), and
+its Rayleigh quotients need not be monotone: the increment rule can stop at
+their turn, short of lambda_min.
 """
 
 from __future__ import annotations
@@ -117,7 +118,6 @@ class StabilityReport:
     lambda_min: float
     a_constant: float
     iterations: int
-    residual: float
 
 
 def make_gpse_stepper(field: ParticleField, dt: float):
@@ -126,11 +126,16 @@ def make_gpse_stepper(field: ParticleField, dt: float):
     return lambda u: u + a(u)
 
 
-def _norm(u: np.ndarray) -> float:
-    """||u||_2.  The plain sum of squares overflows once entries pass about
-    1e154, so an inf from it is rechecked by hypot, which scales as it goes."""
-    norm = math.sqrt(u @ u)
-    return float(np.hypot.reduce(u)) if norm == math.inf else norm
+def _norm(u: np.ndarray, even: bool = False) -> float:
+    """||u||_2, or with even, that of the even vector whose upper half u is:
+    its centre counted once and every other entry twice.  The plain sum of
+    squares overflows once entries pass about 1e154, so an inf from it is
+    rechecked by hypot, which scales as it goes."""
+    head, tail, w = (float(u[0]), u[1:], 2.0) if even else (0.0, u, 1.0)
+    norm = math.sqrt(head * head + w * (tail @ tail))
+    if norm == math.inf:
+        norm = math.hypot(head, math.sqrt(w) * float(np.hypot.reduce(tail)))
+    return norm
 
 
 def _chebyshev_run(op, u0: np.ndarray, interval: tuple[float, float], scale: float,
@@ -143,9 +148,9 @@ def _chebyshev_run(op, u0: np.ndarray, interval: tuple[float, float], scale: flo
     is summed by the three-term recurrence: degree + 1 matvecs of op = A.
     The recurrence rotates three iterates and one temporary through the rows
     of work, four arrays of u0's length.  u0 alone carries the conserved sum.
-    op is the closure of schemes.make_rate_operator: u0 may be all N
-    entries, or the upper half of an even start, whose p(A) u0 is then the
-    upper half of the even result.
+    op is the closure of schemes.make_rate_operator, whose form follows from
+    u0's length: all N entries, or the upper half of an even start, whose
+    p(A) u0 is then the upper half of the even result.
     """
     lo, hi = interval
 
@@ -189,19 +194,18 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
     module docstring says so and by stepping otherwise; raises
     InstabilityError on divergence."""
     field = replace(field)  # a copy, so its operator build ends with this call
-    u = field.strengths.copy()
     dt, n = spec.dt, spec.n_steps
     scale, rk2 = dt, spec.order is RKOrder.RK2
     if kind is SchemeKind.GPSE:
         # one exchange step is one RK1 step of unit length on GPSE's field
         field, scale, rk2 = gpse_field(field, dt), 1.0, False
-    # an even start, such as the Green function, has even iterates: the
-    # recurrence runs on its upper half and mirrors the result once
-    even = is_mirrored(u)
-    u0 = u[len(u) // 2:] if even else u
+    # an even start, such as the Green function, has even iterates: the run
+    # carries its upper half and mirrors the result once
+    even = is_mirrored(field.strengths)
+    u = field.strengths[len(field) // 2 if even else 0:].copy()
     # the recurrence's rows, zero-filled before the build: allocated after it,
     # they pushed the matvecs' temporaries onto fresh pages (schemes._interaction)
-    work = [np.zeros_like(u0) for _ in range(4)]
+    work = [np.zeros_like(u) for _ in range(4)]
     rate = make_rate_operator(field, kind)
     if not rk2:
         def advance(u):
@@ -214,28 +218,32 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
         def advance(u):
             k1 = rate(u)
             return u + scale * rate(u + 0.5 * scale * k1)
+
+    def result(u):
+        return field.with_strengths(np.concatenate((u[:0:-1], u)) if even else u)
+
     if np.isfinite(u).all():
         # an overflow in the recurrence falls back to stepping, which reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _chebyshev_run(rate, u0, spectral_interval(field, kind), scale, n, rk2,
+            out = _chebyshev_run(rate, u, spectral_interval(field, kind), scale, n, rk2,
                                  work)
         if out is not None and np.isfinite(out).all():
-            return field.with_strengths(np.concatenate((out[:0:-1], out)) if even else out)
+            return result(out)
     del work  # stepping does not use the rows
     # an overflow leaves an inf (in u, or in _norm's sum of squares), and the
     # guard reports that, so numpy need not warn of it
     with np.errstate(over="ignore"):
-        guard = DIVERGENCE_FACTOR * max(_norm(u), 1e-300)
+        guard = DIVERGENCE_FACTOR * max(_norm(u, even), 1e-300)
         for step in range(n):
             u = advance(u)
             # a NaN or inf entry fails this test, even against an inf guard
-            if not _norm(u) < guard:
+            if not _norm(u, even) < guard:
                 raise InstabilityError(
                     f"{kind.value} diverged at step {step + 1} of {n} "
                     f"(dt={dt})",
                     step=step + 1,
                 )
-    return field.with_strengths(u)
+    return result(u)
 
 
 def _extremal_mode(field: ParticleField, kind: SchemeKind) -> np.ndarray:
@@ -283,7 +291,7 @@ def power_iteration_min_eig(field: ParticleField, kind: SchemeKind,
             if it > 1 and abs(lam_new - lam) <= tol * abs(lam_new):
                 a_const = 2.0 / (abs(lam_new) * field.h ** field.order.alpha)
                 return StabilityReport(lambda_min=lam_new, a_constant=a_const,
-                                       iterations=it, residual=_norm(av - lam_new * v))
+                                       iterations=it)
             av /= nav
             lam, v = lam_new, av
     raise AccuracyError(

@@ -49,10 +49,18 @@ def test_zero_field_zero_rates():
 
 
 def test_symmetric_field_symmetric_rates():
+    # an even field's rates are even, and its upper half u[c:] gives theirs.
+    # Taken whole, DD's and KPSE's are even to the bit, with that upper half;
+    # FPSE's odd intermediate then has no exact zero centre, so its rates
+    # are even to rounding
     f = gaussian_field()
+    c = len(f) // 2
     for kind in RATE_SCHEMES:
-        r = rates(f, kind)
-        assert np.array_equal(r, r[::-1])
+        rate = make_rate_operator(f, kind)
+        half, r = rate(f.strengths[c:]), rate(f.strengths)
+        tol = 1e-13 * np.abs(r).max() if kind is SchemeKind.FPSE else 0.0
+        assert np.abs(r - r[::-1]).max() <= tol
+        assert np.abs(r[c:] - half).max() <= tol
 
 
 def test_uniform_strengths_fixed_points():
@@ -158,7 +166,7 @@ def test_matrix_operator_equivalence(n):
 def _parity_inputs(n, seed):
     """(w, s): an even (s = 1), an odd (s = -1) and mixed (s = 0) vectors;
     r_i + r_{n-1-i} and r_i - r_{n-1-i} are even and odd to the bit.  Two
-    mixed ones end in an even or odd pair, so the end test alone passes them."""
+    mixed ones end in an even or odd pair."""
     r = np.random.default_rng(seed).standard_normal(n)
     even_ends, odd_ends = r.copy(), r.copy()
     even_ends[-1] = r[0]
@@ -175,8 +183,9 @@ fold_grids = st.tuples(st.integers(1, 150), st.integers(1, 99), st.floats(1.0, 8
 @given(st.sampled_from([KernelKind.GD, KernelKind.F, KernelKind.ETA1, KernelKind.K,
                         KernelKind.E]), fold_grids)
 def test_interaction_fold_matches_dense(kind, grid):
-    # an even or odd input takes one row of the half-length fold, a mixed one
-    # two; each against the kernel summed pair by pair
+    # a whole input takes both rows of the half-length fold, the upper half
+    # of an even or odd one a single row; each against the kernel summed
+    # pair by pair
     half, beta, overlap, seed = grid
     n = 2 * half + 1
     f = init_uniform(10.0, n, FractionalOrder.from_beta(beta / 100.0), overlap,
@@ -190,11 +199,19 @@ def test_interaction_fold_matches_dense(kind, grid):
     scale = np.abs(t).sum(axis=1).max()
     assert np.abs(row - t.sum(axis=1)).max() <= 1e-13 * scale
     sign = -1 if kind in ODD_KINDS else 1
+    c = n // 2
     for w, s in _parity_inputs(n, seed):
         y = apply(w).copy()
-        assert np.abs(y - t @ w).max() <= 1e-13 * scale * np.abs(w).max()
+        bound = 1e-13 * scale * np.abs(w).max()
+        assert np.abs(y - t @ w).max() <= bound
         if s:
-            assert np.array_equal(y, sign * s * y[::-1])
+            # the single row is the first of the two, bit for bit, but for an
+            # odd output's centre, which it sets to its exact 0
+            z = apply(w[c:], s)
+            assert np.abs(z - (t @ w)[c:]).max() <= bound
+            assert np.array_equal(z[1:], y[c + 1:])
+            assert z[0] == (0.0 if sign * s < 0 else y[c])
+            assert np.array_equal(y[:c], sign * s * y[:c:-1])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -206,12 +223,21 @@ def test_operator_fold_matches_assembled_matrix(kind, grid):
                      lambda x: np.exp(-x * x))
     A = assemble_matrix(f, kind)
     rate = make_rate_operator(f, kind)
+    c = n // 2
     for w, s in _parity_inputs(n, seed):
         y = rate(w)
-        assert np.abs(y - A @ w).max() <= 1e-13 * np.abs(A).sum(axis=1).max() * np.abs(w).max()
+        bound = 1e-13 * np.abs(A).sum(axis=1).max() * np.abs(w).max()
+        assert np.abs(y - A @ w).max() <= bound
         if s:
             # every scheme's A commutes with the reflection
-            assert np.array_equal(y, s * y[::-1])
+            assert np.abs(y - s * y[::-1]).max() <= bound
+        if s > 0:
+            # an even w's upper half gives the upper half of A w; DD's and
+            # KPSE's whole product has it to the bit
+            half = rate(w[c:])
+            assert np.abs(half - (A @ w)[c:]).max() <= bound
+            if kind is not SchemeKind.FPSE:
+                assert np.array_equal(half, y[c:])
 
 
 def test_matrix_toy_grid_bitwise_tolerant():
