@@ -81,10 +81,10 @@ _MAX_PARTICLES = sys.maxsize // 8
 # holds, with L >= N, its two spectra and the one row pair of its complex
 # work (2L + 4 floats each), its real row (L floats) and pocketfft's scratch
 # (L floats): 92 bytes, 100 with the row sums all but DD keep.  At
-# N = 1000001 a run's live arrays (tracemalloc) peak at 111.6 (DD, KPSE),
-# 135.1 (GPSE) and 170.3 (FPSE) bytes a particle, and the bound stays below
-# every one of them
-_BYTES_PER_PARTICLE = 108
+# N = 1000001 (L = 1.049 N) a run's live arrays (tracemalloc) peak at 103.2
+# (DD), 106.5 (KPSE), 135.1 (GPSE) and 162.0 (FPSE) bytes a particle, and at
+# N = 1265625 (L = N) DD's at 100.1, so the bound is DD's count
+_BYTES_PER_PARTICLE = 92
 
 
 @dataclass(frozen=True)

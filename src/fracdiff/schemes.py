@@ -64,11 +64,12 @@ class SchemeKind(enum.Enum):
     GPSE = "gpse"
 
 
-def _spectrum(field: ParticleField, kind: KernelKind, eps: float,
+def _spectrum(field: ParticleField, kind: KernelKind,
               pref: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(spectrum, toeplitz, hankel): rFFTs of the interaction sum
-    pref sum_j h k_eps(x_i - x_j), with pref and h folded in, from one table
-    t_d = pref h k_eps(d h), d = 0..N-1, t_{-d} = +-t_d:
+    pref sum_j h k_eps(x_i - x_j) at eps = field.epsilon, from one table
+    t_d = pref h k_eps(d h), d = 0..N-1, t_{-d} = +-t_d, scaled once and
+    embedded three ways:
 
     spectrum  the length-m circulant embedding of the N = 2c+1 section (lags
               -2c..2c); it is the sum's finite-section symbol sampled at
@@ -78,18 +79,19 @@ def _spectrum(field: ParticleField, kind: KernelKind, eps: float,
     """
     n = len(field)
     c = n // 2
-    half = kernels.scaled(kind, np.arange(n) * field.h, field.order, eps)
+    half = kernels.scaled(kind, np.arange(n) * field.h, field.order, field.epsilon)
     if kind in (KernelKind.K, KernelKind.E):
         # the exchange schemes' self term h k(0) (u_i - u_i) is exactly 0;
         # carried, it cancels in e(u) - u row once eps << h
         half[0] = 0.0
+    half *= pref * field.h
     sign = -1.0 if kind in ODD_KINDS else 1.0
     m, fold = _circulant_length(n), _circulant_length(c + 1)
     # the Hankel lags get a transform of their own: the Toeplitz spectrum of
     # a centred table times the phase exp(-2 pi i k c/L) rounds worse
     hankel = np.zeros(fold)
     hankel[:n] = half
-    return tuple(np.fft.rfft((pref * field.h) * circ)
+    return tuple(np.fft.rfft(circ)
                  for circ in (_circulant(half, sign, m), _circulant(half[:c + 1], sign, fold),
                               hankel))
 
@@ -127,10 +129,10 @@ def _five_smooth(target: int) -> int:
     return best
 
 
-def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float):
+def _interaction(field: ParticleField, kind: KernelKind, pref: float):
     """(apply, spectrum): the interaction sum
-    apply(w)_i = pref sum_j h k_eps(x_i - x_j) w_j, and the full-length
-    spectrum of _spectrum, for sigma.
+    apply(w)_i = pref sum_j h k_eps(x_i - x_j) w_j at eps = field.epsilon, and
+    the full-length spectrum of _spectrum, for sigma.
 
     The sum commutes with the reflection about the centre c = (N-1)/2 up to
     the kernel's sign, so it folds onto the halves U_q = w_{c+q} and
@@ -155,7 +157,7 @@ def _interaction(field: ParticleField, kind: KernelKind, eps: float, pref: float
     n = len(field)
     c = n // 2
     sign = -1.0 if kind in ODD_KINDS else 1.0
-    spectrum, toeplitz, hankel = _spectrum(field, kind, eps, pref)
+    spectrum, toeplitz, hankel = _spectrum(field, kind, pref)
     fold = _circulant_length(c + 1)
     # freeing a mapped block raises glibc's mmap threshold to its size, and
     # the trim threshold to twice that (mallopt(3)), so after this untouched
@@ -245,9 +247,8 @@ def _operator(field: ParticleField, kind: SchemeKind):
 
 
 def _build_operator(field: ParticleField, kind: SchemeKind):
-    eps = field.epsilon
     n = len(field)
-    pref = rate_prefactors(kind, field.order, eps)
+    pref = rate_prefactors(kind, field.order, field.epsilon)
 
     def row_sums(apply, sign: float) -> np.ndarray:
         # apply(1) from its upper half: the lower half is its mirror times
@@ -256,12 +257,12 @@ def _build_operator(field: ParticleField, kind: SchemeKind):
         return np.concatenate((sign * half[:0:-1], half))
 
     if kind is SchemeKind.DD:
-        a, spectrum = _interaction(field, KernelKind.GD, eps, pref[0])
+        a, spectrum = _interaction(field, KernelKind.GD, pref[0])
         # copied, so that sigma does not keep the complex spectrum alive
         return (lambda u: a(u).copy()), spectrum.real.copy()
     if kind is SchemeKind.FPSE:
-        f, spectrum_f = _interaction(field, KernelKind.F, eps, pref[0])
-        e1, spectrum_e1 = _interaction(field, KernelKind.ETA1, eps, pref[1])
+        f, spectrum_f = _interaction(field, KernelKind.F, pref[0])
+        e1, spectrum_e1 = _interaction(field, KernelKind.ETA1, pref[1])
         row = row_sums(e1, -1.0)
 
         def rate(u: np.ndarray) -> np.ndarray:
@@ -272,7 +273,7 @@ def _build_operator(field: ParticleField, kind: SchemeKind):
 
         return rate, np.multiply(spectrum_f, spectrum_e1, out=spectrum_f).real.copy()
     kernel = KernelKind.E if kind is SchemeKind.GPSE else KernelKind.K
-    k, spectrum = _interaction(field, kernel, eps, pref[0])
+    k, spectrum = _interaction(field, kernel, pref[0])
     row = row_sums(k, 1.0)
 
     def rate(u: np.ndarray) -> np.ndarray:

@@ -468,7 +468,7 @@ def test_cli_rejects_space_levels_past_the_index_cap(tmp_path, capsys, levels):
 
 def test_space_levels_past_memory_rejected_and_levels_that_fit_accepted():
     # 50 * 2^39 + 1 = 2.7e13 particles at the finest level: under the index
-    # cap, but at over 100 bytes a particle far more memory than any machine has
+    # cap, but at over 90 bytes a particle far more memory than any machine has
     assert parse_config("study = space\nn = 51\nc = 5\nlevels = 5\n").levels == 5
     with pytest.raises(ConfigError, match="^levels: "):
         parse_config("study = space\nn = 51\nc = 5\nlevels = 40\n")

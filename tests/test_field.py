@@ -188,19 +188,26 @@ EXACT_SUM_CASES = {
     "one ulp off": np.array([1.0, 2.0, np.nextafter(1.0, 2.0)]),
     "random": _rng.standard_normal(20001),
     "even length": _rng.standard_normal(8),
+    "strided view": _upper[::2],
+    "reversed view": _upper[::-1],
+    "read-only": np.frombuffer(_upper.tobytes()),
+    "big-endian": _upper.astype(">f8"),
+    "float32": _upper.astype(np.float32),
+    "empty": np.zeros(0),
 }
 
 
 @pytest.mark.parametrize("case", list(EXACT_SUM_CASES))
 def test_exact_sum_matches_fsum_of_the_whole_list(case):
-    # a mirrored operand is summed from its upper half, doubled: the bits, or
-    # the error, of fsum over every entry
+    # any view, byte order or float width: the bits, or the error, of fsum
+    # over the list of every entry
     a = EXACT_SUM_CASES[case]
     assert _sum_outcome(exact_sum, a) == _sum_outcome(lambda v: math.fsum(v.tolist()), a)
 
 
-def test_exact_sum_lists_one_block_at_a_time():
-    # fsum over a list of every entry held 32 bytes a particle at once
+def test_exact_sum_builds_no_list():
+    # a list of every entry holds 32 bytes a particle, and a list of 4096 of
+    # them 128 KiB: the bound admits neither
     import tracemalloc
     for a in (_mirror(np.random.default_rng(1).standard_normal(100001)),
               np.random.default_rng(2).standard_normal(200001)):
@@ -208,4 +215,4 @@ def test_exact_sum_lists_one_block_at_a_time():
         exact_sum(a)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 512 * 1024
+        assert peak < 16 * 1024

@@ -194,7 +194,7 @@ def test_interaction_fold_matches_dense(kind, grid):
     t = f.h * scaled(kind, x[:, None] - x[None, :], f.order, f.epsilon)
     if kind in (KernelKind.K, KernelKind.E):
         np.fill_diagonal(t, 0.0)  # the exchange sums carry no self term
-    apply, _ = _interaction(f, kind, f.epsilon, 1.0)
+    apply, _ = _interaction(f, kind, 1.0)
     row = apply(np.ones(n)).copy()
     scale = np.abs(t).sum(axis=1).max()
     assert np.abs(row - t.sum(axis=1)).max() <= 1e-13 * scale

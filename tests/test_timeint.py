@@ -102,7 +102,7 @@ def _naive_integrate(f, kind, dt, n_steps, order=RKOrder.RK1):
     c = len(f) // 2
     u = f.strengths[c:].copy()
     if kind is SchemeKind.GPSE:
-        e, _ = _interaction(f, KernelKind.E, dt ** f.order.gamma, 1.0)
+        e, _ = _interaction(gpse_field(f, dt), KernelKind.E, 1.0)
         row = e(np.ones(c + 1)).copy()
         for _ in range(n_steps):
             u = u + (e(u) - u * row)
