@@ -13,10 +13,13 @@ kernels studies write tables of their own.
 
 Outputs are CSV files; every file starts with ``#``-prefixed lines echoing
 the full configuration and the code version, and numbers are written with 17
-significant digits so reruns can be compared bit for bit.  A snapshot's x is
-odd and its u and u_exact even about the grid's centre, to the bit, so only
-its centre row and the rows above it are formatted: each row below is the
-bytes of its mirror row with a '-' in front (_write_csv).
+significant digits so reruns can be compared bit for bit.  The error
+tables (report, sweeps, stability, kernels) are written row by row
+(_write_table).  A snapshot is written from its run's upper half
+(_write_snapshot): integrate returns a u that is even about the grid's
+centre, to the bit, as are u_exact and x up to sign, so only the centre row
+and the rows above it are formatted, and each row below is the bytes of its
+mirror row with a '-' in front.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from . import __version__, kernels
 from .analysis import conservation_drift, rel_l1_error, self_convergence_order
 from .errors import ConfigError
 from .field import ParticleField, init_uniform
-from .greens import FractionalOrder, characteristic_width, green_function_symmetric
+from .greens import (FractionalOrder, characteristic_width, green_function,
+                     green_function_symmetric)
 from .kernels import KernelKind
 from .schemes import SchemeKind, rate_prefactors
 from .timeint import IntegratorSpec, RKOrder, integrate, power_iteration_min_eig
@@ -267,7 +271,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_BLOCK = 4096  # rows per write
+_BLOCK = 4096  # snapshot rows per write
 _WIDTH = 24    # the longest %.17g of a float64, as in -1.2345678901234567e-100
 _Q0 = -280     # the power table holds 10^q for q in [_Q0, 300]
 _LOG10_2 = math.log10(2.0)
@@ -397,101 +401,69 @@ def _format_g17(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cells(column) -> np.ndarray:
-    """A column's cells as a NUL-padded uint8 matrix, one row per cell: a
-    float64 array's by _format_g17, any other column's cell by cell by
-    _fmt."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return _format_g17(column)
-    cells = np.array([_fmt(v).encode() for v in column])
-    return cells.view(np.uint8).reshape(len(cells), -1)
+def _head(echo: dict, names: list[str]) -> bytes:
+    """The lines every CSV starts with: the version and the config echo,
+    each led by '#', then the column names."""
+    return "".join([f"# fracdiff {__version__}\n",
+                    *(f"# {key} = {_fmt(value)}\n" for key, value in echo.items()),
+                    ",".join(names) + "\r\n"]).encode()
 
 
-def _lines(columns, minus: bool = False) -> np.ndarray:
-    """The bytes of the rows the columns hold, one CRLF-ended line each,
-    led by a '-' if minus."""
-    cells = [_cells(column) for column in columns]
-    rows = len(cells[0])
-    ends = [np.full((rows, 1), ord(","), np.uint8)] * (len(cells) - 1)
-    ends.append(np.full((rows, 2), (ord("\r"), ord("\n")), np.uint8))
-    lead = [np.full((rows, 1), ord("-"), np.uint8)] if minus else []
-    block = np.concatenate(lead + [m for pair in zip(cells, ends) for m in pair], axis=1).ravel()
-    return block[block != 0]
+def _write_table(path: str, echo: dict, names: list[str], rows) -> str:
+    """Echo header, then one line per row: its cells as _fmt renders them
+    (floats by %.17g, anything else by %s), joined with commas and ended in
+    CRLF, as csv.writer writes them.  No field (numbers, scheme and kernel
+    names, column names) holds a comma, quote or line break, so none is
+    quoted."""
+    with open(path, "wb") as fh:
+        fh.write(_head(echo, names))
+        for row in rows:
+            fh.write((",".join(map(_fmt, row)) + "\r\n").encode())
+    return path
 
 
-def _upper_blocks(n: int):
-    """(start, stop) of the blocks of rows above the centre row c = n // 2,
-    c + 1..n-1, from the last down."""
-    c = n // 2
-    return ((max(stop - _BLOCK, c + 1), stop) for stop in range(n, c + 1, -_BLOCK))
+def _write_snapshot(path: str, echo: dict, upper) -> str:
+    """Echo header, then a snapshot's x, u and u_exact at all N rows, given
+    as their upper halves: float64 arrays of the centre row and the rows
+    above it.  The run's x is odd, with no sign bit or NaN from the centre
+    (+0) up, and its u and u_exact even, bit for bit, so each row below the
+    centre is its mirror row with x negated, and '%.17g' % (-v) ==
+    '-' + '%.17g' % v makes its line the mirror line's bytes with a '-' in
+    front.
 
-
-_SIGN = np.uint64(1 << 63)
-_INF = np.float64(math.inf).view(np.uint64)
-
-
-def _mirrored(columns) -> bool:
-    """Whether a table of float64 array columns and an odd row count is its
-    own mirror image about its centre row, bit for bit, with the first
-    column negated: the first column odd, the others even, and the first
-    column's rows above the centre free of sign bits and NaN.  Then
-    '%.17g' % (-v) == '-' + '%.17g' % v, so each lower line is its mirror
-    line with a '-' in front.  Checked block by block, so that no temporary
-    grows with the table."""
-    n = len(columns[0])
-    if n % 2 == 0 or not all(isinstance(column, np.ndarray) and column.dtype == np.float64
-                             for column in columns):
-        return False
-    for start, stop in _upper_blocks(n):
-        (upper, lower), *even = [(bits[start:stop], bits[n - stop:n - start][::-1])
-                                 for bits in (column.view(np.uint64) for column in columns)]
-        if not ((upper <= _INF).all() and np.array_equal(lower, upper | _SIGN)
-                and all(np.array_equal(*pair) for pair in even)):
-            return False
-    return True
-
-
-def _write_csv(path: str, echo: dict, names: list[str], columns) -> str:
-    """Echo header, then the table given as equal-length columns, written
-    in blocks of _BLOCK rows.
-
-    Cells read as _fmt renders them: floats by %.17g, anything else by %s.
-    Each block's columns are rendered to NUL-padded byte matrices, joined
-    with commas and CRLF line ends (as csv.writer ends lines), and written
-    in one piece with the NULs dropped.  No field (numbers, scheme and
-    kernel names, column names) holds a comma, quote or line break, so none
-    is quoted.
-
-    A table that is its own mirror image (_mirrored), as a snapshot's x, u
-    and u_exact are, is formatted from its centre row and the rows above
-    it alone.  The upper blocks, from the last down, are written reversed
-    with a '-' before each line: the lower half, in file order.  The centre
-    row follows.  Then each of those blocks is read back, the last written
+    The upper rows are formatted by _format_g17 in blocks of _BLOCK, from
+    the last down, joined with commas and CRLF line ends, and written
+    reversed with a '-' before each line: the lower half, in file order.
+    The centre row follows.  Then each block is read back, the last written
     first, and written as the upper lines it came from: split at each CRLF
     and '-', and reversed.
     """
-    head = [f"# fracdiff {__version__}\n",
-            *(f"# {key} = {_fmt(value)}\n" for key, value in echo.items()),
-            ",".join(names) + "\r\n"]
-    n = len(columns[0])
+    def render(block, minus):
+        """The block's lines, each led by a '-' if minus."""
+        cells = [_format_g17(column) for column in block]
+        rows = len(cells[0])
+        comma = np.full((rows, 1), ord(","), np.uint8)
+        lead = [np.full((rows, 1), ord("-"), np.uint8)] if minus else []
+        joined = np.concatenate(lead + [cells[0], comma, cells[1], comma, cells[2],
+                                        np.full((rows, 2), (ord("\r"), ord("\n")), np.uint8)],
+                                axis=1).ravel()
+        return joined[joined != 0]
+
+    m = len(upper[0])
     with open(path, "w+b") as fh:
-        fh.write("".join(head).encode())
-        if _mirrored(columns):
-            spans = []
-            for start, stop in _upper_blocks(n):
-                block = _lines([column[start:stop][::-1] for column in columns], minus=True)
-                spans.append((fh.tell(), fh.write(block)))
-            fh.write(_lines([column[n // 2:n // 2 + 1] for column in columns]))
-            for offset, size in reversed(spans):
-                fh.seek(offset)
-                lines = fh.read(size)[1:-2].split(b"\r\n-")
-                fh.seek(0, os.SEEK_END)
-                lines.reverse()
-                lines.append(b"")
-                fh.write(b"\r\n".join(lines))
-        else:
-            for start in range(0, n, _BLOCK):
-                fh.write(_lines([column[start:start + _BLOCK] for column in columns]))
+        fh.write(_head(echo, ["x", "u", "u_exact"]))
+        spans = []
+        for stop in range(m, 1, -_BLOCK):
+            block = [column[max(stop - _BLOCK, 1):stop][::-1] for column in upper]
+            spans.append((fh.tell(), fh.write(render(block, minus=True))))
+        fh.write(render([column[:1] for column in upper], minus=False))
+        for offset, size in reversed(spans):
+            fh.seek(offset)
+            lines = fh.read(size)[1:-2].split(b"\r\n-")
+            fh.seek(0, os.SEEK_END)
+            lines.reverse()
+            lines.append(b"")
+            fh.write(b"\r\n".join(lines))
     return path
 
 
@@ -554,13 +526,13 @@ def run(cfg: ExperimentConfig) -> list[str]:
         if cfg.study is StudyKind.SINGLE:
             snap_echo = {"beta": cfg.beta, "t": cfg.tf, "n": len(f1),
                          "d": cfg.half_width(), "epsilon": f1.epsilon, **echo}
-            exact = green_function_symmetric(cfg.order, f1.positions, cfg.tf)
-            out.append(_write_csv(path("solution.csv"), snap_echo, ["x", "u", "u_exact"],
-                                  [f1.positions, f1.strengths, exact]))
+            x, u = (a[len(f1) // 2:] for a in (f1.positions, f1.strengths))
+            out.append(_write_snapshot(path("solution.csv"), snap_echo,
+                                       [x, u, green_function(cfg.order, x, cfg.tf)]))
         elif converges:
             p = self_convergence_order(fields, params)
             rows.append([cfg.scheme.value, cfg.beta, param_name, params[0], "", p, ""])
-        out.append(_write_csv(path(table), echo, _COLUMNS, list(zip(*rows))))
+        out.append(_write_table(path(table), echo, _COLUMNS, rows))
     elif cfg.study is StudyKind.STABILITY:
         rows = []
         for beta, sub, c, n in _runs(cfg):
@@ -569,15 +541,15 @@ def run(cfg: ExperimentConfig) -> list[str]:
                 rep = power_iteration_min_eig(f, scheme)
                 rows.append([beta, scheme.value, len(f), rep.lambda_min,
                              rep.a_constant])
-        out.append(_write_csv(path("stability.csv"), echo,
-                              ["beta", "scheme", "n", "lambda_min", "a"], list(zip(*rows))))
+        out.append(_write_table(path("stability.csv"), echo,
+                                ["beta", "scheme", "n", "lambda_min", "a"], rows))
     else:  # kernels
         r = np.concatenate([np.arange(0.0, 10.0, 0.05),
                             np.geomspace(10.0, 100.0, 120)])
-        kinds, betas, values = zip(*[
-            (kind.value, beta, kernels.scaled(kind, r, FractionalOrder.from_beta(beta), 1.0))
-            for beta in _STABILITY_BETAS for kind in _KERNEL_DUMP_KINDS])
-        out.append(_write_csv(path("kernels.csv"), echo, ["kind", "beta", "r", "value"],
-                              [[k for k in kinds for _ in r], [b for b in betas for _ in r],
-                               np.tile(r, len(kinds)), np.concatenate(values)]))
+        rows = [(kind.value, beta, ri, v)
+                for beta in _STABILITY_BETAS for kind in _KERNEL_DUMP_KINDS
+                for ri, v in zip(r.tolist(), kernels.scaled(
+                    kind, r, FractionalOrder.from_beta(beta), 1.0).tolist())]
+        out.append(_write_table(path("kernels.csv"), echo, ["kind", "beta", "r", "value"],
+                                rows))
     return out

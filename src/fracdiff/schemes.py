@@ -243,6 +243,10 @@ def _operator(field: ParticleField, kind: SchemeKind):
         # reports where the operator is applied, so numpy need not warn here
         with np.errstate(over="ignore", invalid="ignore"):
             field.operators[kind] = _build_operator(field, kind)
+        # a block of 2N floats, written and freed after the build, leaves that
+        # much heap faulted in: the first matvec's pocketfft scratch and fresh
+        # result come from it, wherever the build's own arrays landed
+        np.ones(2 * len(field))
     return field.operators[kind]
 
 

@@ -706,14 +706,20 @@ def _csv_writer_bytes(echo, columns, rows):
     return buf.getvalue().encode()
 
 
+def _mirror(upper):
+    """The whole table of a snapshot's upper halves x, u, u_exact."""
+    x, *even = upper
+    return [np.concatenate([-x[:0:-1], x]), *(np.concatenate([v[:0:-1], v]) for v in even)]
+
+
 def test_write_csv_matches_csv_writer(tmp_path):
     import fracdiff.experiments as ex
     echo = {"beta": 0.5, "n": 201, "scheme": "kpse", "values": ""}
     specials = [0.0, -0.0, 5e-320, 1e300, -1e300, -2.5e-7, 1 / 3, -math.pi, 1e-5,
                 math.inf, -math.inf, math.nan]
-    # 8197 rows, over the block ends 4095/4096 and 8191/8192: x is a float64
-    # array; at rows 3, 4, 100, 4095, 4096 and 8191 u holds "" and u_exact an
-    # int, and at row 4097 u holds an np.float64
+    # 8197 rows: x is a float64 array; at rows 3, 4, 100, 4095, 4096 and
+    # 8191 u holds "" and u_exact an int, and at row 4097 u holds an
+    # np.float64
     n = 8197
     u = [-i * 1e-300 for i in range(n)]
     u_exact = [float(i) for i in range(n)]
@@ -742,64 +748,70 @@ def test_write_csv_matches_csv_writer(tmp_path):
                          np.append(0.05, np.tile(np.linspace(0.0, 2.0, 9), 2)),
                          np.append(-3.2e-9, -np.linspace(0.0, 2.0, 18) / 3.0)]),
     }
-    # tables whose lower rows mirror the upper ones, as a snapshot's do: 8197
-    # upper rows, over the block ends 4096 and 8192 counted from the last row
-    # down.  x is odd, holds 0 and -0 off the centre and +-inf at the ends, and
-    # u and u_exact are even, u with the specials (nan among them) and random
-    # bits; each near miss breaks the mirror in one cell and its partner
-    c = 8197
-    up = noisy[:c].copy()
-    up[::997] = np.resize(specials, len(up[::997]))
-    x = np.arange(-c, c + 1) * 0.1
-    x[[c - 3, c + 3]], x[[0, -1]] = [-0.0, 0.0], [-math.inf, math.inf]
-    u = np.concatenate([up[::-1], [math.pi], up])
-    mirrored = [x, u, np.exp(-x * x)]
-    near_misses = {
-        "zero in x": (0, c - 3, 0.0),    # +0 mirrored by +0
-        "-zero in x": (0, c + 3, -0.0),  # -0 mirrored by -0
-        "zero in u": (1, c - 7, -0.0),   # -0 mirrored by +0 in an even column
-        "nan in x": (0, [c + 9, c - 9], [math.nan, -math.nan]),
-        "negative x": (0, [c + 4, c - 4], [-0.4, -0.4]),
-        "-inf in x": (0, -1, -math.inf),
-        "inf in x": (0, 0, math.inf),
-    }
-    assert ex._mirrored(mirrored)
-    tables["mirrored.csv"] = (["x", "u", "u_exact"], mirrored)
-    for name, (j, i, v) in near_misses.items():
-        columns = [column.copy() for column in mirrored]
-        columns[j][i] = v
-        assert not ex._mirrored(columns), name
-        tables[name + ".csv"] = (["x", "u", "u_exact"], columns)
     for name, (names, columns) in tables.items():
-        path = ex._write_csv(str(tmp_path / name), echo, names, columns)
+        rows = list(zip(*columns))
+        path = ex._write_table(str(tmp_path / name), echo, names, rows)
         with open(path, "rb") as fh:
-            assert fh.read() == _csv_writer_bytes(echo, names, list(zip(*columns))), name
+            assert fh.read() == _csv_writer_bytes(echo, names, rows), name
+    # a snapshot's upper halves, centre row first: 8197 rows, over the block
+    # ends 4096 and 8192 counted from the last row down.  x holds +0 at the
+    # centre and +inf at the end, and u the specials (nan among them) among
+    # random bits
+    c = 8197
+    x = np.arange(c) * 0.1
+    x[-1] = math.inf
+    u = noisy[:c].copy()
+    u[::997] = np.resize(specials, len(u[::997]))
+    u[0] = math.pi
+    for m in (2, 3, c):
+        upper = [x[:m], u[:m], np.exp(-x[:m] * x[:m])]
+        path = ex._write_snapshot(str(tmp_path / f"snapshot{m}.csv"), echo, upper)
+        with open(path, "rb") as fh:
+            assert fh.read() == _csv_writer_bytes(echo, ["x", "u", "u_exact"],
+                                                  list(zip(*_mirror(upper)))), m
 
 
 def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
-    # a snapshot is written block by block: its peak of traced allocations
-    # (numpy's buffers among them) is a few blocks' worth at any length
+    # a table is written row by row and a snapshot block by block: the peak
+    # of traced allocations (numpy's buffers among them) is a few blocks'
+    # worth at any length
     import tracemalloc
     import fracdiff.experiments as ex
-    ex._write_csv(str(tmp_path / "warm.csv"), {}, ["x"], [np.ones(3)])  # fill the tables
-    # linspace's x is not exactly odd, so its table takes the general path;
-    # the field's centres are, and theirs the mirrored one
-    for grid, mirrored in ((lambda n: np.linspace(-357.5, 357.5, n), False),
-                           (lambda n: _centers(n, 715.0 / (n - 1)), True)):
+    ex._write_snapshot(str(tmp_path / "warm.csv"), {}, [np.ones(2)] * 3)  # fill the tables
+    for writer in ("table", "snapshot"):
         peaks = []
         for n in (50001, 200001):
-            x = grid(n)
+            x = _centers(n, 715.0 / (n - 1))
             columns = [x, np.exp(-x * x / 1e4) / 3.0, np.exp(-np.abs(x)) * 1e-3]
-            assert ex._mirrored(columns) is mirrored
             tracemalloc.start()
             try:
-                ex._write_csv(str(tmp_path / f"snap{n}.csv"), {"n": n}, ["x", "u", "u_exact"],
-                              columns)
+                path = str(tmp_path / f"{writer}{n}.csv")
+                if writer == "table":
+                    ex._write_table(path, {"n": n}, ["x", "u", "u_exact"], zip(*columns))
+                else:
+                    ex._write_snapshot(path, {"n": n}, [v[n // 2:] for v in columns])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) < 4 * 2 ** 20, (mirrored, peaks)
-        assert peaks[1] < peaks[0] + 2 ** 18, (mirrored, peaks)
+            with open(path, newline="") as fh:
+                assert sum(1 for _ in fh) == n + 3, writer  # version, echo, names
+        assert max(peaks) < 4 * 2 ** 20, (writer, peaks)
+        assert peaks[1] < peaks[0] + 2 ** 18, (writer, peaks)
+
+
+@pytest.mark.parametrize("scheme", sorted(SMALL))
+def test_snapshot_u_is_the_runs_final_strengths(tmp_path, scheme):
+    # the snapshot writes its lower rows from its upper ones: they must be
+    # the run's own final strengths, every one, to the bit
+    from fracdiff.experiments import _run_one
+    cfg = parse_config(SMALL[scheme], {"out_dir": str(tmp_path)})
+    run(cfg)
+    with open(tmp_path / "solution.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    u = np.array([float(row["u"]) for row in rows])
+    f1 = _run_one(cfg, None, cfg.n)[1]
+    assert len(u) == cfg.n
+    assert np.array_equal(u.view(np.uint64), f1.strengths.view(np.uint64))
 
 
 def test_single_run_snapshot_formats_its_upper_half(tmp_path, monkeypatch):
