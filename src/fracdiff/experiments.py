@@ -78,17 +78,28 @@ _TABLES = {
 _COLUMNS = ["scheme", "beta", "param_name", "param", "rel_l1", "p", "drift"]
 # numpy indexes an array's bytes with a signed machine word
 _MAX_PARTICLES = sys.maxsize // 8
-# a lower bound on the bytes per particle a run touches.  A run from the
-# even start holds the strengths (N floats), and on the upper half
-# ((N + 1)/2 floats each) integrate's copy, the recurrence's four rows, sum
-# and matvec result; sigma (m/2 + 1 floats, m >= 2N - 1); one interaction
-# holds, with L >= N, its two spectra and the one row pair of its complex
-# work (2L + 4 floats each), its real row (L floats) and pocketfft's scratch
-# (L floats): 92 bytes, 100 with the row sums all but DD keep.  At
-# N = 1000001 (L = 1.049 N) a run's live arrays (tracemalloc) peak at 103.2
-# (DD), 106.5 (KPSE), 135.1 (GPSE) and 162.0 (FPSE) bytes a particle, and at
-# N = 1265625 (L = N) DD's at 100.1, so the bound is DD's count
-_BYTES_PER_PARTICLE = 92
+# the bytes a particle that one field's run holds at its fullest, at least:
+# its buffers counted at their least sizes, FFT lengths L = N and m = 2N
+# (L is 1.05 N at N = 1000001), an upper half N/2 floats.  Every run holds
+# the strengths (8), and an integrating run, through its build, integrate's
+# upper-half copy and the recurrence's four rows (20).  Each interaction sum
+# (schemes._interaction) holds its table's length-m spectrum (16, until
+# sigma is read off it) and its Toeplitz and Hankel spectra (16), and while
+# it is built an untouched 4L block that primes the heap (32); the sums of
+# one operator share one workspace, its real row and row pair (24).
+# KPSE's and GPSE's sigma (8) is taken beside the row sums (8) while the
+# spectrum lives.  Fullest:
+#   DD          at the priming, 8 + 20 + 16 + 16 + 32 = 92
+#   FPSE        at the second sum's priming, 8 + 20 + 2 x 32 + 24 + 32 = 148
+#   KPSE, GPSE  at sigma, 8 + 20 + 16 + 16 + 24 + 8 + 8 = 100
+# A stability row steps whole vectors from its build on: no 20, and a
+# two-row workspace (52) with the iterate and its product (8 each); DD
+# 8 + 16 + 52 + 8 + 16 = 100 with sigma, KPSE 108 with the row sums too,
+# and FPSE 128 at its build's second priming.  tracemalloc's peak of a run
+# at N = 1000001 exceeds each count by 3-7%.
+_RUN_BYTES = {SchemeKind.DD: 92, SchemeKind.FPSE: 148, SchemeKind.KPSE: 100,
+              SchemeKind.GPSE: 100}
+_STABILITY_BYTES = {SchemeKind.DD: 100, SchemeKind.FPSE: 128, SchemeKind.KPSE: 108}
 
 
 @dataclass(frozen=True)
@@ -223,7 +234,10 @@ def _validate(cfg: ExperimentConfig):
     # and every scheme prefactor at its smoothing length
     key = {StudyKind.DOMAIN_SWEEP: "values", StudyKind.SPACE_SWEEP: "levels"}.get(cfg.study, "n")
     steps_key = "values" if cfg.study is StudyKind.TIME_SWEEP else "dt"
-    schemes = _STABILITY_SCHEMES if cfg.study is StudyKind.STABILITY else (cfg.scheme,)
+    if cfg.study is StudyKind.STABILITY:
+        schemes, per_particle, what = _STABILITY_SCHEMES, _STABILITY_BYTES, "stability row"
+    else:
+        schemes, per_particle, what = (cfg.scheme,), _RUN_BYTES, "run"
     memory, params = _memory_bytes(), []
     for param, sub, c, n in _runs(cfg):
         if cfg.study in _TABLES:
@@ -237,11 +251,13 @@ def _validate(cfg: ExperimentConfig):
         if not 3 <= n <= _MAX_PARTICLES:
             raise ConfigError(f"{key}: {grid} has {n:.3g} particles; it needs 3 or more, "
                               f"and a float64 array can index {_MAX_PARTICLES:.3g}")
-        if _BYTES_PER_PARTICLE * n > memory:
-            raise ConfigError(f"{key}: {grid} has {n:.3g} particles, which need over "
-                              f"{_BYTES_PER_PARTICLE * n:.3g} bytes; {memory:.3g} are available")
         eps = sub.overlap * (2.0 * sub.half_width(c) / (n - 1))
         for scheme in schemes:
+            need = per_particle[scheme] * n
+            if need > memory:
+                raise ConfigError(f"{key}: {grid} has {n:.3g} particles, for which a "
+                                  f"{scheme.value} {what} needs over {need:.3g} bytes; "
+                                  f"{memory:.3g} are available")
             try:
                 ok = all(0.0 < abs(p) < math.inf
                          for p in rate_prefactors(scheme, sub.order, eps))

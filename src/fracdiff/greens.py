@@ -92,6 +92,24 @@ def _as_order(alpha) -> FractionalOrder:
     return FractionalOrder(float(alpha))
 
 
+# L0 and the kernel tables (kernels.scaled) are evaluated in blocks of this
+# many points, so that no temporary grows with the argument
+_BLOCK = 8192
+
+
+def _blockwise(evaluate, x):
+    """An array of x's shape (a numpy float64 for a scalar x), filled by
+    evaluate(block, out) for each block of _BLOCK points of x and its slice
+    out of the result.  For an elementwise evaluate the values do not depend
+    on the blocking."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    flat, into = x.reshape(-1), out.reshape(-1)
+    for i in range(0, len(flat), _BLOCK):
+        evaluate(flat[i:i + _BLOCK], into[i:i + _BLOCK])
+    return out[()]
+
+
 # L0 is one Chebyshev table per alpha below x = _SPLIT and the asymptotic
 # sum from it on; the table is fitted at nodes of the Fourier integral,
 # whose error estimate must meet the _NODE tolerances
@@ -204,19 +222,26 @@ def _l0_asym(alpha: float, ax: np.ndarray) -> np.ndarray:
 
 def reduced_green(alpha, x):
     """Reduced Green function L0_alpha(x), elementwise over the array x (a
-    scalar x gives a numpy float64).  Even in x."""
-    order = _as_order(alpha)
-    ax = np.abs(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(ax)):
-        raise DomainError("non-finite argument to reduced_green")
-    coef = _l0_model(order.alpha)[0]
-    out = np.empty_like(ax)
-    small = ax < _SPLIT
-    if small.any():
-        out[small] = chebval(2.0 * ax[small] / _SPLIT - 1.0, coef)
-    if (~small).any():
-        out[~small] = _l0_asym(order.alpha, ax[~small])
-    return out[()]
+    scalar x gives a numpy float64).  Even in x.
+
+    x is taken in blocks of _BLOCK points (_blockwise), so no temporary
+    grows with x: both branches are elementwise (_asym_sum freezes each
+    element on its own), so the values do not depend on the blocking.  A
+    non-finite entry raises DomainError from its block.
+    """
+    alpha = _as_order(alpha).alpha
+    coef = _l0_model(alpha)[0]
+
+    def evaluate(x, out):
+        ax = np.abs(x)
+        if not np.all(np.isfinite(ax)):
+            raise DomainError("non-finite argument to reduced_green")
+        small = ax < _SPLIT
+        if small.any():
+            out[small] = chebval(2.0 * ax[small] / _SPLIT - 1.0, coef)
+        if not small.all():
+            out[~small] = _l0_asym(alpha, ax[~small])
+    return _blockwise(evaluate, x)
 
 
 def reduced_green_mass(alpha, y) -> float:

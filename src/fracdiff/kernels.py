@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .greens import FractionalOrder, _as_order, reduced_green
+from .greens import FractionalOrder, _as_order, _blockwise, reduced_green
 from .specfun import gamma_rec, kummer_m, s_combo, t_combo
 
 __all__ = [
@@ -114,7 +114,19 @@ _DISPATCH = {
 
 
 def scaled(kind: KernelKind, r, order: FractionalOrder, eps: float):
-    """Mollifier scaling of the kernel of this kind: k_eps(r) = (1/eps) k(r/eps)."""
+    """Mollifier scaling of the kernel of this kind: k_eps(r) = (1/eps) k(r/eps).
+
+    r is taken in blocks of greens._BLOCK points (greens._blockwise), so no
+    temporary grows with r: every kernel is elementwise (kummer_m sums its
+    series row by row, reduced_green freezes each asymptotic sum on its
+    own), so the values do not depend on the blocking, and a table is still
+    one call.
+    """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise DomainError(f"epsilon must be positive, got {eps}")
-    return _DISPATCH[kind](order, np.asarray(r, dtype=float) / eps) / eps
+    kernel = _DISPATCH[kind]
+
+    def evaluate(r, out):
+        out[:] = kernel(order, r / eps)
+        out /= eps
+    return _blockwise(evaluate, r)

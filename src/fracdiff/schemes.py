@@ -76,6 +76,10 @@ def _spectrum(field: ParticleField, kind: KernelKind,
               theta = 2 pi k/m: real for an even kernel, imaginary for an odd one
     toeplitz  the length-L circulant embedding of lags -c..c, L >= N
     hankel    lags 0..2c at 0..2c, zero-padded to length L
+
+    The table is evaluated in fixed blocks (kernels.scaled), and each
+    embedding is built and transformed on its own, so that no more than one
+    real embedding lives beside the table and the spectra.
     """
     n = len(field)
     c = n // 2
@@ -86,14 +90,12 @@ def _spectrum(field: ParticleField, kind: KernelKind,
         half[0] = 0.0
     half *= pref * field.h
     sign = -1.0 if kind in ODD_KINDS else 1.0
-    m, fold = _circulant_length(n), _circulant_length(c + 1)
+    fold = _circulant_length(c + 1)
+    spectrum = np.fft.rfft(_circulant(half, sign, _circulant_length(n)))
+    toeplitz = np.fft.rfft(_circulant(half[:c + 1], sign, fold))
     # the Hankel lags get a transform of their own: the Toeplitz spectrum of
     # a centred table times the phase exp(-2 pi i k c/L) rounds worse
-    hankel = np.zeros(fold)
-    hankel[:n] = half
-    return tuple(np.fft.rfft(circ)
-                 for circ in (_circulant(half, sign, m), _circulant(half[:c + 1], sign, fold),
-                              hankel))
+    return spectrum, toeplitz, np.fft.rfft(half, fold)
 
 
 def _circulant(half: np.ndarray, sign: float, length: int) -> np.ndarray:
@@ -129,7 +131,8 @@ def _five_smooth(target: int) -> int:
     return best
 
 
-def _interaction(field: ParticleField, kind: KernelKind, pref: float):
+def _interaction(field: ParticleField, kind: KernelKind, pref: float,
+                 work: list | None = None):
     """(apply, spectrum): the interaction sum
     apply(w)_i = pref sum_j h k_eps(x_i - x_j) w_j at eps = field.epsilon, and
     the full-length spectrum of _spectrum, for sigma.
@@ -150,9 +153,12 @@ def _interaction(field: ParticleField, kind: KernelKind, pref: float):
       even or odd iterate stays exactly so;
     - all N entries, of any parity: both rows.
 
-    apply writes into buffers of its own, with room for the second row from
-    its first whole vector on: it returns a view of its real buffer, valid
-    until its next call, and is not reentrant.
+    apply writes into the buffers held in work, a one-element list (a new
+    one by default) that the sums of one operator may share: FPSE's second
+    sum takes the first's output where it lies, so one workspace serves
+    both.  The second row's room comes with the first whole vector, once the
+    one-row buffers are freed.  apply returns a view of the real buffer,
+    valid until the next call of any sum sharing it, and is not reentrant.
     """
     n = len(field)
     c = n // 2
@@ -175,7 +181,9 @@ def _interaction(field: ParticleField, kind: KernelKind, pref: float):
         return buf, buf[(k - 1) * c:].reshape(k, fold), z, z_conj
 
     # one row until the first whole vector, which only power iteration makes
-    ws = workspace(1)
+    work = [] if work is None else work
+    if not work:
+        work.append(workspace(1))
 
     def product(r, zr, zc, partner, s):
         # rows r hold the folded halves, centre entries halved
@@ -188,18 +196,18 @@ def _interaction(field: ParticleField, kind: KernelKind, pref: float):
         np.fft.irfft(zr, fold, out=r)
 
     def apply(w: np.ndarray, s: float = 1.0) -> np.ndarray:
-        nonlocal ws
         if len(w) == c + 1:
-            _, rows, z, z_conj = ws
+            _, rows, z, z_conj = work[0]
             r = rows[0]
             r[:c + 1] = w
             product(r, z[0], z_conj[0], z[0], s)
             if sign * s < 0.0:
                 r[0] = 0.0  # an odd output's exact centre
             return r[:c + 1]
-        if len(ws[1]) == 1:
-            ws = workspace(2)
-        buf, rows, z, z_conj = ws
+        if len(work[0][1]) == 1:
+            work[0] = None  # the one-row buffers go before the two-row ones come
+            work[0] = workspace(2)
+        buf, rows, z, z_conj = work[0]
         rows[0, :c + 1] = w[c:]
         rows[1, :c + 1] = w[c::-1]
         product(rows, z, z_conj, z[::-1], 0.0)
@@ -265,8 +273,10 @@ def _build_operator(field: ParticleField, kind: SchemeKind):
         # copied, so that sigma does not keep the complex spectrum alive
         return (lambda u: a(u).copy()), spectrum.real.copy()
     if kind is SchemeKind.FPSE:
-        f, spectrum_f = _interaction(field, KernelKind.F, pref[0])
-        e1, spectrum_e1 = _interaction(field, KernelKind.ETA1, pref[1])
+        # one workspace: the second sum takes q where the first left it
+        work = []
+        f, spectrum_f = _interaction(field, KernelKind.F, pref[0], work)
+        e1, spectrum_e1 = _interaction(field, KernelKind.ETA1, pref[1], work)
         row = row_sums(e1, -1.0)
 
         def rate(u: np.ndarray) -> np.ndarray:
@@ -275,7 +285,9 @@ def _build_operator(field: ParticleField, kind: SchemeKind):
             out = q * row[n - len(u):]
             return np.add(e1(q, -1.0), out, out=out)
 
-        return rate, np.multiply(spectrum_f, spectrum_e1, out=spectrum_f).real.copy()
+        np.multiply(spectrum_f, spectrum_e1, out=spectrum_f)
+        del spectrum_e1  # freed before sigma is copied out
+        return rate, spectrum_f.real.copy()
     kernel = KernelKind.E if kind is SchemeKind.GPSE else KernelKind.K
     k, spectrum = _interaction(field, kernel, pref[0])
     row = row_sums(k, 1.0)

@@ -230,19 +230,20 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
         if out is not None and np.isfinite(out).all():
             return result(out)
     del work  # stepping does not use the rows
-    # an overflow leaves an inf (in u, or in _norm's sum of squares), and the
-    # guard reports that, so numpy need not warn of it
-    with np.errstate(over="ignore"):
+    # an overflow leaves an inf (in u, or in _norm's sum of squares), or a NaN
+    # where infs meet (inf - inf in the product), and the guard reports that,
+    # so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
         guard = DIVERGENCE_FACTOR * max(_norm(u, even), 1e-300)
         for step in range(n):
             u = advance(u)
             # a NaN or inf entry fails this test, even against an inf guard
             if not _norm(u, even) < guard:
-                raise InstabilityError(
-                    f"{kind.value} diverged at step {step + 1} of {n} "
-                    f"(dt={dt})",
-                    step=step + 1,
-                )
+                what = (": the operator's product of the start is not finite (it "
+                        "overflows float range)" if step == 0 and not np.isfinite(u).all()
+                        else " diverged")
+                raise InstabilityError(f"{kind.value}{what} at step {step + 1} of {n} "
+                                       f"(dt={dt})", step=step + 1)
     return result(u)
 
 

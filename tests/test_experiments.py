@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fracdiff
-from fracdiff import __version__
+from fracdiff import __version__, experiments
 from fracdiff.cli import main
 from fracdiff.errors import ConfigError, DomainError
 from fracdiff.experiments import PRESETS, _build_field, parse_config, run
@@ -515,6 +515,86 @@ def test_cli_rejects_grids_past_memory(tmp_path, lines, key):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith(f"config error: {key}: ")
     assert not (tmp_path / "out").exists()
+
+
+RUN_PEAKS = """
+import sys, tracemalloc
+from fracdiff.errors import AccuracyError
+from fracdiff.experiments import _STABILITY_SCHEMES, _build_field, _run_one, parse_config
+from fracdiff.timeint import power_iteration_min_eig
+n = int(sys.argv[1])
+for scheme in ("dd", "fpse", "kpse", "gpse"):
+    cfg = parse_config(f"scheme = {scheme}\\nn = {n}\\ndt = 2e-7\\ntf = 0.500004\\n")
+    tracemalloc.start()
+    _run_one(cfg, None, n)
+    print("run", scheme, tracemalloc.get_traced_memory()[1] / n)
+    tracemalloc.stop()
+cfg = parse_config(f"study = stability\\nn = {n}\\n")
+for scheme in _STABILITY_SCHEMES:
+    tracemalloc.start()
+    try:  # the peak comes with the first whole-vector products
+        power_iteration_min_eig(_build_field(cfg, None, n), scheme, max_iter=3)
+    except AccuracyError:
+        pass
+    print("stability", scheme.value, tracemalloc.get_traced_memory()[1] / n)
+    tracemalloc.stop()
+"""
+
+
+@pytest.mark.parametrize("n", [100001, 1000001])
+def test_memory_count_bounds_each_schemes_peak(n):
+    # each scheme's count is a lower bound on a run's live arrays, within 10%,
+    # so that _validate never rejects a grid that fits: tracemalloc's peak of
+    # one 20-step run (build, integrate, error) and of a stability row's
+    # first power iterations, per particle, lies in [count, count / 0.9]
+    src = os.path.dirname(os.path.dirname(fracdiff.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", RUN_PEAKS, str(n)], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    counts = {"run": experiments._RUN_BYTES, "stability": experiments._STABILITY_BYTES}
+    lines = [line.split() for line in out.splitlines()]
+    assert [(what, scheme) for what, scheme, _ in lines] == [
+        *(("run", s.value) for s in SchemeKind),
+        *(("stability", s.value) for s in experiments._STABILITY_SCHEMES)]
+    for what, scheme, peak in lines:
+        count = counts[what][SchemeKind(scheme)]
+        assert count <= float(peak) <= count / 0.9, (what, scheme, peak, count)
+
+
+def test_config_past_memory_names_scheme_bytes_and_memory(monkeypatch):
+    # each scheme's own count: at 1e6 bytes, 10001 particles fit a DD run
+    # (92 bytes each) and not an FPSE one (148), and 9001 fit a DD stability
+    # row (100) and not an FPSE one (128)
+    monkeypatch.setattr(experiments, "_memory_bytes", lambda: 10 ** 6)
+    assert parse_config("scheme = dd\nn = 10001\n").n == 10001
+    with pytest.raises(ConfigError) as exc:
+        parse_config("scheme = fpse\nn = 10001\n")
+    assert str(exc.value) == ("n: the grid has 1e+04 particles, for which a fpse run needs "
+                              "over 1.48e+06 bytes; 1e+06 are available")
+    with pytest.raises(ConfigError) as exc:
+        parse_config("study = stability\nn = 9001\n")
+    assert str(exc.value) == ("n: the grid has 9e+03 particles, for which a fpse stability "
+                              "row needs over 1.15e+06 bytes; 1e+06 are available")
+
+
+@pytest.mark.parametrize("scheme", [s.value for s in SchemeKind])
+def test_cli_tiny_t0_exits_0_or_names_the_overflow(tmp_path, capsys, scheme):
+    # the start peaks near t0^(-1/alpha) L0(0), about 1e133: the first product
+    # overflows and inf - inf left a NaN, whose warning, under -W error,
+    # ended DD, FPSE and KPSE in a traceback and exit 1
+    cfg_file = tmp_path / "tiny.cfg"
+    cfg_file.write_text(f"scheme = {scheme}\nt0 = 1e-200\ntf = 2e-200\ndt = 1e-200\n"
+                        "c = 5\nn = 101\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", str(cfg_file), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 3), err
+    if code == 3:
+        assert err == (f"numerical failure: {scheme}: the operator's product of the start "
+                       "is not finite (it overflows float range) at step 1 of 1 "
+                       "(dt=1e-200)\n")
 
 
 def test_cli_time_sweep_with_zero_first_difference_exit_2(tmp_path, capsys):

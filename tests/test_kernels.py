@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 
 from fracdiff import kernels
 from fracdiff.errors import DomainError
-from fracdiff.greens import FractionalOrder, reduced_green
+from fracdiff.greens import _BLOCK, FractionalOrder, reduced_green
 from fracdiff.kernels import (ODD_KINDS, KernelKind, eta1, kernel_f, kernel_gd,
                               kernel_k, kernel_kappa, scaled)
 
@@ -60,6 +61,44 @@ def test_scaled_arrays_in_arrays_out(kind):
     one = scaled(kind, 1.3, order, 0.8)
     assert type(one) is np.float64 and isinstance(one, float)
     assert one == out[1, 0]
+
+
+# every kernel table, and L0 itself, as a function of a 1-D array
+_ORDER = FractionalOrder.from_beta(0.3)
+BLOCKED = {**{kind.value: functools.partial(scaled, kind, order=_ORDER, eps=0.7)
+              for kind in KernelKind},
+           "reduced_green": functools.partial(reduced_green, _ORDER)}
+
+
+@pytest.mark.parametrize("length", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("name", BLOCKED)
+def test_blocked_evaluation_equals_its_pieces(name, length):
+    # a table is evaluated in blocks of _BLOCK points; evaluated in one call it
+    # equals, bit for bit, its pieces evaluated apart, cut across the block
+    # ends, with every branch (the Kummer series and its asymptotic sum past
+    # |r/eps| = 8, L0's Chebyshev fit and its asymptotic sum past 12) in
+    # each block
+    table = BLOCKED[name]
+    r = np.random.default_rng(length).uniform(-30.0, 30.0, length)
+    r[::97] = 0.0
+    whole = table(r)
+    cuts = sorted({0, 1, 100, _BLOCK - 2, _BLOCK + 3, 2 * _BLOCK - 1, length}
+                  & set(range(length + 1)))
+    pieces = np.concatenate([table(r[a:b]) for a, b in zip(cuts, cuts[1:])])
+    assert whole.shape == (length,)
+    assert np.array_equal(whole.view(np.uint64), pieces.view(np.uint64))
+    for i in (0, min(length, _BLOCK) - 1, length - 1):
+        assert table(r[i]) == whole[i]
+
+
+@pytest.mark.parametrize("name", [name for name in BLOCKED if name != "eta1"])
+def test_blocked_evaluation_rejects_a_late_nonfinite_entry(name):
+    # eta1 has no domain check: -2 r exp(-r^2) of an inf is a NaN
+    r = np.linspace(0.0, 30.0, 3 * _BLOCK + 7)
+    for bad in (math.nan, math.inf, -math.inf):
+        r[-2] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            BLOCKED[name](r)
 
 
 def test_k_f_identity():
