@@ -78,28 +78,17 @@ _TABLES = {
 _COLUMNS = ["scheme", "beta", "param_name", "param", "rel_l1", "p", "drift"]
 # numpy indexes an array's bytes with a signed machine word
 _MAX_PARTICLES = sys.maxsize // 8
-# the bytes a particle that one field's run holds at its fullest, at least:
-# its buffers counted at their least sizes, FFT lengths L = N and m = 2N
-# (L is 1.05 N at N = 1000001), an upper half N/2 floats.  Every run holds
-# the strengths (8), and an integrating run, through its build, integrate's
-# upper-half copy and the recurrence's four rows (20).  Each interaction sum
-# (schemes._interaction) holds its table's length-m spectrum (16, until
-# sigma is read off it) and its Toeplitz and Hankel spectra (16), and while
-# it is built an untouched 4L block that primes the heap (32); the sums of
-# one operator share one workspace, its real row and row pair (24).
-# KPSE's and GPSE's sigma (8) is taken beside the row sums (8) while the
-# spectrum lives.  Fullest:
-#   DD          at the priming, 8 + 20 + 16 + 16 + 32 = 92
-#   FPSE        at the second sum's priming, 8 + 20 + 2 x 32 + 24 + 32 = 148
-#   KPSE, GPSE  at sigma, 8 + 20 + 16 + 16 + 24 + 8 + 8 = 100
-# A stability row steps whole vectors from its build on: no 20, and a
-# two-row workspace (52) with the iterate and its product (8 each); DD
-# 8 + 16 + 52 + 8 + 16 = 100 with sigma, KPSE 108 with the row sums too,
-# and FPSE 128 at its build's second priming.  tracemalloc's peak of a run
-# at N = 1000001 exceeds each count by 3-7%.
-_RUN_BYTES = {SchemeKind.DD: 92, SchemeKind.FPSE: 148, SchemeKind.KPSE: 100,
+# the bytes a particle of the arrays one field's run holds at its fullest:
+# tracemalloc's peak at N = 1265625, whose FFT lengths take their least
+# values, L = N and m = 2N.  An integrating run peaks in its operator's build,
+# beside the strengths, integrate's upper half and the recurrence's rows,
+# whether it then steps or not: DD, KPSE and GPSE as sigma is taken off the
+# length-m spectrum, FPSE at its second sum's row sums, with both sums'
+# spectra.  A stability row peaks at its first whole-vector product, in the
+# two-row workspace.  At N = 100001 and 1000001 each peak is 1-4% higher.
+_RUN_BYTES = {SchemeKind.DD: 92, SchemeKind.FPSE: 128, SchemeKind.KPSE: 100,
               SchemeKind.GPSE: 100}
-_STABILITY_BYTES = {SchemeKind.DD: 100, SchemeKind.FPSE: 128, SchemeKind.KPSE: 108}
+_STABILITY_BYTES = {SchemeKind.DD: 100, SchemeKind.FPSE: 124, SchemeKind.KPSE: 108}
 
 
 @dataclass(frozen=True)
@@ -238,7 +227,8 @@ def _validate(cfg: ExperimentConfig):
         schemes, per_particle, what = _STABILITY_SCHEMES, _STABILITY_BYTES, "stability row"
     else:
         schemes, per_particle, what = (cfg.scheme,), _RUN_BYTES, "run"
-    memory, params = _memory_bytes(), []
+    # a grid needs its count on top of what the process already holds
+    memory, resident, params = _memory_bytes(), _resident_bytes(), []
     for param, sub, c, n in _runs(cfg):
         if cfg.study in _TABLES:
             try:
@@ -253,7 +243,7 @@ def _validate(cfg: ExperimentConfig):
                               f"and a float64 array can index {_MAX_PARTICLES:.3g}")
         eps = sub.overlap * (2.0 * sub.half_width(c) / (n - 1))
         for scheme in schemes:
-            need = per_particle[scheme] * n
+            need = resident + per_particle[scheme] * n
             if need > memory:
                 raise ConfigError(f"{key}: {grid} has {n:.3g} particles, for which a "
                                   f"{scheme.value} {what} needs over {need:.3g} bytes; "
@@ -279,6 +269,15 @@ def _memory_bytes() -> int:
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     return memory if soft == resource.RLIM_INFINITY else min(memory, soft)
+
+
+def _resident_bytes() -> int:
+    """The process's resident size, from /proc/self/statm, or 0 without it."""
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        return 0
 
 
 def _fmt(value) -> str:

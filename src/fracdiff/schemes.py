@@ -165,12 +165,6 @@ def _interaction(field: ParticleField, kind: KernelKind, pref: float,
     sign = -1.0 if kind in ODD_KINDS else 1.0
     spectrum, toeplitz, hankel = _spectrum(field, kind, pref)
     fold = _circulant_length(c + 1)
-    # freeing a mapped block raises glibc's mmap threshold to its size, and
-    # the trim threshold to twice that (mallopt(3)), so after this untouched
-    # 32L-byte block pocketfft's scratch and each matvec's fresh result come
-    # from the heap instead of being mapped and faulted in on every call.
-    # glibc does so for blocks below 32 MiB: L < 2^20, N up to about 9.8e5
-    np.empty(4 * fold)
 
     def workspace(k: int):
         # k rows, each row's spectrum next to its conjugate product; two rows
@@ -206,6 +200,12 @@ def _interaction(field: ParticleField, kind: KernelKind, pref: float,
             return r[:c + 1]
         if len(work[0][1]) == 1:
             work[0] = None  # the one-row buffers go before the two-row ones come
+            # freeing a mapped block raises glibc's mmap threshold to its size,
+            # and the trim threshold to twice that (mallopt(3)), so after this
+            # untouched 32L-byte block each whole-vector product's temporaries
+            # come from the heap instead of being faulted in on every call.
+            # glibc does so for blocks below 32 MiB: L < 2^20
+            np.empty(4 * fold)
             work[0] = workspace(2)
         buf, rows, z, z_conj = work[0]
         rows[0, :c + 1] = w[c:]

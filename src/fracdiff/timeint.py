@@ -204,7 +204,7 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
     even = is_mirrored(field.strengths)
     u = field.strengths[len(field) // 2 if even else 0:].copy()
     # the recurrence's rows, zero-filled before the build: allocated after it,
-    # they pushed the matvecs' temporaries onto fresh pages (schemes._interaction)
+    # they pushed the matvecs' temporaries onto fresh pages (schemes._operator)
     work = [np.zeros_like(u) for _ in range(4)]
     rate = make_rate_operator(field, kind)
     if not rk2:
@@ -220,7 +220,8 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
             return u + scale * rate(u + 0.5 * scale * k1)
 
     def result(u):
-        return field.with_strengths(np.concatenate((u[:0:-1], u)) if even else u)
+        # u, and its mirrored whole, are owned here: the field takes them uncopied
+        return replace(field, strengths=np.concatenate((u[:0:-1], u)) if even else u)
 
     if np.isfinite(u).all():
         # an overflow in the recurrence falls back to stepping, which reports it
@@ -229,7 +230,6 @@ def integrate(field: ParticleField, kind: SchemeKind, spec: IntegratorSpec) -> P
                                  work)
         if out is not None and np.isfinite(out).all():
             return result(out)
-    del work  # stepping does not use the rows
     # an overflow leaves an inf (in u, or in _norm's sum of squares), or a NaN
     # where infs meet (inf - inf in the product), and the guard reports that,
     # so numpy need not warn of it

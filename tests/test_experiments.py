@@ -523,12 +523,14 @@ from fracdiff.errors import AccuracyError
 from fracdiff.experiments import _STABILITY_SCHEMES, _build_field, _run_one, parse_config
 from fracdiff.timeint import power_iteration_min_eig
 n = int(sys.argv[1])
-for scheme in ("dd", "fpse", "kpse", "gpse"):
-    cfg = parse_config(f"scheme = {scheme}\\nn = {n}\\ndt = 2e-7\\ntf = 0.500004\\n")
-    tracemalloc.start()
-    _run_one(cfg, None, n)
-    print("run", scheme, tracemalloc.get_traced_memory()[1] / n)
-    tracemalloc.stop()
+# 20 steps take the Chebyshev recurrence, 3 are too few for it and step
+for what, tf in (("run", "0.500004"), ("step", "0.5000006")):
+    for scheme in ("dd", "fpse", "kpse", "gpse"):
+        cfg = parse_config(f"scheme = {scheme}\\nn = {n}\\ndt = 2e-7\\ntf = {tf}\\n")
+        tracemalloc.start()
+        _run_one(cfg, None, n)
+        print(what, scheme, tracemalloc.get_traced_memory()[1] / n)
+        tracemalloc.stop()
 cfg = parse_config(f"study = stability\\nn = {n}\\n")
 for scheme in _STABILITY_SCHEMES:
     tracemalloc.start()
@@ -545,17 +547,20 @@ for scheme in _STABILITY_SCHEMES:
 def test_memory_count_bounds_each_schemes_peak(n):
     # each scheme's count is a lower bound on a run's live arrays, within 10%,
     # so that _validate never rejects a grid that fits: tracemalloc's peak of
-    # one 20-step run (build, integrate, error) and of a stability row's
-    # first power iterations, per particle, lies in [count, count / 0.9]
+    # one 20-step run (build, recurrence, error), of one 3-step run (build,
+    # stepping, error) and of a stability row's first power iterations, per
+    # particle, lies in [count, count / 0.9]
     src = os.path.dirname(os.path.dirname(fracdiff.__file__))
     env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1",
            "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", RUN_PEAKS, str(n)], env=env, check=True,
                          capture_output=True, text=True, timeout=300).stdout
-    counts = {"run": experiments._RUN_BYTES, "stability": experiments._STABILITY_BYTES}
+    counts = {"run": experiments._RUN_BYTES, "step": experiments._RUN_BYTES,
+              "stability": experiments._STABILITY_BYTES}
     lines = [line.split() for line in out.splitlines()]
     assert [(what, scheme) for what, scheme, _ in lines] == [
         *(("run", s.value) for s in SchemeKind),
+        *(("step", s.value) for s in SchemeKind),
         *(("stability", s.value) for s in experiments._STABILITY_SCHEMES)]
     for what, scheme, peak in lines:
         count = counts[what][SchemeKind(scheme)]
@@ -564,18 +569,36 @@ def test_memory_count_bounds_each_schemes_peak(n):
 
 def test_config_past_memory_names_scheme_bytes_and_memory(monkeypatch):
     # each scheme's own count: at 1e6 bytes, 10001 particles fit a DD run
-    # (92 bytes each) and not an FPSE one (148), and 9001 fit a DD stability
-    # row (100) and not an FPSE one (128)
+    # (92 bytes each) and not an FPSE one (128), and 9001 fit a DD stability
+    # row (100) and not an FPSE one (124)
     monkeypatch.setattr(experiments, "_memory_bytes", lambda: 10 ** 6)
+    monkeypatch.setattr(experiments, "_resident_bytes", lambda: 0)
     assert parse_config("scheme = dd\nn = 10001\n").n == 10001
     with pytest.raises(ConfigError) as exc:
         parse_config("scheme = fpse\nn = 10001\n")
     assert str(exc.value) == ("n: the grid has 1e+04 particles, for which a fpse run needs "
-                              "over 1.48e+06 bytes; 1e+06 are available")
+                              "over 1.28e+06 bytes; 1e+06 are available")
     with pytest.raises(ConfigError) as exc:
         parse_config("study = stability\nn = 9001\n")
     assert str(exc.value) == ("n: the grid has 9e+03 particles, for which a fpse stability "
-                              "row needs over 1.15e+06 bytes; 1e+06 are available")
+                              "row needs over 1.12e+06 bytes; 1e+06 are available")
+    # what the process holds comes first: the DD run's 920,092 bytes no
+    # longer fit beside 100,000 resident ones
+    monkeypatch.setattr(experiments, "_resident_bytes", lambda: 10 ** 5)
+    with pytest.raises(ConfigError) as exc:
+        parse_config("scheme = dd\nn = 10001\n")
+    assert str(exc.value) == ("n: the grid has 1e+04 particles, for which a dd run needs "
+                              "over 1.02e+06 bytes; 1e+06 are available")
+
+
+def test_resident_bytes_reads_this_process():
+    # statm's resident pages times the page size: a live interpreter with
+    # numpy holds megabytes, and far less than the machine
+    resident = experiments._resident_bytes()
+    if os.path.exists("/proc/self/statm"):
+        assert 10 ** 6 < resident < experiments._memory_bytes()
+    else:
+        assert resident == 0
 
 
 @pytest.mark.parametrize("scheme", [s.value for s in SchemeKind])

@@ -291,12 +291,12 @@ def test_matrix_guards():
         assemble_matrix(f, SchemeKind.DD, size_guard=50)
 
 
-FRESH_STEPS = """
-import resource
+FRESH_MATVECS = """
+import resource, sys
 import fracdiff.timeint as ti
+from fracdiff.errors import AccuracyError
 from fracdiff.experiments import _build_field, parse_config
-from fracdiff.schemes import SchemeKind
-from fracdiff.timeint import IntegratorSpec, RKOrder, integrate
+from fracdiff.timeint import IntegratorSpec, integrate
 
 faults = []
 build = ti.make_rate_operator
@@ -312,24 +312,54 @@ def counted(field, kind):
 
 
 ti.make_rate_operator = counted
-cfg = parse_config("")  # the production case: DD, N = 32001, RK1
-integrate(_build_field(cfg, None, cfg.n), SchemeKind.DD,
-          IntegratorSpec(RKOrder.RK1, cfg.dt, cfg.t0, cfg.t0 + 51 * cfg.dt))
-print((faults[-1] - faults[0]) / (len(faults) - 1))
+cfg = parse_config(f"scheme = {sys.argv[1]}")  # the production case: N = 32001, RK1
+field = _build_field(cfg, None, cfg.n)
+if sys.argv[2] == "steps":
+    integrate(field, cfg.scheme, IntegratorSpec(cfg.integrator, cfg.dt, cfg.t0,
+                                                cfg.t0 + 51 * cfg.dt))
+else:  # 12 power iterations, on whole vectors
+    try:
+        ti.power_iteration_min_eig(field, cfg.scheme, tol=0.0, max_iter=12)
+    except AccuracyError:
+        pass
+print((faults[-1] - faults[0]) / (len(faults) - 1), (faults[-1] - faults[1]) / (len(faults) - 2))
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux")
-                    or platform.libc_ver()[0] != "glibc",
-                    reason="counts the minor page faults of glibc's allocator")
-def test_fresh_process_steps_take_no_page_faults():
-    # each matvec's FFT temporaries (512 KiB each at m = 65536) were mapped and
-    # faulted in afresh on every step of a fresh process: about 470-700 faults
+def _fresh_matvec_faults(scheme: str, path: str) -> tuple[float, float]:
+    """Minor page faults a matvec in a fresh process, averaged from the first
+    matvec and from the second."""
     src = os.path.dirname(os.path.dirname(fracdiff.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", FRESH_STEPS], env=env, check=True,
-                         capture_output=True, text=True, timeout=300).stdout
-    assert float(out) < 10.0
+    out = subprocess.run([sys.executable, "-c", FRESH_MATVECS, scheme, path], env=env,
+                         check=True, capture_output=True, text=True, timeout=300).stdout
+    return tuple(map(float, out.split()))
+
+
+GLIBC_ONLY = pytest.mark.skipif(not sys.platform.startswith("linux")
+                                or platform.libc_ver()[0] != "glibc",
+                                reason="counts the minor page faults of glibc's allocator")
+
+
+@GLIBC_ONLY
+@pytest.mark.parametrize("scheme", [s.value for s in SchemeKind])
+def test_fresh_process_steps_take_no_page_faults(scheme):
+    # each matvec's FFT temporaries (512 KiB each at m = 65536) were mapped and
+    # faulted in afresh on every step of a fresh process: about 470-700 faults.
+    # The 51 steps run as a recurrence of a few matvecs, so the average over
+    # all of them is mostly the first's; those after it fault no pages
+    every, after_first = _fresh_matvec_faults(scheme, "steps")
+    assert every < 10.0
+    assert after_first < 1.0
+
+
+@GLIBC_ONLY
+@pytest.mark.parametrize("scheme", [s.value for s in RATE_SCHEMES])
+def test_fresh_process_power_iterations_take_no_page_faults(scheme):
+    # whole-vector products, which only power iteration makes, faulted 204
+    # (DD), 659 (FPSE) and 455 (KPSE) pages each after the first, and took
+    # up to 1.5x as long, without the block the two-row workspace frees first
+    assert _fresh_matvec_faults(scheme, "iterations")[1] < 1.0
 
 
 def test_five_smooth_matches_scipy_next_fast_len():
